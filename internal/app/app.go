@@ -12,6 +12,7 @@ import (
 	"rmac/internal/frame"
 	"rmac/internal/mac"
 	"rmac/internal/routing"
+	"rmac/internal/seqset"
 	"rmac/internal/sim"
 )
 
@@ -99,11 +100,9 @@ type Node struct {
 	id      int
 	metrics *Metrics
 
-	// seen holds one reception bitset per packet source, indexed by the
-	// origin node ID and then by sequence number. Sequence numbers are
-	// dense per source (they count up from 1), so a bitset replaces the
-	// old hash map on the per-delivery hot path with two indexed loads.
-	seen [][]uint64
+	// seen records the (source, sequence number) pairs already received,
+	// one bitset per source this node has heard.
+	seen seqset.Set
 
 	// reqs pools forwarding SendRequests; childBuf backs the per-forward
 	// children query. Both are recycled/reused in steady state.
@@ -122,26 +121,6 @@ func NewNode(eng *sim.Engine, m mac.MAC, rt *routing.Protocol, id int, metrics *
 	n := &Node{eng: eng, mac: m, rt: rt, id: id, metrics: metrics}
 	m.SetUpper(n)
 	return n
-}
-
-// markSeen records (src, seq) and reports whether it was new. The bitsets
-// grow on demand; steady state makes no allocations once every source's
-// set has caught up with its sequence counter.
-func (n *Node) markSeen(src int, seq uint32) bool {
-	for src >= len(n.seen) {
-		n.seen = append(n.seen, nil)
-	}
-	w, bit := int(seq>>6), uint64(1)<<(seq&63)
-	bs := n.seen[src]
-	for w >= len(bs) {
-		bs = append(bs, 0)
-	}
-	n.seen[src] = bs
-	if bs[w]&bit != 0 {
-		return false
-	}
-	bs[w] |= bit
-	return true
 }
 
 // OnDeliver implements mac.UpperLayer: beacons go to routing, data to the
@@ -169,7 +148,7 @@ func (n *Node) onData(payload []byte) {
 	if !ok {
 		return
 	}
-	if !n.markSeen(src, seq) {
+	if !n.seen.Add(uint64(src), seq) {
 		n.metrics.Duplicates++
 		return
 	}
@@ -242,7 +221,7 @@ func (s *Source) generate() {
 	seq := uint32(s.sent)
 	s.buf = AppendPacket(s.buf[:0], n.id, seq, n.eng.Now(), s.packetSize)
 	n.metrics.Generated++
-	n.markSeen(n.id, seq) // the source never re-forwards its own packet
+	n.seen.Add(uint64(n.id), seq) // the source never re-forwards its own packet
 	n.forward(s.buf)
 	interval := sim.Time(float64(sim.Second) / s.rate)
 	n.eng.AfterCall(interval, s, 0)

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -185,6 +186,30 @@ func TestSourceGeneratesAtRate(t *testing.T) {
 	n.OnDeliver(MarshalPacket(0, 1, sim.Second, 500), mac.RxInfo{})
 	if metrics.Receptions != 0 || metrics.Duplicates != 1 {
 		t.Fatalf("echo handling: %+v", metrics)
+	}
+}
+
+// A packet from a high node id is deduplicated like any other, and the
+// dedup state it costs does not grow with the id.
+func TestDedupSparseSource(t *testing.T) {
+	eng := sim.NewEngine(8)
+	m := &captureMAC{id: 1}
+	metrics := &Metrics{Nodes: 10000}
+	n := NewNode(eng, m, routingWithChildren(eng, m, 1, nil), 1, metrics)
+	p1, p2 := MarshalPacket(9999, 1, 0, 64), MarshalPacket(9999, 2, 0, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n.OnDeliver(p1, mac.RxInfo{})
+	runtime.ReadMemStats(&after)
+	// A table indexed by source id would take ≥ 240 KB (10000 slice
+	// headers); the bound leaves room for the race detector's overhead.
+	if b := after.TotalAlloc - before.TotalAlloc; b > 32<<10 {
+		t.Fatalf("first packet from node 9999 allocated %d B of dedup state", b)
+	}
+	n.OnDeliver(p1, mac.RxInfo{})
+	n.OnDeliver(p2, mac.RxInfo{})
+	if metrics.Receptions != 2 || metrics.Duplicates != 1 {
+		t.Fatalf("receptions %d duplicates %d, want 2 and 1", metrics.Receptions, metrics.Duplicates)
 	}
 }
 

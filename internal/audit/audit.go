@@ -28,6 +28,7 @@ import (
 	"rmac/internal/frame"
 	"rmac/internal/mac"
 	"rmac/internal/phy"
+	"rmac/internal/seqset"
 	"rmac/internal/sim"
 	"rmac/internal/trace"
 )
@@ -155,48 +156,16 @@ type nodeState struct {
 	tonePulse [phy.NumTones]sim.Time
 	expects   [phy.NumTones][4]toneExpect
 
-	// seen tracks reliable deliveries for the duplicate-delivery invariant:
-	// one sequence-number bitset per source node (sequence numbers are
-	// dense per source), plus a rare map fallback for frames whose source
-	// address does not decode to a node ID. Lazily grown.
-	seen        [][]uint64
-	seenForeign map[dedupKey]struct{}
+	// seen tracks reliable deliveries for the duplicate-delivery invariant,
+	// keyed by the transmitter's full address (see addrKey).
+	seen seqset.Set
 }
 
-type dedupKey struct {
-	src frame.Addr
-	seq uint32
-}
-
-// markSeen records a reliable delivery of (src, seq) at this node and
-// reports whether it was new.
-func (ns *nodeState) markSeen(src frame.Addr, seq uint32) bool {
-	id := src.NodeID()
-	if id < 0 {
-		if ns.seenForeign == nil {
-			ns.seenForeign = make(map[dedupKey]struct{})
-		}
-		k := dedupKey{src: src, seq: seq}
-		if _, dup := ns.seenForeign[k]; dup {
-			return false
-		}
-		ns.seenForeign[k] = struct{}{}
-		return true
-	}
-	for id >= len(ns.seen) {
-		ns.seen = append(ns.seen, nil)
-	}
-	w, bit := int(seq>>6), uint64(1)<<(seq&63)
-	bs := ns.seen[id]
-	for w >= len(bs) {
-		bs = append(bs, 0)
-	}
-	ns.seen[id] = bs
-	if bs[w]&bit != 0 {
-		return false
-	}
-	bs[w] |= bit
-	return true
+// addrKey packs a 6-byte MAC address into a set key, so node and foreign
+// addresses share one dedup path.
+func addrKey(a frame.Addr) uint64 {
+	return uint64(a[0])<<40 | uint64(a[1])<<32 | uint64(a[2])<<24 |
+		uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
 }
 
 // Auditor holds the run-wide audit state. The zero value is not usable;
@@ -441,7 +410,7 @@ type upperShim struct {
 func (s *upperShim) OnDeliver(payload []byte, info mac.RxInfo) {
 	if info.Reliable {
 		ns := s.a.node(s.node)
-		if !ns.markSeen(info.From, info.Seq) {
+		if !ns.seen.Add(addrKey(info.From), info.Seq) {
 			s.a.violate(s.node, ReliableSemantics,
 				"duplicate reliable delivery of seq %d from %v", info.Seq, info.From)
 		}

@@ -231,6 +231,20 @@ func TestDetectsDuplicateReliableDelivery(t *testing.T) {
 	}
 }
 
+// Foreign (non-node) transmitter addresses share the dedup path with node
+// addresses, and a foreign address never aliases a node whose id matches
+// its low bytes.
+func TestDuplicateDeliveryForeignAddress(t *testing.T) {
+	_, _, aud, _ := newAuditWorld(t, geom.Point{X: 0, Y: 0})
+	shim := aud.WrapUpper(0, &recUpper{})
+	foreign := frame.Addr{0x00, 0x00, 0x00, 0x00, 0x00, 0x01}
+	shim.OnDeliver([]byte("x"), mac.RxInfo{From: foreign, Reliable: true, Seq: 5})
+	shim.OnDeliver([]byte("x"), mac.RxInfo{From: frame.AddrFromID(1), Reliable: true, Seq: 5})
+	requireClean(t, aud)
+	shim.OnDeliver([]byte("x"), mac.RxInfo{From: foreign, Reliable: true, Seq: 5})
+	requireViolation(t, aud, audit.ReliableSemantics)
+}
+
 func TestDetectsIncompleteAckSet(t *testing.T) {
 	_, _, aud, _ := newAuditWorld(t, geom.Point{X: 0, Y: 0})
 	aud.ReliableOutcome(0, 1, 3, false)

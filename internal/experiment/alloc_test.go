@@ -13,7 +13,7 @@ import (
 // populated, topology converged, queues in steady state — driving the
 // simulation forward must allocate (almost) nothing per event. The
 // tolerated residue covers genuinely unbounded bookkeeping: the app-level
-// duplicate-suppression map and the MRTS length sample both grow with
+// duplicate-suppression bitsets and the MRTS length sample both grow with
 // unique packets, amortizing to well under one allocation per hundred
 // events. A regression that re-introduces per-frame or per-timer garbage
 // shows up here as allocs/event jumping by an order of magnitude.
@@ -56,5 +56,59 @@ func TestSteadyStateAllocs(t *testing.T) {
 					perEvent, allocs, events)
 			}
 		})
+	}
+}
+
+// metroDistricts is a metro run of d identical districts: 500 nodes in
+// each 601.5625 m × 1200 m district, the default 112.5 m gaps between
+// them, one 16-packet 40 pps source per district and a 1.5 s warm-up.
+func metroDistricts(d int) Config {
+	cfg := DefaultConfig()
+	cfg.Topo = TopoMetro
+	cfg.Nodes = 500 * d
+	cfg.Districts = d
+	cfg.Sources = d
+	cfg.Field = geom.Rect{W: 601.5625*float64(d) + 112.5*float64(d-1), H: 1200}
+	cfg.Rate = 40
+	cfg.Packets = 16
+	cfg.Warmup = 1500 * sim.Millisecond
+	cfg.Drain = 500 * sim.Millisecond
+	return cfg
+}
+
+// TestPerNodeStateLinear is the linearity gate on per-node state: four
+// times the districts of the same geometry must cost about the same bytes
+// per node. Per-node tables indexed by global node id grow with the
+// network and fail it (3.5× at 4000 vs 1000 nodes); tables sized by what a
+// node actually hears — its neighbours, its sources — pass near 1×.
+func TestPerNodeStateLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 4000-node simulation")
+	}
+	perNode := func(d int) float64 {
+		cfg := metroDistricts(d)
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := Run(cfg)
+		runtime.ReadMemStats(&after)
+		if res.Failed {
+			t.Fatalf("%d districts failed: %s\n%s", d, res.FailReason, res.Stack)
+		}
+		if res.Metrics.Receptions == 0 {
+			t.Fatalf("%d districts delivered nothing", d)
+		}
+		b := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Nodes)
+		t.Logf("%d nodes / %d districts: %.0f B/node", cfg.Nodes, d, b)
+		return b
+	}
+	small, large := perNode(2), perNode(8)
+	if ratio := large / small; ratio > 1.25 {
+		t.Errorf("bytes per node grow %.2f× from 1000 to 4000 nodes, want ≤ 1.25×", ratio)
+	} else {
+		t.Logf("bytes per node ratio %.2f×", ratio)
 	}
 }

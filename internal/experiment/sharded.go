@@ -226,7 +226,7 @@ func buildSharded(cfg Config) *shardedRun {
 		}
 		sr.net = phy.ConnectShardsMobile(mediums, placement.Points, part.Shard, cfg.Horizon(), sr.envelope)
 	}
-	sr.sync = sim.NewShardSync(sr.net.Direct())
+	sr.sync = sr.net.Sync()
 	return sr
 }
 
@@ -258,9 +258,10 @@ func (sr *shardedRun) fail(r any, stack []byte) {
 // second term is what makes relays safe: until a receiver drains a
 // message, the sender's frontier keeps covering that message's send time,
 // so third shards bounding the receiver's relay through the path closure
-// (foreign frontier + pathLa) never under-estimate it. Once the receiver
-// drains, its own next-lower-bound covers the scheduled delivery and the
-// cap releases.
+// (foreign frontier + pathLa) never under-estimate it. A receiver's drain
+// lowers the receiver's own frontier to the scheduled delivery before it
+// releases the slot (sim.ShardSync.Lower), so the cap lifts only once the
+// delivery is covered there.
 func (sr *shardedRun) publish(j int, eng *sim.Engine) {
 	lb := eng.NextLowerBound()
 	if c := sr.net.OutCap(j); c < lb {

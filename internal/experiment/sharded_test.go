@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -24,6 +25,19 @@ func shardConfig(shards int) Config {
 	return cfg
 }
 
+// requireRan fails the test with the run's panic and stack, or its abort
+// reason, so a crashed run never surfaces as a fingerprint mismatch (every
+// failed RunResult hashes alike).
+func requireRan(t *testing.T, what string, r RunResult) {
+	t.Helper()
+	if r.Failed {
+		t.Fatalf("%s failed: %s\n%s", what, r.FailReason, r.Stack)
+	}
+	if r.Aborted {
+		t.Fatalf("%s aborted: %s", what, r.AbortReason)
+	}
+}
+
 // TestShardedDeterministic pins the determinism contract of DESIGN.md §14:
 // for a fixed (Seed, Shards) pair, reruns are bit-identical — the whole
 // result fingerprint matches — regardless of goroutine scheduling, and a
@@ -32,18 +46,15 @@ func TestShardedDeterministic(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		cfg := shardConfig(shards)
 		a := Run(cfg)
-		if a.Failed {
-			t.Fatalf("shards=%d failed: %s\n%s", shards, a.FailReason, a.Stack)
-		}
-		if a.Aborted {
-			t.Fatalf("shards=%d aborted: %s", shards, a.AbortReason)
-		}
+		requireRan(t, fmt.Sprintf("shards=%d", shards), a)
 		b := Run(cfg)
+		requireRan(t, fmt.Sprintf("shards=%d rerun", shards), b)
 		if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
 			t.Fatalf("shards=%d rerun diverged:\n%s\n%s", shards, fa, fb)
 		}
 		cfg.Seed = 7
 		c := Run(cfg)
+		requireRan(t, fmt.Sprintf("shards=%d seed 7", shards), c)
 		if c.Events == a.Events {
 			t.Errorf("shards=%d: different seeds produced identical event counts", shards)
 		}
@@ -169,13 +180,9 @@ func TestShardedMobileDeterministic(t *testing.T) {
 		cfg := shardConfig(shards)
 		cfg.Scenario = Speed1
 		a := Run(cfg)
-		if a.Failed {
-			t.Fatalf("shards=%d failed: %s\n%s", shards, a.FailReason, a.Stack)
-		}
-		if a.Aborted {
-			t.Fatalf("shards=%d aborted: %s", shards, a.AbortReason)
-		}
+		requireRan(t, fmt.Sprintf("shards=%d mobile", shards), a)
 		b := Run(cfg)
+		requireRan(t, fmt.Sprintf("shards=%d mobile rerun", shards), b)
 		if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
 			t.Fatalf("shards=%d mobile rerun diverged:\n%s\n%s", shards, fa, fb)
 		}
@@ -189,6 +196,7 @@ func TestShardedMobileDeterministic(t *testing.T) {
 		}
 		cfg.Seed = 7
 		c := Run(cfg)
+		requireRan(t, fmt.Sprintf("shards=%d mobile seed 7", shards), c)
 		if c.Events == a.Events {
 			t.Errorf("shards=%d: different seeds produced identical event counts", shards)
 		}

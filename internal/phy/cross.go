@@ -234,10 +234,10 @@ type crossMsg struct {
 // shard's. Capacity is a power of two; a full ring makes the producer spin
 // (draining its own inboxes to break producer cycles — see send).
 type spscRing struct {
-	head atomic.Uint64 // next slot the consumer will read
-	_    [56]byte
-	tail atomic.Uint64 // next slot the producer will write
-	_    [56]byte
+	head  atomic.Uint64 // next slot the consumer will read
+	_     [56]byte
+	tail  atomic.Uint64 // next slot the producer will write
+	_     [56]byte
 	slots []crossMsg
 	mask  uint64
 }
@@ -314,7 +314,7 @@ type shardConduit struct {
 	shard int
 
 	// Sender state.
-	out      []*spscRing               // per target shard; nil where no pairs
+	out      []*spscRing                // per target shard; nil where no pairs
 	catalogs map[*Radio][]*crossCatalog // border radio → per-target catalogs (index parallel to outIdx)
 	catIdx   map[*Radio][]int           // target shard index per catalog
 	localSeq uint64
@@ -338,12 +338,14 @@ type shardConduit struct {
 }
 
 // ShardNet is the cross-shard fabric of one sharded run: conduits, rings,
-// and the direct lookahead matrix. Stationary runs derive the matrix once
-// from the static placement; mobile runs rebuild it (and every catalog,
-// border flag, and ghost set) at each epoch boundary via Rebuild.
+// the direct lookahead matrix, and the frontier table built from it.
+// Stationary runs derive the matrix once from the static placement; mobile
+// runs rebuild it (and every catalog, border flag, and ghost set) at each
+// epoch boundary via Rebuild.
 type ShardNet struct {
 	conduits []*shardConduit
 	direct   [][]sim.Time
+	sync     *sim.ShardSync
 	stop     atomic.Bool
 
 	// Mobile epoch state. localIdx/shardOf/mediums are setup-time constants;
@@ -487,6 +489,7 @@ func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime s
 	for i, m := range mediums {
 		m.cross = net.conduits[i]
 	}
+	net.sync = sim.NewShardSync(net.direct)
 	return net
 }
 
@@ -570,6 +573,7 @@ func ConnectShardsMobile(mediums []*Medium, pos []geom.Point, shardOf []int, end
 	for i, m := range mediums {
 		m.cross = net.conduits[i]
 	}
+	net.sync = sim.NewShardSync(net.direct)
 	return net
 }
 
@@ -769,9 +773,15 @@ func (c *shardConduit) ghost(src int, pos geom.Point) *Radio {
 
 // Direct returns the direct lookahead matrix: Direct()[k][j] is the
 // minimum cross-shard propagation delay from shard k to shard j
-// (sim.MaxTime where no pair of radios is in range). Feed it to
-// sim.NewShardSync, which closes it under shortest paths.
+// (sim.MaxTime where no pair of radios is in range). Mobile runs feed it
+// to Sync().SetLookahead after every Rebuild.
 func (n *ShardNet) Direct() [][]sim.Time { return n.direct }
+
+// Sync returns the run's frontier table, built from the direct matrix at
+// connect time. Drains lower a receiver's frontier in it before they
+// release ring slots, so the shard loop must publish and read frontiers
+// through this table.
+func (n *ShardNet) Sync() *sim.ShardSync { return n.sync }
 
 // Stop releases every producer blocked on a full ring (messages are
 // dropped from then on). Called when a sharded run aborts; determinism is
@@ -824,6 +834,10 @@ func (c *shardConduit) drain() {
 		}
 		h := ring.head.Load()
 		t := ring.tail.Load()
+		if h == t {
+			continue
+		}
+		first := sim.MaxTime
 		for ; h != t; h++ {
 			slot := &ring.slots[h&ring.mask]
 			p := c.takeHolder()
@@ -833,14 +847,20 @@ func (c *shardConduit) drain() {
 			if slot.kind == crossTx {
 				p.fr.copyFrom(&slot.fr)
 			}
-			ring.head.Store(h + 1) // slot fully copied; producer may reuse it
 			c.stats.MsgsIn++
 			at := p.t0
 			if p.cat != nil {
 				at += p.cat.minProp // ghost records (cat==nil) fire at the boundary itself
 			}
 			c.med.eng.ScheduleCrossCall(at, p, 0, p.seqBase)
+			first = min(first, at)
 		}
+		// Cover the deliveries with this shard's frontier before handing the
+		// slots back: the release lifts the sender's OutCap, and otherwise,
+		// for a moment, neither frontier covers them and a shard may run
+		// past their consequences (DESIGN.md §14).
+		c.net.sync.Lower(c.shard, first)
+		ring.head.Store(t)
 	}
 }
 

@@ -116,19 +116,22 @@ func DefaultConfig() Config {
 	return Config{Period: 500 * sim.Millisecond, Expiry: 3 * sim.Second, JitterFrac: 0.1}
 }
 
-// neighbor is one entry of the dense per-ID neighbour table. present
-// distinguishes live entries from never-heard or expired IDs; the table is
-// a slice, not a map, because node IDs are small dense integers and the
-// per-beacon recompute sweep dominates the routing layer's cost — a linear
-// scan over a few dozen inline structs beats a map iteration several-fold,
-// and parent selection is order-independent, so the result is unchanged.
+// neighbor is one slot of the compact neighbour table: one slot per
+// neighbour heard and not yet expired, kept sorted by id. The table's
+// size is the node's degree, not the largest id in the network; lookup
+// and insert binary-search it, and the id order makes ChildrenInto's
+// output ascending.
 type neighbor struct {
+	id       int
+	last     sim.Time
 	hops     int32
 	parent   int32
 	children int32
-	present  bool
-	last     sim.Time
 }
+
+// firstNeighbors sizes a table's first allocation, so a node with a
+// typical degree never regrows it.
+const firstNeighbors = 16
 
 // Protocol is the per-node BLESS instance. It is driven by the node's
 // dispatcher: beacons received from the MAC are fed to HandleBeacon, and
@@ -142,7 +145,7 @@ type Protocol struct {
 
 	hops      int
 	parent    int
-	neighbors []neighbor // indexed by node ID, grown on demand
+	neighbors []neighbor // sorted by id
 
 	// nextExpiry is a conservative lower bound on the earliest instant any
 	// present neighbour could expire (refreshed by every full recompute).
@@ -209,16 +212,17 @@ func (p *Protocol) HandleBeacon(payload []byte) bool {
 	if b.ID == p.id {
 		return true
 	}
-	if b.ID >= len(p.neighbors) {
-		p.neighbors = append(p.neighbors, make([]neighbor, b.ID+1-len(p.neighbors))...)
-	}
 	now := p.eng.Now()
-	nb := &p.neighbors[b.ID]
-	nb.hops = int32(b.Hops)
-	nb.parent = int32(b.Parent)
-	nb.children = int32(b.Children)
-	nb.present = true
-	nb.last = now
+	i, found := p.find(b.ID)
+	if !found {
+		if p.neighbors == nil {
+			p.neighbors = make([]neighbor, 0, firstNeighbors)
+		}
+		p.neighbors = append(p.neighbors, neighbor{})
+		copy(p.neighbors[i+1:], p.neighbors[i:])
+	}
+	p.neighbors[i] = neighbor{id: b.ID, last: now,
+		hops: int32(b.Hops), parent: int32(b.Parent), children: int32(b.Children)}
 
 	// Parent re-selection. The full scan is only needed when the incumbent
 	// itself changed (its score moved, possibly down — a max cannot be
@@ -239,7 +243,8 @@ func (p *Protocol) HandleBeacon(payload []byte) bool {
 	if b.Hops < 0 {
 		return true
 	}
-	inc := &p.neighbors[p.parent]
+	pi, _ := p.find(p.parent) // present: only recompute removes entries, and it re-selects
+	inc := &p.neighbors[pi]
 	incHops, incKids := int(inc.hops), int(inc.children)+1
 	if b.Hops < incHops || (b.Hops == incHops &&
 		(b.Children > incKids || (b.Children == incKids && b.ID < p.parent))) {
@@ -249,21 +254,33 @@ func (p *Protocol) HandleBeacon(payload []byte) bool {
 	return true
 }
 
-// recompute expires stale neighbours and re-selects the parent, in one
-// pass over the dense neighbour table.
+// find returns the slot holding id, or the slot where it would be
+// inserted to keep the table sorted.
+func (p *Protocol) find(id int) (int, bool) {
+	lo, hi := 0, len(p.neighbors)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.neighbors[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(p.neighbors) && p.neighbors[lo].id == id
+}
+
+// recompute drops expired neighbours and re-selects the parent, in one
+// pass over the table.
 func (p *Protocol) recompute() {
 	now := p.eng.Now()
 	minLast := sim.Time(1<<62 - 1)
 	bestID, bestHops, bestKids := -1, -1, -1
-	for id := range p.neighbors {
-		nb := &p.neighbors[id]
-		if !nb.present {
-			continue
-		}
+	live := p.neighbors[:0]
+	for _, nb := range p.neighbors {
 		if now-nb.last > p.cfg.Expiry {
-			nb.present = false
 			continue
 		}
+		live = append(live, nb)
 		if nb.last < minLast {
 			minLast = nb.last
 		}
@@ -271,7 +288,7 @@ func (p *Protocol) recompute() {
 			continue
 		}
 		kids := int(nb.children)
-		if id == p.parent {
+		if nb.id == p.parent {
 			// Hysteresis: our advertised membership counts toward the
 			// incumbent, so an equally-loaded alternative does not win.
 			kids++
@@ -279,11 +296,12 @@ func (p *Protocol) recompute() {
 		hops := int(nb.hops)
 		better := bestID < 0 || hops < bestHops ||
 			(hops == bestHops && kids > bestKids) ||
-			(hops == bestHops && kids == bestKids && id < bestID)
+			(hops == bestHops && kids == bestKids && nb.id < bestID)
 		if better {
-			bestID, bestHops, bestKids = id, hops, kids
+			bestID, bestHops, bestKids = nb.id, hops, kids
 		}
 	}
+	p.neighbors = live
 	p.nextExpiry = minLast + p.cfg.Expiry
 	if p.root {
 		p.hops = 0
@@ -311,14 +329,14 @@ func (p *Protocol) Children() []int { return p.ChildrenInto(nil) }
 
 // ChildrenInto appends the current children to buf and returns it, so
 // steady-state callers can reuse one buffer across queries. The table is
-// indexed by ID, so the appended IDs are ascending by construction.
+// sorted by ID, so the appended IDs are ascending.
 func (p *Protocol) ChildrenInto(buf []int) []int {
 	now := p.eng.Now()
 	pid := int32(p.id)
-	for id := range p.neighbors {
-		nb := &p.neighbors[id]
-		if nb.present && now-nb.last <= p.cfg.Expiry && nb.parent == pid {
-			buf = append(buf, id)
+	for i := range p.neighbors {
+		nb := &p.neighbors[i]
+		if now-nb.last <= p.cfg.Expiry && nb.parent == pid {
+			buf = append(buf, nb.id)
 		}
 	}
 	return buf
@@ -329,8 +347,7 @@ func (p *Protocol) NeighborCount() int {
 	now := p.eng.Now()
 	c := 0
 	for i := range p.neighbors {
-		nb := &p.neighbors[i]
-		if nb.present && now-nb.last <= p.cfg.Expiry {
+		if now-p.neighbors[i].last <= p.cfg.Expiry {
 			c++
 		}
 	}

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,5 +203,172 @@ func TestBeaconRateRoughlyPeriodic(t *testing.T) {
 	want := uint64(30 * sim.Second / DefaultConfig().Period)
 	if sent < want*8/10 || sent > want*12/10 {
 		t.Fatalf("beacons in 30s = %d, want ≈%d", sent, want)
+	}
+}
+
+// refTable is the id-indexed neighbour table the compact table replaced,
+// kept as a test oracle: one entry per id up to the largest id heard, and
+// a full parent re-selection on every beacon.
+type refTable struct {
+	id           int
+	root         bool
+	expiry       sim.Time
+	hops, parent int
+	nb           []refNeighbor // indexed by node id
+}
+
+type refNeighbor struct {
+	hops, parent, children int
+	present                bool
+	last                   sim.Time
+}
+
+func newRefTable(id int, root bool, expiry sim.Time) *refTable {
+	r := &refTable{id: id, root: root, expiry: expiry, hops: -1, parent: -1}
+	if root {
+		r.hops = 0
+	}
+	return r
+}
+
+func (r *refTable) beacon(b Beacon, now sim.Time) {
+	if b.ID == r.id {
+		return
+	}
+	for b.ID >= len(r.nb) {
+		r.nb = append(r.nb, refNeighbor{})
+	}
+	r.nb[b.ID] = refNeighbor{hops: b.Hops, parent: b.Parent, children: b.Children, present: true, last: now}
+	if !r.root {
+		r.recompute(now)
+	}
+}
+
+func (r *refTable) recompute(now sim.Time) {
+	best, bestHops, bestKids := -1, -1, -1
+	for id := range r.nb {
+		n := &r.nb[id]
+		if n.present && now-n.last > r.expiry {
+			n.present = false
+		}
+		if !n.present || n.hops < 0 {
+			continue
+		}
+		kids := n.children
+		if id == r.parent {
+			kids++
+		}
+		if best < 0 || n.hops < bestHops ||
+			(n.hops == bestHops && (kids > bestKids || (kids == bestKids && id < best))) {
+			best, bestHops, bestKids = id, n.hops, kids
+		}
+	}
+	switch {
+	case r.root:
+		r.hops, r.parent = 0, -1
+	case best < 0:
+		r.hops, r.parent = -1, -1
+	default:
+		r.hops, r.parent = bestHops+1, best
+	}
+}
+
+func (r *refTable) fresh(id int, now sim.Time) bool {
+	return r.nb[id].present && now-r.nb[id].last <= r.expiry
+}
+
+func (r *refTable) children(now sim.Time) []int {
+	var out []int
+	for id := range r.nb {
+		if r.fresh(id, now) && r.nb[id].parent == r.id {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+func (r *refTable) count(now sim.Time) int {
+	c := 0
+	for id := range r.nb {
+		if r.fresh(id, now) {
+			c++
+		}
+	}
+	return c
+}
+
+// TestCompactTableMatchesReference drives the protocol and the id-indexed
+// reference with the same random streams of beacons (from sparse ids,
+// including the node's own), silences long enough to expire neighbours,
+// and beacon-tick sweeps, and requires Parent, Hops, ChildrenInto and
+// NeighborCount to agree after every step.
+func TestCompactTableMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		self := 40 + rng.Intn(1500)
+		root := seed%4 == 0
+		pool := []int{self}
+		for len(pool) < 14 {
+			pool = append(pool, rng.Intn(1600))
+		}
+		eng := sim.NewEngine(seed)
+		cfg := DefaultConfig()
+		p := New(eng, &fakeMAC{w: &fakeWorld{eng: eng}, id: self}, self, root, cfg)
+		ref := newRefTable(self, root, cfg.Expiry)
+		var buf []int
+		for step := 0; step < 2500; step++ {
+			dt := sim.Time(rng.Int63n(int64(400 * sim.Millisecond)))
+			if rng.Intn(40) == 0 {
+				dt += cfg.Expiry // a silence that expires everyone heard before it
+			}
+			eng.Run(eng.Now() + dt)
+			now := eng.Now()
+			if rng.Intn(8) == 0 {
+				p.recompute() // a beacon tick's sweep (tick itself would reschedule)
+				ref.recompute(now)
+			} else {
+				b := Beacon{ID: pool[rng.Intn(len(pool))], Hops: rng.Intn(6) - 1,
+					Parent: -1, Children: rng.Intn(5)}
+				if rng.Intn(3) > 0 {
+					b.Parent = pool[rng.Intn(len(pool))]
+				}
+				if b.Hops < 0 {
+					b.Parent = -1
+				}
+				p.HandleBeacon(b.Marshal())
+				ref.beacon(b, now)
+			}
+			buf = p.ChildrenInto(buf[:0])
+			want := ref.children(now)
+			if p.Parent() != ref.parent || p.Hops() != ref.hops ||
+				!slices.Equal(buf, want) || p.NeighborCount() != ref.count(now) {
+				t.Fatalf("seed %d step %d (root=%v): parent %d/%d hops %d/%d children %v/%v neighbours %d/%d (got/want)",
+					seed, step, root, p.Parent(), ref.parent, p.Hops(), ref.hops,
+					buf, want, p.NeighborCount(), ref.count(now))
+			}
+			if len(p.neighbors) > len(pool) {
+				t.Fatalf("seed %d step %d: %d slots for %d possible neighbours", seed, step, len(p.neighbors), len(pool))
+			}
+		}
+	}
+}
+
+// The table holds one slot per live neighbour, whatever its id, and the
+// beacon tick's sweep drops expired ones.
+func TestNeighborTableIsDegreeSized(t *testing.T) {
+	eng := sim.NewEngine(8)
+	p := New(eng, &fakeMAC{w: &fakeWorld{eng: eng}, id: 1}, 1, false, DefaultConfig())
+	p.HandleBeacon(Beacon{ID: 9999, Hops: 1, Parent: 0}.Marshal())
+	p.HandleBeacon(Beacon{ID: 3, Hops: 2, Parent: 1}.Marshal())
+	if len(p.neighbors) != 2 || p.neighbors[0].id != 3 || p.neighbors[1].id != 9999 {
+		t.Fatalf("table = %+v, want slots for ids 3 and 9999 in order", p.neighbors)
+	}
+	if p.Parent() != 9999 || !slices.Equal(p.Children(), []int{3}) {
+		t.Fatalf("parent %d children %v", p.Parent(), p.Children())
+	}
+	eng.Run(eng.Now() + DefaultConfig().Expiry + 1)
+	p.recompute()
+	if len(p.neighbors) != 0 || p.Parent() != -1 {
+		t.Fatalf("expired neighbours kept: %+v, parent %d", p.neighbors, p.Parent())
 	}
 }

@@ -161,6 +161,11 @@ type ShardSync struct {
 	// cycle); MaxTime = decoupled. Immutable once stored.
 	la atomic.Pointer[[][]Time]
 	fr []padTime
+	_  [56]byte
+	// lowered counts the Lower calls that moved a frontier down; Target
+	// and MinFrontier re-read every frontier when it changes mid-scan.
+	lowered atomic.Uint64
+	_       [56]byte
 }
 
 // padTime pads each frontier to its own cache line so Publish stores from
@@ -235,13 +240,18 @@ func closeWalks(la [][]Time) {
 // all its pre-boundary events and every conduit ring has been drained (an
 // undrained message caps its sender's frontier at the send time).
 func (ss *ShardSync) MinFrontier() Time {
-	t := maxTime
-	for k := range ss.fr {
-		if f := Time(ss.fr[k].v.Load()); f < t {
-			t = f
+	for {
+		n := ss.lowered.Load()
+		t := maxTime
+		for k := range ss.fr {
+			if f := Time(ss.fr[k].v.Load()); f < t {
+				t = f
+			}
+		}
+		if ss.lowered.Load() == n {
+			return t
 		}
 	}
-	return t
 }
 
 // Lookahead returns the closed (minimum-walk) lookahead from shard k to
@@ -252,9 +262,30 @@ func (ss *ShardSync) Lookahead(k, j int) Time { return (*ss.la.Load())[k][j] }
 // Publish records shard k's frontier: a promise that shard k will not mint
 // any new influence before t. Callers must derive t from measurements only
 // — min(NextLowerBound after draining inbound rings, earliest undrained
-// outbound send time) — never from other shards' frontiers, and must be
-// monotonically non-decreasing per shard.
+// outbound send time) — never from other shards' frontiers. Frontiers are
+// not monotone: Lower pulls one down when a drain schedules an earlier
+// delivery. Only shard k's goroutine may publish or lower frontier k.
 func (ss *ShardSync) Publish(k int, t Time) { ss.fr[k].v.Store(int64(t)) }
+
+// Lower pulls shard k's published frontier down to t when it is above it.
+// A draining shard calls it with the deliveries it has just scheduled,
+// before releasing their ring slots: the release lifts the sender's cap
+// on its own frontier, so the receiver's frontier must already cover them.
+//
+// The hand-off from the sender's frontier to the receiver's is not atomic
+// for a reader that loads the frontiers one at a time: it may read the
+// receiver's before the Lower and the sender's after the release, and see
+// neither cover the delivery. Lower therefore bumps a counter between its
+// store and the caller's release, and Target and MinFrontier rescan when
+// the counter moved under them. (Publish never needs this: a published
+// frontier only drops below its previous value through events a drain
+// scheduled, and that drain has lowered it already.)
+func (ss *ShardSync) Lower(k int, t Time) {
+	if Time(ss.fr[k].v.Load()) > t {
+		ss.fr[k].v.Store(int64(t))
+		ss.lowered.Add(1)
+	}
+}
 
 // Frontier returns shard k's last published frontier.
 func (ss *ShardSync) Frontier(k int) Time { return Time(ss.fr[k].v.Load()) }
@@ -266,6 +297,17 @@ func (ss *ShardSync) Frontier(k int) Time { return Time(ss.fr[k].v.Load()) }
 // MaxTime means j is unconstrained (no shard — itself included — can route
 // influence to it, or all have terminated).
 func (ss *ShardSync) Target(j int) Time {
+	for {
+		n := ss.lowered.Load()
+		t := ss.target(j)
+		if ss.lowered.Load() == n {
+			return t
+		}
+	}
+}
+
+// target is one scan of Target's bound.
+func (ss *ShardSync) target(j int) Time {
 	t := maxTime
 	m := *ss.la.Load()
 	for k := range ss.fr {

@@ -68,6 +68,32 @@ func TestShardSyncTarget(t *testing.T) {
 	}
 }
 
+// TestShardSyncLower: a drain's Lower only ever pulls a frontier down, and
+// the targets and the barrier minimum see the lowered value at once.
+func TestShardSyncLower(t *testing.T) {
+	inf := Time(MaxTime)
+	ss := NewShardSync([][]Time{
+		{inf, 5},
+		{7, inf},
+	})
+	ss.Publish(0, 1000)
+	ss.Publish(1, 2000)
+	ss.Lower(1, 3000) // above the frontier: no change
+	if got := ss.Frontier(1); got != 2000 {
+		t.Fatalf("Lower above the frontier moved it to %v", got)
+	}
+	ss.Lower(1, 300) // a delivery drained at 300
+	if got := ss.Frontier(1); got != 300 {
+		t.Fatalf("Frontier(1) = %v after Lower(1, 300)", got)
+	}
+	if got := ss.Target(0); got != 307 {
+		t.Errorf("Target(0) = %v, want 307 (lowered frontier 300 + lookahead 7)", got)
+	}
+	if got := ss.MinFrontier(); got != 300 {
+		t.Errorf("MinFrontier = %v, want 300", got)
+	}
+}
+
 type orderRec struct {
 	log *[]int
 	id  int

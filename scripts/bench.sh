@@ -10,9 +10,12 @@
 #   scripts/bench.sh -quick     # single iteration smoke (CI)
 #   scripts/bench.sh -check     # short run, gate against committed JSONs
 #
-# Each JSON maps a benchmark to {ns_op, b_op, allocs_op}. Commit the
-# refreshed files together with any change that moves these numbers, and
-# quote the before/after in the PR description.
+# Each JSON maps a benchmark to {ns_op, b_op, allocs_op}, and its
+# "_provenance" entry records where the numbers came from: CPU model,
+# core count, GOMAXPROCS, Go version, source commit ("-dirty" when the
+# tree had uncommitted changes) and date. Commit the refreshed files
+# together with any change that moves these numbers, and quote the
+# before/after in the PR description.
 #
 # -check compares a short (1s benchtime) run against the committed numbers
 # and fails on any allocs/op increase or on an ns/op regression beyond the
@@ -43,6 +46,16 @@ case "${1:-}" in
     ;;
 esac
 
+# provenance — the "_provenance" JSON object stamped into every file.
+provenance() {
+    local cpu commit
+    cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+    commit=$(git describe --always --dirty 2>/dev/null || echo unknown)
+    printf '{"cpu": "%s", "nproc": %s, "gomaxprocs": %s, "go": "%s", "commit": "%s", "date": "%s"}' \
+        "${cpu:-unknown}" "$(nproc)" "${GOMAXPROCS:-$(nproc)}" "$(go env GOVERSION)" \
+        "$commit" "$(date -u +%Y-%m-%d)"
+}
+
 # bench_suite PATTERN OUT PKGS... — run one benchmark suite and render the
 # results as JSON into OUT (/dev/null in smoke mode, a temp file in check
 # mode).
@@ -55,8 +68,8 @@ bench_suite() {
     raw=$(go test -run '^$' -bench "$pattern" -benchtime "$BENCHTIME" -benchmem "$@")
     echo "$raw"
 
-    echo "$raw" | awk '
-    BEGIN { print "{"; n = 0 }
+    echo "$raw" | awk -v prov="$(provenance)" '
+    BEGIN { print "{"; printf "  \"_provenance\": %s", prov; n = 1 }
     /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)   # strip -GOMAXPROCS suffix
