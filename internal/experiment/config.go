@@ -169,19 +169,21 @@ type Config struct {
 	// Shards, when > 1, runs the simulation on the sharded conservative
 	// parallel engine: the field is partitioned into vertical strips, one
 	// engine + goroutine per strip, synchronized by propagation-delay
-	// lookahead — exact pairwise delays when stationary (DESIGN.md §14),
-	// conservative envelope bounds recomputed per mobility epoch when
-	// nodes move (DESIGN.md §15). 0 or 1 selects the classic single-engine
-	// path; results for a fixed (Seed, Shards) pair are bit-identical
-	// across reruns, and Shards ≤ 1 is bit-identical to the unsharded
-	// engine.
+	// lookahead (DESIGN.md §14) — conservative bounds over the nodes'
+	// position envelopes, recomputed per mobility epoch (DESIGN.md §15).
+	// Stationary nodes have envelope 0, so their bounds are the exact
+	// pairwise delays and never need recomputing. 0 or 1 selects the
+	// classic single-engine path; results for a fixed (Seed, Shards) pair
+	// are bit-identical across reruns, and Shards ≤ 1 is bit-identical to
+	// the unsharded engine.
 	Shards int
 
-	// ShardEpoch is the mobility epoch length of a mobile sharded run: the
+	// ShardEpoch is the mobility epoch length of a sharded run: the
 	// interval at which lookahead and border-band membership are
 	// recomputed from conservative position envelopes. Shorter epochs give
 	// tighter lookahead (less conservatism) but more rollover barriers.
-	// 0 = 1 s. Ignored when Shards ≤ 1 or the scenario is stationary.
+	// 0 = 1 s. Ignored when Shards ≤ 1 or the scenario is stationary
+	// (nothing moves, so a stationary run has a single epoch).
 	ShardEpoch sim.Time
 
 	// Sources is the number of multicast source nodes (0 or 1 = the
@@ -307,19 +309,17 @@ func (c Config) Validate() error {
 	}
 	if c.Shards > 1 {
 		if c.ShardEpoch < 0 {
-			return fmt.Errorf("experiment: shard epoch must be positive, have %v", c.ShardEpoch)
+			return fmt.Errorf("experiment: shard epoch must not be negative, have %v", c.ShardEpoch)
 		}
-		if c.Scenario != Stationary {
-			// The per-epoch displacement envelope must fit inside a strip:
-			// a node able to traverse a whole strip within one epoch would
-			// overlap the border bands of non-adjacent shards and collapse
-			// every pairwise lookahead toward the 1 ns floor. The mean
-			// strip width is the a-priori bound (the data-dependent minimum
-			// is checked against the actual cuts at build time).
-			env := 2 * c.Scenario.MaxSpeed() * c.shardEpoch().Seconds()
-			if strip := c.Field.W / float64(c.Shards); env >= strip {
-				return fmt.Errorf("experiment: mobility envelope %.1fm (2 × %.0fm/s × %v epoch) must stay below the %.1fm mean strip width; shorten ShardEpoch or use fewer shards", env, c.Scenario.MaxSpeed(), c.shardEpoch(), strip)
-			}
+		// The per-epoch displacement envelope must fit inside a strip: a
+		// node able to traverse a whole strip within one epoch would
+		// overlap the border bands of non-adjacent shards and collapse
+		// every pairwise lookahead toward the 1 ns floor. The mean strip
+		// width is the a-priori bound (the data-dependent minimum is
+		// checked against the actual cuts at build time). A stationary
+		// envelope is 0 and always fits.
+		if env, strip := c.shardEnvelope(), c.Field.W/float64(c.Shards); env >= strip {
+			return fmt.Errorf("experiment: mobility envelope %.1fm (2 × %.0fm/s × %v epoch) must stay below the %.1fm mean strip width; shorten ShardEpoch or use fewer shards", env, c.Scenario.MaxSpeed(), c.shardEpoch(), strip)
 		}
 		if c.TraceCap > 0 {
 			return errors.New("experiment: TraceCap is not supported with Shards > 1")
@@ -388,6 +388,13 @@ func (c Config) shardEpoch() sim.Time {
 		return c.ShardEpoch
 	}
 	return sim.Second
+}
+
+// shardEnvelope bounds how much any pairwise node distance can change
+// within one mobility epoch of a sharded run: 2 × MaxSpeed × epoch, 0 when
+// stationary.
+func (c Config) shardEnvelope() float64 {
+	return 2 * c.Scenario.MaxSpeed() * c.shardEpoch().Seconds()
 }
 
 // Horizon returns the simulated end time of the run.

@@ -7,6 +7,7 @@ import (
 
 	"rmac/internal/fault"
 	"rmac/internal/mac"
+	"rmac/internal/sim"
 )
 
 // TestSweepSurvivesPanickingRun is the crash-proofing acceptance test: one
@@ -81,6 +82,32 @@ func TestInvalidConfigFails(t *testing.T) {
 	bad.Fault.Burst = fault.BurstConfig{Enabled: true, BERBad: 2}
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted an out-of-range burst BER")
+	}
+
+	// Shard epochs: negative is rejected; a mobility envelope (2 × MaxSpeed
+	// × epoch) must stay strictly below the mean strip width, here
+	// 250 m / 2 shards = 125 m, so 2 × 8 m/s × 7.8125 s = 125 m is one
+	// epoch too long and 7.8 s (124.8 m) fits.
+	bad = smallConfig()
+	bad.Shards, bad.ShardEpoch = 2, -sim.Second
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+		t.Errorf("negative ShardEpoch: err = %v, want a must-not-be-negative rejection", err)
+	}
+	bad.Scenario, bad.ShardEpoch = Speed2, 7812500*sim.Microsecond
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "mean strip width") {
+		t.Errorf("speed2 envelope at the strip width: err = %v, want a strip-width rejection", err)
+	}
+	bad.ShardEpoch = 7800 * sim.Millisecond
+	if err := bad.Validate(); err != nil {
+		t.Errorf("speed2 envelope below the strip width rejected: %v", err)
+	}
+	// A stationary envelope is 0, so no epoch length can exceed a strip.
+	for _, epoch := range []sim.Time{0, sim.Second, 3600 * sim.Second} {
+		ok := smallConfig()
+		ok.Shards, ok.ShardEpoch = 8, epoch
+		if err := ok.Validate(); err != nil {
+			t.Errorf("stationary 8-shard run with ShardEpoch %v rejected: %v", epoch, err)
+		}
 	}
 }
 

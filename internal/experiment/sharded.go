@@ -40,14 +40,16 @@ import (
 // border traffic. See DESIGN.md §14 for the protocol, its liveness
 // argument, and the determinism contract.
 //
-// Mobile scenarios run the same protocol under *mobility epochs* (DESIGN.md
-// §15): the horizon is divided into fixed-length epochs, per-node
-// displacement within one epoch is bounded by MaxSpeed·epoch, and at every
-// epoch boundary all shards park at a barrier while a rollover leader
-// (shard 0) recomputes the lookahead matrix and border-band membership from
-// the boundary positions. The leader reads positions from its own shadow
-// replicas of every node's waypoint model — trajectories are pure functions
-// of (Seed, node id), so no cross-goroutine state is touched.
+// The protocol runs under *mobility epochs* (DESIGN.md §15): the horizon
+// is divided into fixed-length epochs, per-node displacement within one
+// epoch is bounded by MaxSpeed·epoch, and at every epoch boundary all
+// shards park at a barrier while a rollover leader (shard 0) recomputes the
+// lookahead matrix and border-band membership from the boundary positions.
+// The leader reads positions from its own shadow replicas of every node's
+// waypoint model — trajectories are pure functions of (Seed, node id), so
+// no cross-goroutine state is touched. A stationary run is the case of
+// envelope 0 and a single epoch that outlasts the horizon: it never rolls
+// over.
 
 // ShardSeedMix decorrelates per-shard engine RNG streams from each other
 // and from the unsharded stream while keeping them functions of
@@ -108,16 +110,15 @@ type shardedRun struct {
 	net    *phy.ShardNet
 	sync   *sim.ShardSync
 
-	// Mobility epoch state. shadow/posB are leader-owned: only shard 0
-	// touches them, inside the boundary barrier. gen is the epoch
-	// generation — the leader's release-increment after Rebuild is what
-	// publishes the new tables to the followers spinning on it.
-	mobile   bool
-	epoch    sim.Time
-	envelope float64
-	shadow   []*mobility.RandomWaypoint
-	posB     []geom.Point
-	gen      atomic.Uint64
+	// Mobility epoch state. epoch is sim.MaxTime for a stationary run.
+	// shadow/posB are leader-owned: only shard 0 touches them, inside the
+	// boundary barrier. gen is the epoch generation — the leader's
+	// release-increment after Rebuild is what publishes the new tables to
+	// the followers spinning on it.
+	epoch  sim.Time
+	shadow []*mobility.RandomWaypoint
+	posB   []geom.Point
+	gen    atomic.Uint64
 
 	stop   atomic.Bool
 	cancel context.CancelFunc
@@ -205,18 +206,16 @@ func buildSharded(cfg Config) *shardedRun {
 		mediums[s] = medium
 		sr.stacks = append(sr.stacks, st)
 	}
-	if cfg.Scenario == Stationary {
-		sr.net = phy.ConnectShards(mediums, placement.Points, part.Shard, cfg.Horizon())
-	} else {
-		sr.mobile = true
+	sr.epoch = sim.MaxTime
+	envelope := cfg.shardEnvelope()
+	if envelope > 0 {
 		sr.epoch = cfg.shardEpoch()
-		sr.envelope = 2 * cfg.Scenario.MaxSpeed() * sr.epoch.Seconds()
-		if w := part.MinStripWidth(cfg.Field.W); sr.envelope >= w {
+		if w := part.MinStripWidth(cfg.Field.W); envelope >= w {
 			// Sound but hopeless: border bands spanning whole strips pin
 			// every pairwise lookahead near the 1 ns floor. Validate already
 			// rejects this against the mean strip width; this guard catches
 			// placements whose population-quantile cuts came out narrower.
-			panic(fmt.Sprintf("experiment: mobility envelope %.1fm exceeds the narrowest %.1fm strip; shorten ShardEpoch or use fewer shards", sr.envelope, w))
+			panic(fmt.Sprintf("experiment: mobility envelope %.1fm exceeds the narrowest %.1fm strip; shorten ShardEpoch or use fewer shards", envelope, w))
 		}
 		sr.shadow = make([]*mobility.RandomWaypoint, cfg.Nodes)
 		sr.posB = make([]geom.Point, cfg.Nodes)
@@ -224,8 +223,8 @@ func buildSharded(cfg Config) *shardedRun {
 			rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
 			sr.shadow[i] = mobility.NewRandomWaypoint(cfg.Field, 0, cfg.Scenario.MaxSpeed(), cfg.Scenario.Pause(), placement.Points[i], rng)
 		}
-		sr.net = phy.ConnectShardsMobile(mediums, placement.Points, part.Shard, cfg.Horizon(), sr.envelope)
 	}
+	sr.net = phy.ConnectShards(mediums, placement.Points, part.Shard, cfg.Horizon(), envelope)
 	sr.sync = sr.net.Sync()
 	return sr
 }
@@ -295,12 +294,8 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 	// Mobility epochs: B is the next epoch boundary — a hard cap on every
 	// window, because the current lookahead tables are only valid for
 	// events strictly before it. gen is the epoch generation this shard has
-	// observed. Stationary runs never roll over (B = MaxTime) and take the
-	// exact pre-epoch path.
-	B := sim.MaxTime
-	if sr.mobile {
-		B = sr.epoch
-	}
+	// observed. A stationary run has B = MaxTime and never rolls over.
+	B := sr.epoch
 	var gen uint64
 	for !sr.stop.Load() {
 		target := sr.sync.Target(j)
@@ -316,8 +311,8 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 			// at the send time, pulling our target back under the horizon,
 			// and future sends land above their sender's frontier plus
 			// lookahead — above target — where the sender-side filter drops
-			// them. This is the final window. (Mobile: requires B > endTime
-			// too, so the final window never outruns the epoch tables.)
+			// them. This is the final window. (It requires B > endTime too,
+			// so the final window never outruns the epoch tables.)
 			if endTime > done {
 				eng.Run(endTime)
 				st.stats.Windows++

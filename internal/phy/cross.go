@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -17,17 +18,21 @@ import (
 // DESIGN.md §14 for the full derivation).
 //
 // A sharded run gives every spatial shard its own Medium on its own
-// Engine/goroutine. Radios within one interference range of a shard
-// boundary are marked border radios; for each of them the setup phase
-// precomputes an immutable catalog per foreign shard: the in-range
-// receivers over there, each with its exact propagation delay and
-// decode-range flag. When a border radio transmits, aborts, or toggles a
-// tone, the sender shard — in addition to its normal local fan-out —
-// publishes a fixed-size message into a bounded SPSC ring per target
-// shard. Messages carry a field-copied image of the frame (wireFrame), the
-// event times, and a sender-minted sequence base in the engine's cross
-// sequence space (sim.CrossSeq), which fixes the merge order at the
-// receiver independent of wall-clock arrival.
+// Engine/goroutine. Radios that can come within one interference range of
+// a foreign shard's radio during the current mobility epoch are marked
+// border radios; for each of them the fabric keeps an immutable catalog
+// per foreign shard: the candidate receivers over there. The epoch's
+// position envelope (how far any pairwise distance can change within it)
+// sizes the candidate sets; a stationary run is the case envelope 0 with
+// a single epoch spanning the horizon, where the candidates are exactly
+// the in-range receivers. When a border radio transmits, aborts, or
+// toggles a tone, the sender shard — in addition to its normal local
+// fan-out — publishes a fixed-size message into a bounded SPSC ring per
+// target shard. Messages carry a field-copied image of the frame
+// (wireFrame), the event times, the sender's position, and a
+// sender-minted sequence base in the engine's cross sequence space
+// (sim.CrossSeq), which fixes the merge order at the receiver independent
+// of wall-clock arrival.
 //
 // The receiver drains its rings between (and while waiting for) execution
 // windows. Draining does NOT touch any simulation-visible pool: each
@@ -35,26 +40,27 @@ import (
 // single holder event is scheduled at the message's earliest receiver
 // event time under the sender's sequence base. All observable work — frame
 // materialisation from the receiver's pool, mirror transmission setup,
-// per-receiver rx scheduling — happens when the holder fires, which is a
-// deterministic position in the receiver's event stream. This is what
+// per-receiver rx scheduling with the receiver set, delays and decode
+// flags computed from positions — happens when the holder fires, which is
+// a deterministic position in the receiver's event stream. This is what
 // keeps pool hit/miss statistics (and therefore run fingerprints)
 // bit-identical for a fixed (seed, shards) pair no matter how the OS
 // schedules the shard goroutines.
 //
 // Mirror transmissions carry a ghost *Radio as their source: an
-// unregistered, static radio with the foreign node's id and position. It
-// is never part of the receiver medium's radio list, never transmits
-// locally, and appears only as tx.src — every consumer of that field
-// (trace, audit ObsRxEnd, fault's per-receiver error chains) is keyed by
-// the receiving radio.
+// unregistered, static radio with the foreign node's id and position
+// (refreshed from each message). It is never part of the receiver
+// medium's radio list, never transmits locally, and appears only as
+// tx.src — every consumer of that field (trace, audit ObsRxEnd, fault's
+// per-receiver error chains) is keyed by the receiving radio.
 
-// crossKind enumerates conduit message types. The ghost records exist only
-// in mobile runs: at every epoch boundary the rollover leader diffs the new
-// border-band membership against the old and announces additions and
-// removals to each receiver shard as stamped control records, so the ghost
-// tables change at a deterministic position in every receiver's event
-// stream (time = epoch boundary, sequence = sender-minted) instead of as a
-// side effect of whichever message happens to arrive first.
+// crossKind enumerates conduit message types. The ghost records appear
+// only at epoch boundaries: the rollover leader diffs the new border-band
+// membership against the old and announces additions and removals to
+// each receiver shard as stamped control records, so the ghost tables
+// change at a deterministic position in every receiver's event stream
+// (time = epoch boundary, sequence = sender-minted) instead of as a side
+// effect of whichever message happens to arrive first.
 const (
 	crossTx uint8 = iota
 	crossAbort
@@ -184,39 +190,28 @@ func (w *wireFrame) materialize(p *frame.Pool) frame.Frame {
 	panic(fmt.Sprintf("phy: cross conduit cannot materialize kind %v", w.kind))
 }
 
-// crossDest is one receiver in a catalog: its index into the receiver
-// medium's radio slice, the exact propagation delay from the source
-// radio's (static) position, and whether it sits within decode range.
-type crossDest struct {
-	idx    int32
-	prop   sim.Time
-	inComm bool
-}
-
 // crossCatalog is the immutable receiver set of one (border radio, target
-// shard) pair. Stationary runs compute it once at setup from the static
-// placement: dests carry exact propagation delays and minProp is their
-// minimum. Mobile runs rebuild catalogs at every epoch boundary from the
-// boundary positions: dests are then *candidates* — every foreign radio
-// that could come within interference range during the epoch (boundary
-// distance ≤ irange + envelope) — with prop/inComm left zero, and minProp
-// is the conservative bound propDelay(max(0, minBoundaryDist − envelope)).
-// Either way a catalog is immutable once published: epoch rollover swaps
-// in freshly allocated catalogs, so in-flight holders referencing the old
+// shard) pair for one epoch, built from the boundary positions. dests are
+// *candidates*: every foreign radio that could come within interference
+// range during the epoch (boundary distance ≤ irange + envelope), as
+// indices into the receiver medium's radio slice in ascending id order.
+// minProp is the conservative bound propDelay(max(0, minBoundaryDist −
+// envelope)). With envelope 0 the candidates are exactly the in-range
+// receivers and minProp is their minimum delay. Epoch rollover swaps in
+// freshly allocated catalogs, so in-flight holders referencing the old
 // epoch's catalog stay valid.
 type crossCatalog struct {
 	srcID   int
 	minProp sim.Time
-	dests   []crossDest
+	dests   []int32
 }
 
 // crossMsg is one ring slot. Slots are reused in place; the embedded
-// wireFrame keeps its backing arrays across messages. srcPos and gid only
-// matter in mobile runs: srcPos is the sender's position at t0 (crossTx,
-// crossToneOn — receiver-side physics needs it since no exact props are
-// baked into mobile catalogs) or the ghost's boundary position
-// (crossGhostAdd); gid names the ghost for the two ghost record kinds,
-// which travel with cat == nil.
+// wireFrame keeps its backing arrays across messages. srcPos is the
+// sender's position at t0 (crossTx, crossToneOn — the receiver computes
+// the actual receivers and delays from it) or the ghost's boundary
+// position (crossGhostAdd); gid names the ghost for the two ghost record
+// kinds, which travel with cat == nil.
 type crossMsg struct {
 	kind    uint8
 	tone    uint8
@@ -238,15 +233,32 @@ type spscRing struct {
 	_     [56]byte
 	tail  atomic.Uint64 // next slot the producer will write
 	_     [56]byte
-	slots []crossMsg
+	slots []crossMsg // nil until the first message
 	mask  uint64
 }
 
 const crossRingCap = 1024
 
-func newRing() *spscRing {
-	return &spscRing{slots: make([]crossMsg, crossRingCap), mask: crossRingCap - 1}
+func newRing() *spscRing { return &spscRing{mask: crossRingCap - 1} }
+
+// next returns the slot the producer writes next, or nil when the ring is
+// full. The slots are allocated on the first message, so shard pairs that
+// never couple never pay for them. Safe because consumers index slots only
+// after observing tail != head, and publish's tail store orders the
+// allocation before that.
+func (r *spscRing) next() *crossMsg {
+	tail := r.tail.Load()
+	if tail-r.head.Load() >= crossRingCap {
+		return nil
+	}
+	if r.slots == nil {
+		r.slots = make([]crossMsg, crossRingCap)
+	}
+	return &r.slots[tail&r.mask]
 }
+
+// publish hands the slot returned by next to the consumer.
+func (r *spscRing) publish() { r.tail.Add(1) }
 
 // pendingCross is the receiver-side holder: the drained image of one
 // message plus the free-list link. Holders are conduit-private — acquiring
@@ -288,9 +300,9 @@ type mirrorExp struct {
 // FullSpins is wall-clock scheduling observability and excluded from any
 // fingerprint. GhostAdds/GhostDels count ghost installs and removals at
 // this (receiver) shard — the initial-epoch setup installs plus every
-// ghost record firing, so GhostAdds-GhostDels is the live ghost count.
-// Stationary runs keep their ghost tables static and count only the
-// setup installs.
+// ghost record firing, so GhostAdds-GhostDels is the live ghost count. A
+// run without epoch rollovers (stationary) counts only the setup
+// installs.
 type ShardStats struct {
 	MsgsOut   uint64
 	MsgsIn    uint64
@@ -299,7 +311,7 @@ type ShardStats struct {
 	FullSpins uint64
 }
 
-// toneSessKey names a mobile receiver-side tone session: foreign tones are
+// toneSessKey names a receiver-side tone session: foreign tones are
 // uniquely live per (source node, tone) pair.
 type toneSessKey struct {
 	src  int
@@ -314,49 +326,48 @@ type shardConduit struct {
 	shard int
 
 	// Sender state.
-	out      []*spscRing                // per target shard; nil where no pairs
-	catalogs map[*Radio][]*crossCatalog // border radio → per-target catalogs (index parallel to outIdx)
+	out      []*spscRing                // per target shard; nil at the own index
+	catalogs map[*Radio][]*crossCatalog // border radio → per-target catalogs (index parallel to catIdx)
 	catIdx   map[*Radio][]int           // target shard index per catalog
 	localSeq uint64
 	endTime  sim.Time
 
 	// Receiver state.
-	in       []*spscRing // per source shard; nil where no pairs
+	in       []*spscRing // per source shard; nil at the own index
 	ghosts   map[int]*Radio
 	free     *pendingCross
 	mirrors  map[mirrorKey]*transmission
 	expQueue []mirrorExp
-	maxProp  sim.Time // max inbound prop; bounds how long an abort can trail
+	maxProp  sim.Time // max mirror prop (interference range); bounds how long an abort can trail
 
-	// Mobile receiver state: foreign tone sessions, keyed by (source node,
-	// tone). The ON fire captures the receivers actually in range at the
-	// transition (with their live propagation delays); the OFF fire replays
-	// exactly that set, mirroring the unsharded toneSession contract.
+	// Foreign tone sessions, keyed by (source node, tone). The ON fire
+	// captures the receivers actually in range at the transition (with
+	// their propagation delays); the OFF fire replays exactly that set,
+	// mirroring the unsharded toneSession contract.
 	toneSess map[toneSessKey]*toneSession
 
 	stats ShardStats
 }
 
 // ShardNet is the cross-shard fabric of one sharded run: conduits, rings,
-// the direct lookahead matrix, and the frontier table built from it.
-// Stationary runs derive the matrix once from the static placement; mobile
-// runs rebuild it (and every catalog, border flag, and ghost set) at each
-// epoch boundary via Rebuild.
+// the direct lookahead matrix, and the frontier table built from it. The
+// matrix, every catalog, border flag and ghost set are epoch state: built
+// at connect time and rebuilt at each epoch boundary via Rebuild. A
+// stationary run has one epoch and never rebuilds.
 type ShardNet struct {
 	conduits []*shardConduit
 	direct   [][]sim.Time
 	sync     *sim.ShardSync
 	stop     atomic.Bool
 
-	// Mobile epoch state. localIdx/shardOf/mediums are setup-time constants;
+	// Epoch state. localIdx/shardOf/mediums are setup-time constants;
 	// prevGhost — the per-(sender, receiver) sorted ghost-source id sets of
 	// the current epoch — is owned by the rollover leader and only touched
 	// inside the boundary barrier.
-	mobile    bool
-	envelope  float64 // max pairwise distance change within one epoch (2·MaxSpeed·epoch)
+	envelope  float64 // max pairwise distance change within one epoch (2·MaxSpeed·epoch); 0 when stationary
 	irange    float64
 	r2, c2    float64 // irange², CommRange²
-	seqBlock  uint64  // uniform per-message sequence stride (2·nodes+2)
+	seqBlock  uint64  // per-message sequence stride (2·nodes+2)
 	mediums   []*Medium
 	localIdx  []int32
 	shardOf   []int
@@ -364,165 +375,33 @@ type ShardNet struct {
 }
 
 // ConnectShards wires the mediums of one sharded run together. pos holds
-// every node's static position (sharded runs are stationary by contract),
-// shardOf maps global node id → owning shard. Each medium must already
-// hold exactly its shard's radios, registered in ascending global id
-// order. endTime is the run horizon: messages whose earliest receiver
-// event falls strictly after it are dropped at the sender, matching the
-// unsharded engine's never-run semantics and guaranteeing no message can
-// chase a shard that already ran its final window.
-func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime sim.Time) *ShardNet {
-	s := len(mediums)
-	net := &ShardNet{conduits: make([]*shardConduit, s), direct: make([][]sim.Time, s)}
-	for i := range net.direct {
-		net.direct[i] = make([]sim.Time, s)
-		for j := range net.direct[i] {
-			net.direct[i][j] = sim.MaxTime
-		}
-	}
-	localIdx := make([]int32, len(pos))
-	for _, m := range mediums {
-		for li, r := range m.radios {
-			localIdx[r.id] = int32(li)
-		}
-	}
-	for i, m := range mediums {
-		net.conduits[i] = &shardConduit{
-			net: net, med: m, shard: i,
-			out: make([]*spscRing, s), in: make([]*spscRing, s),
-			catalogs: make(map[*Radio][]*crossCatalog),
-			catIdx:   make(map[*Radio][]int),
-			ghosts:   make(map[int]*Radio),
-			mirrors:  make(map[mirrorKey]*transmission),
-			endTime:  endTime,
-		}
-	}
-
-	// Cell-hash the whole placement at the interference range so border
-	// discovery is O(n · neighbors) instead of O(n²): only cross-shard
-	// pairs within range matter.
-	irange := mediums[0].cfg.interferenceRange()
-	cell := irange
-	type cellKey struct{ x, y int }
-	cells := make(map[cellKey][]int)
-	for id := range pos {
-		k := cellKey{int(math.Floor(pos[id].X / cell)), int(math.Floor(pos[id].Y / cell))}
-		cells[k] = append(cells[k], id)
-	}
-	r2 := irange * irange
-	c2 := mediums[0].cfg.CommRange * mediums[0].cfg.CommRange
-	// cats[src][target] accumulates receiver lists; built in ascending
-	// (src, neighbor-cell, id) order, then dests sorted by id implicitly:
-	// neighbor ids are gathered per source and sorted below.
-	for src := range pos {
-		ss := shardOf[src]
-		base := cellKey{int(math.Floor(pos[src].X / cell)), int(math.Floor(pos[src].Y / cell))}
-		var perShard map[int][]crossDest
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, o := range cells[cellKey{base.x + dx, base.y + dy}] {
-					if o == src || shardOf[o] == ss {
-						continue
-					}
-					d2 := pos[o].Dist2(pos[src])
-					if d2 > r2 {
-						continue
-					}
-					if perShard == nil {
-						perShard = make(map[int][]crossDest)
-					}
-					perShard[shardOf[o]] = append(perShard[shardOf[o]], crossDest{
-						idx:    localIdx[o],
-						prop:   mediums[0].propDelay(math.Sqrt(d2)),
-						inComm: d2 <= c2,
-					})
-				}
-			}
-		}
-		if perShard == nil {
-			continue
-		}
-		srcRadio := mediums[ss].radios[localIdx[src]]
-		srcRadio.border = true
-		c := net.conduits[ss]
-		for t := 0; t < s; t++ {
-			dests := perShard[t]
-			if len(dests) == 0 {
-				continue
-			}
-			// Deterministic receiver order: ascending global id. Radios
-			// register in id order, so the local index is monotone in id.
-			sortDests(dests)
-			cat := &crossCatalog{srcID: src, minProp: sim.MaxTime, dests: dests}
-			for _, d := range dests {
-				if d.prop < cat.minProp {
-					cat.minProp = d.prop
-				}
-			}
-			c.catalogs[srcRadio] = append(c.catalogs[srcRadio], cat)
-			c.catIdx[srcRadio] = append(c.catIdx[srcRadio], t)
-			if cat.minProp < net.direct[ss][t] {
-				net.direct[ss][t] = cat.minProp
-			}
-			if c.out[t] == nil {
-				ring := newRing()
-				c.out[t] = ring
-				net.conduits[t].in[ss] = ring
-			}
-			// Receiver-side ghost + expiry bound.
-			rc := net.conduits[t]
-			if rc.ghosts[src] == nil {
-				rc.stats.GhostAdds++
-				g := &Radio{m: mediums[t], eng: mediums[t].eng, id: src, static: true, pos: pos[src]}
-				for ti := range g.toneLog {
-					g.toneLog[ti].onSince = -1
-				}
-				rc.ghosts[src] = g
-			}
-			for _, d := range dests {
-				if d.prop > rc.maxProp {
-					rc.maxProp = d.prop
-				}
-			}
-		}
-	}
-	for i, m := range mediums {
-		m.cross = net.conduits[i]
-	}
-	net.sync = sim.NewShardSync(net.direct)
-	return net
-}
-
-// sortDests sorts a catalog by local radio index (== ascending global id);
-// catalogs are tiny, insertion sort avoids a sort.Slice closure.
-func sortDests(d []crossDest) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j].idx < d[j-1].idx; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
-}
-
-// ConnectShardsMobile wires the mediums of a mobile sharded run together.
-// pos holds every node's position at t=0; envelope bounds how much any
+// every node's position at t=0 and shardOf maps global node id → owning
+// shard; each medium must already hold exactly its shard's radios,
+// registered in ascending global id order. envelope bounds how much any
 // pairwise distance can change within one mobility epoch (2 × MaxSpeed ×
-// epoch length). Unlike the stationary fabric, catalogs here are candidate
-// sets over conservative position envelopes, valid for exactly one epoch:
-// the experiment layer must call Rebuild at every epoch boundary with the
-// boundary positions (see DESIGN.md §15 for the barrier protocol).
+// epoch length): catalogs are candidate sets over that envelope, valid
+// for exactly one epoch, and the experiment layer must call Rebuild at
+// every epoch boundary with the boundary positions (see DESIGN.md §15 for
+// the barrier protocol). A stationary run passes envelope 0 and never
+// rebuilds: its catalogs then hold exactly the in-range receivers, and
+// its lookahead is the exact minimum cross-shard delay.
+//
+// endTime is the run horizon: messages whose earliest receiver event falls
+// strictly after it are dropped at the sender, matching the unsharded
+// engine's never-run semantics and guaranteeing no message can chase a
+// shard that already ran its final window.
 //
 // The ring topology is fixed up front — every ordered shard pair gets its
 // ring even if no pair of radios is currently in reach — so epoch rollover
 // never has to publish new rings to a foreign goroutine; only the border
-// membership churns.
-func ConnectShardsMobile(mediums []*Medium, pos []geom.Point, shardOf []int, endTime sim.Time, envelope float64) *ShardNet {
+// membership churns. A ring's slots are allocated on its first message.
+func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime sim.Time, envelope float64) *ShardNet {
 	s := len(mediums)
 	irange := mediums[0].cfg.interferenceRange()
 	cr := mediums[0].cfg.CommRange
 	net := &ShardNet{
 		conduits:  make([]*shardConduit, s),
 		direct:    make([][]sim.Time, s),
-		mobile:    true,
 		envelope:  envelope,
 		irange:    irange,
 		r2:        irange * irange,
@@ -615,7 +494,9 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 	}
 	// Candidate reach: any pair within irange+envelope at B can interact
 	// during the epoch; any pair beyond it provably cannot (each endpoint
-	// contributes at most envelope/2 of displacement).
+	// contributes at most envelope/2 of displacement). Cell-hashing the
+	// placement at that reach keeps border discovery O(n · neighbors)
+	// instead of O(n²).
 	reach := n.irange + n.envelope
 	cell := reach
 	type cellKey struct{ x, y int }
@@ -628,7 +509,7 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 	for src := range pos {
 		ss := n.shardOf[src]
 		base := cellKey{int(math.Floor(pos[src].X / cell)), int(math.Floor(pos[src].Y / cell))}
-		var perShard map[int][]crossDest
+		var perShard map[int][]int32
 		var minD2 map[int]float64
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
@@ -641,14 +522,14 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 						continue
 					}
 					if perShard == nil {
-						perShard = make(map[int][]crossDest)
+						perShard = make(map[int][]int32)
 						minD2 = make(map[int]float64)
 					}
 					t := n.shardOf[o]
 					if cur, ok := minD2[t]; !ok || d2 < cur {
 						minD2[t] = d2
 					}
-					perShard[t] = append(perShard[t], crossDest{idx: n.localIdx[o]})
+					perShard[t] = append(perShard[t], n.localIdx[o])
 				}
 			}
 		}
@@ -663,7 +544,9 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 			if len(dests) == 0 {
 				continue
 			}
-			sortDests(dests)
+			// Deterministic receiver order: ascending global id. Radios
+			// register in id order, so the local index is monotone in id.
+			slices.Sort(dests)
 			dmin := math.Sqrt(minD2[t]) - n.envelope
 			if dmin < 0 {
 				dmin = 0
@@ -726,17 +609,14 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 func (n *ShardNet) ghostRecord(ss, t, leader int, kind uint8, src int, pos geom.Point, B sim.Time) {
 	c := n.conduits[ss]
 	ring := c.out[t]
-	seqBase := sim.CrossSeq(ss, c.localSeq)
-	c.localSeq += n.seqBlock
+	seqBase := c.mintSeq()
 	for {
-		tail := ring.tail.Load()
-		if tail-ring.head.Load() < uint64(len(ring.slots)) {
-			slot := &ring.slots[tail&ring.mask]
+		if slot := ring.next(); slot != nil {
 			slot.kind, slot.tone, slot.cat = kind, 0, nil
 			slot.gid = int32(src)
 			slot.srcPos = pos
 			slot.t0, slot.t1, slot.seqBase = B, 0, seqBase
-			ring.tail.Store(tail + 1)
+			ring.publish()
 			c.stats.MsgsOut++
 			return
 		}
@@ -773,8 +653,8 @@ func (c *shardConduit) ghost(src int, pos geom.Point) *Radio {
 
 // Direct returns the direct lookahead matrix: Direct()[k][j] is the
 // minimum cross-shard propagation delay from shard k to shard j
-// (sim.MaxTime where no pair of radios is in range). Mobile runs feed it
-// to Sync().SetLookahead after every Rebuild.
+// (sim.MaxTime where no pair of radios is in range). The shard loop feeds
+// it to Sync().SetLookahead after every Rebuild.
 func (n *ShardNet) Direct() [][]sim.Time { return n.direct }
 
 // Sync returns the run's frontier table, built from the direct matrix at
@@ -885,42 +765,20 @@ func (c *shardConduit) fire(p *pendingCross) {
 	m := c.med
 	switch p.kind {
 	case crossTx:
-		if c.net.mobile {
-			c.fireTxMobile(p)
-			break
-		}
-		tx := m.newTx()
-		tx.src = c.ghosts[p.cat.srcID]
-		tx.f = p.fr.materialize(m.frames)
-		tx.start, tx.end = p.t0, p.t1
-		// No local txDone ever runs for a mirror: the sender shard owns
-		// the sender-side lifecycle. finished=true makes the last rxEnd
-		// recycle the mirror and release its frame.
-		tx.finished = true
-		seq := p.seqBase + 1
-		for _, d := range p.cat.dests {
-			q := m.newRxPath()
-			q.tx, q.r, q.inComm, q.prop = tx, m.radios[d.idx], d.inComm, d.prop
-			tx.dests = append(tx.dests, q)
-			m.eng.ScheduleCrossCall(p.t0+d.prop, q, tagRxStart, seq)
-			q.endEv = m.eng.ScheduleCrossCall(p.t1+d.prop, q, tagRxEnd, seq+1)
-			seq += 2
-		}
-		tx.pending = len(tx.dests)
-		key := mirrorKey{p.cat.srcID, p.t0}
-		c.evictExpired()
-		c.mirrors[key] = tx
-		c.expQueue = append(c.expQueue, mirrorExp{key: key, expire: p.t1 + c.maxProp})
+		c.fireTx(p)
 	case crossAbort:
 		// p.t1 is the original start time (the mirror's key), p.t0 the
-		// abort instant. Stationary: the abort holder fires at t0+minProp,
-		// strictly before the mirror's first rxEnd (t1'>t0 ⇒ end+prop >
-		// t0+prop ≥ t0+minProp), so every path is still intact; the guards
-		// mirror AbortTx's belt-and-braces. Mobile: a transmission that
-		// spans an epoch boundary carries props sampled under the previous
-		// epoch's envelope, which the current epoch's lookahead floor may
-		// exceed — the clamp below then lands the truncation at the holder
-		// instant (a deterministic position; at most minProp late, sub-µs).
+		// abort instant. The abort holder fires at t0+minProp. Within one
+		// epoch every mirror prop is at least minProp, so t0+prop ≥ now:
+		// the truncation lands exactly, strictly before the mirror's first
+		// rxEnd (t1'>t0 ⇒ end+prop > t0+prop ≥ t0+minProp), and every path
+		// is still intact; the guards mirror AbortTx's belt-and-braces. A
+		// transmission that spans an epoch boundary carries props sampled
+		// under the previous epoch's envelope, which the current epoch's
+		// lookahead floor may exceed — the clamp below then lands the
+		// truncation at the holder instant (a deterministic position; at
+		// most minProp late, sub-µs). A stationary run has no boundary, so
+		// its clamp never fires.
 		tx := c.mirrors[mirrorKey{p.cat.srcID, p.t1}]
 		seq := p.seqBase + 1
 		if tx != nil && !tx.aborted {
@@ -944,19 +802,7 @@ func (c *shardConduit) fire(p *pendingCross) {
 			delete(c.mirrors, mirrorKey{p.cat.srcID, p.t1})
 		}
 	case crossToneOn, crossToneOff:
-		if c.net.mobile {
-			c.fireToneMobile(p)
-			break
-		}
-		tag := toneOffTag(Tone(p.tone))
-		if p.kind == crossToneOn {
-			tag = toneOnTag(Tone(p.tone))
-		}
-		seq := p.seqBase + 1
-		for _, d := range p.cat.dests {
-			m.eng.ScheduleCrossCall(p.t0+d.prop, m.radios[d.idx], tag, seq)
-			seq++
-		}
+		c.fireTone(p)
 	case crossGhostAdd:
 		c.stats.GhostAdds++
 		c.ghost(int(p.gid), p.srcPos)
@@ -989,25 +835,29 @@ func (c *shardConduit) fire(p *pendingCross) {
 	c.putHolder(p)
 }
 
-// fireTxMobile mirrors a foreign transmission under mobility: the catalog
-// only names candidates, so the actual receiver set, propagation delays,
-// and decode flags are computed here from the sender's position at t0
-// (carried in the message) and each candidate's own trajectory at t0 (a
-// backward query bounded by minProp ≪ the retention horizon). Every
-// candidate consumes its two sequence numbers whether or not it is in
-// range, so the merge order is independent of the filter outcome.
-func (c *shardConduit) fireTxMobile(p *pendingCross) {
+// fireTx mirrors a foreign transmission: the catalog only names
+// candidates, so the actual receiver set, propagation delays, and decode
+// flags are computed here from the sender's position at t0 (carried in
+// the message) and each candidate's own trajectory at t0 (a backward
+// query bounded by minProp ≪ the retention horizon). Every candidate
+// consumes its two sequence numbers whether or not it is in range, so the
+// merge order is independent of the filter outcome. With envelope 0 every
+// candidate is in range.
+func (c *shardConduit) fireTx(p *pendingCross) {
 	m := c.med
 	tx := m.newTx()
 	tx.src = c.ghost(p.cat.srcID, p.srcPos)
 	tx.f = p.fr.materialize(m.frames)
 	tx.start, tx.end = p.t0, p.t1
+	// No local txDone ever runs for a mirror: the sender shard owns the
+	// sender-side lifecycle. finished=true makes the last rxEnd recycle the
+	// mirror and release its frame.
 	tx.finished = true
 	seq := p.seqBase + 1
-	for _, d := range p.cat.dests {
+	for _, idx := range p.cat.dests {
 		s := seq
 		seq += 2
-		r := m.radios[d.idx]
+		r := m.radios[idx]
 		d2 := m.positionAt(r, p.t0).Dist2(p.srcPos)
 		if d2 > c.net.r2 {
 			continue
@@ -1033,17 +883,17 @@ func (c *shardConduit) fireTxMobile(p *pendingCross) {
 	c.expQueue = append(c.expQueue, mirrorExp{key: key, expire: p.t1 + c.maxProp})
 }
 
-// fireToneMobile handles foreign tone transitions under mobility. The ON
-// fire captures the live receiver set (positions at t0) into a session
-// keyed by (source, tone); the OFF fire replays exactly that session with
-// the ON delays — the unsharded SetTone contract. An OFF whose ON was
-// horizon-filtered at the sender finds no session and is a no-op, matching
-// the unsharded engine's never-run semantics. An OFF-then-ON pair where
-// only the OFF was filtered leaves a stale session behind; the next ON
-// replaces it. As with aborts, a tone held across epoch boundaries may
-// carry ON props below the current lookahead floor, so OFF transitions
-// clamp to the holder instant.
-func (c *shardConduit) fireToneMobile(p *pendingCross) {
+// fireTone handles foreign tone transitions. The ON fire captures the
+// live receiver set (positions at t0) into a session keyed by (source,
+// tone); the OFF fire replays exactly that session with the ON delays —
+// the unsharded SetTone contract. An OFF whose ON was horizon-filtered at
+// the sender finds no session and is a no-op, matching the unsharded
+// engine's never-run semantics. An OFF-then-ON pair where only the OFF was
+// filtered leaves a stale session behind; the next ON replaces it. As
+// with aborts, a tone held across epoch boundaries may carry ON props
+// below the current lookahead floor, so OFF transitions clamp to the
+// holder instant.
+func (c *shardConduit) fireTone(p *pendingCross) {
 	m := c.med
 	key := toneSessKey{src: p.cat.srcID, tone: p.tone}
 	if p.kind == crossToneOff {
@@ -1070,10 +920,10 @@ func (c *shardConduit) fireToneMobile(p *pendingCross) {
 	}
 	sess := m.newSess()
 	seq := p.seqBase + 1
-	for _, d := range p.cat.dests {
+	for _, idx := range p.cat.dests {
 		s := seq
 		seq++
-		r := m.radios[d.idx]
+		r := m.radios[idx]
 		d2 := m.positionAt(r, p.t0).Dist2(p.srcPos)
 		if d2 > c.net.r2 {
 			continue
@@ -1110,11 +960,9 @@ func (c *shardConduit) send(t int, fill func(slot *crossMsg)) {
 	ring := c.out[t]
 	spins := 0
 	for {
-		tail := ring.tail.Load()
-		if tail-ring.head.Load() < uint64(len(ring.slots)) {
-			slot := &ring.slots[tail&ring.mask]
+		if slot := ring.next(); slot != nil {
 			fill(slot)
-			ring.tail.Store(tail + 1)
+			ring.publish()
 			c.stats.MsgsOut++
 			return
 		}
@@ -1136,35 +984,35 @@ func (c *shardConduit) send(t int, fill func(slot *crossMsg)) {
 	}
 }
 
-// mintSeq reserves a block of cross sequence numbers and returns its base.
-// Stationary runs reserve exactly what the message can consume (the
-// catalog is exact). Mobile runs reserve a uniform stride instead: a tone
-// OFF replays its ON-time session, whose size is bounded by a *previous*
-// epoch's catalog, not the current one — a content-sized stride could
-// collide with the next message's block. 2·nodes+2 bounds every message
-// kind, and the 48-bit per-shard space absorbs the slack (2^48 / stride
-// messages per shard).
-func (c *shardConduit) mintSeq(n uint64) uint64 {
-	if c.net.mobile {
-		n = c.net.seqBlock
+// mintSeq reserves the next block of cross sequence numbers for one
+// message from this shard and returns its base. Every block has the same
+// size, seqBlock = 2·nodes+2, which bounds every message kind: a tone OFF
+// replays its ON-time session, whose size is bounded by a *previous*
+// epoch's catalog, not the current one, so a content-sized block could
+// collide with the next message's. The per-shard counter must stay below
+// 1<<sim.CrossSeqShardShift (sim.CrossSeq); past that it would spill into
+// the shard-index bits and break the merge order, so running out panics
+// instead. That takes 2^48/seqBlock messages from one shard, about 1.4·10⁹
+// at 100k nodes.
+func (c *shardConduit) mintSeq() uint64 {
+	if c.localSeq+c.net.seqBlock > 1<<sim.CrossSeqShardShift {
+		panic(fmt.Sprintf("phy: shard %d ran out of cross sequence numbers: %d messages of %d each reach the 1<<%d per-shard limit of sim.CrossSeq",
+			c.shard, c.localSeq/c.net.seqBlock, c.net.seqBlock, sim.CrossSeqShardShift))
 	}
 	s := sim.CrossSeq(c.shard, c.localSeq)
-	c.localSeq += n
+	c.localSeq += c.net.seqBlock
 	return s
 }
 
 // txStart mirrors a border transmission into every foreign shard with
-// in-range receivers. Called by Medium.StartTx after the local fan-out.
+// candidate receivers. Called by Medium.StartTx after the local fan-out.
 func (c *shardConduit) txStart(r *Radio, tx *transmission) {
-	var srcPos geom.Point
-	if c.net.mobile {
-		srcPos = c.med.PositionOf(r) // tx.start == Now: the memo from the local fan-out hits
-	}
+	srcPos := c.med.PositionOf(r) // tx.start == Now: the memo from the local fan-out hits
 	for i, cat := range c.catalogs[r] {
 		if tx.start+cat.minProp > c.endTime {
 			continue // no receiver event on or before the horizon
 		}
-		seqBase := c.mintSeq(uint64(1 + 2*len(cat.dests)))
+		seqBase := c.mintSeq()
 		c.send(c.catIdx[r][i], func(slot *crossMsg) {
 			slot.kind, slot.cat = crossTx, cat
 			slot.t0, slot.t1, slot.seqBase = tx.start, tx.end, seqBase
@@ -1184,7 +1032,7 @@ func (c *shardConduit) txAbort(r *Radio, tx *transmission, now sim.Time) {
 		if now+cat.minProp > c.endTime {
 			continue // every truncated rxEnd would fall past the horizon
 		}
-		seqBase := c.mintSeq(uint64(1 + len(cat.dests)))
+		seqBase := c.mintSeq()
 		c.send(c.catIdx[r][i], func(slot *crossMsg) {
 			slot.kind, slot.cat = crossAbort, cat
 			slot.t0, slot.t1, slot.seqBase = now, tx.start, seqBase
@@ -1192,21 +1040,20 @@ func (c *shardConduit) txAbort(r *Radio, tx *transmission, now sim.Time) {
 	}
 }
 
-// toneSet mirrors a tone transition of a border radio.
+// toneSet mirrors a tone transition of a border radio. Only an ON carries
+// the sender's position: the OFF replays the session its ON captured.
 func (c *shardConduit) toneSet(r *Radio, t Tone, on bool, now sim.Time) {
 	kind := crossToneOff
+	var srcPos geom.Point
 	if on {
 		kind = crossToneOn
-	}
-	var srcPos geom.Point
-	if c.net.mobile && on {
 		srcPos = c.med.PositionOf(r)
 	}
 	for i, cat := range c.catalogs[r] {
 		if now+cat.minProp > c.endTime {
 			continue
 		}
-		seqBase := c.mintSeq(uint64(1 + len(cat.dests)))
+		seqBase := c.mintSeq()
 		c.send(c.catIdx[r][i], func(slot *crossMsg) {
 			slot.kind, slot.tone, slot.cat = kind, uint8(t), cat
 			slot.t0, slot.t1, slot.seqBase = now, 0, seqBase

@@ -1,7 +1,9 @@
 package phy
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rmac/internal/geom"
@@ -66,7 +68,7 @@ func TestShardBoundaryPhysics(t *testing.T) {
 		srads[i] = &recRadio{Radio: r, rec: &recorder{}, eng: m.Engine()}
 		r.SetHandler(srads[i])
 	}
-	net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 0, 1}, horizon)
+	net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 0, 1}, horizon, 0)
 	boundaryScript(eng0, srads[0].Radio, srads[1].Radio)
 	eng0.Run(horizon)
 	net.Drain(1)
@@ -151,7 +153,7 @@ func TestShardBoundaryAbortBeforeDelivery(t *testing.T) {
 		b := m1.AddRadio(1, mobility.Stationary{P: pos[1]})
 		rb := &recRadio{Radio: b, rec: &recorder{}, eng: eng1}
 		b.SetHandler(rb)
-		net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon)
+		net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon, 0)
 		eng0.ScheduleCall(0, scriptStep{func() { a.StartTx(testFrame(0, 400)) }}, 0)
 		eng0.ScheduleCall(sim.Millisecond, scriptStep{func() { a.AbortTx() }}, 0)
 		eng0.Run(horizon)
@@ -224,7 +226,7 @@ func mobileBoundaryCase(t *testing.T, field geom.Rect, pos []geom.Point, shardOf
 		r.SetHandler(srads[i])
 	}
 	envelope := 2 * 50 * horizon.Seconds() // 2 × MaxSpeed × epoch; one epoch spans the script
-	net := ConnectShardsMobile(mediums, pos, shardOf, horizon, envelope)
+	net := ConnectShards(mediums, pos, shardOf, horizon, envelope)
 	boundaryScript(engs[0], srads[0].Radio, srads[1].Radio)
 	for s := 0; s < shards; s++ {
 		if s > 0 {
@@ -284,8 +286,8 @@ func mobileBoundaryCase(t *testing.T, field geom.Rect, pos []geom.Point, shardOf
 // outcomes at across-boundary receivers whether the radios share one medium
 // or live on conduit-joined shard mediums with envelope catalogs. Receiver
 // sets, propagation delays and decode flags are all computed at fire time
-// from live positions, so any drift between the mobile conduit physics and
-// Medium.StartTx shows up as a mismatch here.
+// from live positions, so any drift between the conduit's fire-time
+// physics and Medium.StartTx shows up as a mismatch here.
 func TestShardBoundaryMobilePhysics(t *testing.T) {
 	field := geom.Rect{W: 200, H: 100}
 	pos := []geom.Point{{X: 60, Y: 50}, {X: 90, Y: 50}, {X: 130, Y: 50}} // a, c | b
@@ -303,4 +305,34 @@ func TestShardBoundaryMobileFourShards(t *testing.T) {
 		{X: 95, Y: 50}, {X: 130, Y: 50}, {X: 155, Y: 50}, // listeners on shards 1–3
 	}
 	mobileBoundaryCase(t, field, pos, []int{0, 0, 1, 2, 3}, 4, []int{2, 3, 4})
+}
+
+// TestMintSeqOverflowPanics presets a shard's cross sequence counter just
+// below the 1<<sim.CrossSeqShardShift limit of sim.CrossSeq: the last
+// block that still fits is handed out, and the next mint panics with a
+// message naming the limit instead of spilling into the shard-index bits.
+func TestMintSeqOverflowPanics(t *testing.T) {
+	cfg := DefaultConfig()
+	pos := []geom.Point{{X: 95, Y: 0}, {X: 105, Y: 0}}
+	m0 := NewMedium(sim.NewEngine(1), cfg)
+	m1 := NewMedium(sim.NewEngine(2), cfg)
+	m0.AddRadio(0, mobility.Stationary{P: pos[0]})
+	m1.AddRadio(1, mobility.Stationary{P: pos[1]})
+	net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, sim.Second, 0)
+	c := net.conduits[1]
+	last := uint64(1)<<sim.CrossSeqShardShift - net.seqBlock
+	c.localSeq = last
+	if got, want := c.mintSeq(), sim.CrossSeq(1, last); got != want {
+		t.Fatalf("last block: mintSeq = %#x, want %#x", got, want)
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("mintSeq past the limit did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "1<<48") {
+			t.Errorf("panic %q does not name the 1<<48 limit", msg)
+		}
+	}()
+	c.mintSeq()
 }
