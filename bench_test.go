@@ -294,6 +294,30 @@ func benchShardedConfig(nodes, shards int) Config {
 	return cfg
 }
 
+// benchShardedRuns runs whole simulations of config, seeded 1, 2, …, and
+// reports their event throughput and simulated seconds per second;
+// events/s counts events across all shards.
+func benchShardedRuns(b *testing.B, config func() Config) {
+	b.ReportAllocs()
+	var events uint64
+	var simulated sim.Time
+	for i := 0; i < b.N; i++ {
+		cfg := config()
+		cfg.Seed = int64(i + 1)
+		res := Run(cfg)
+		if res.Failed {
+			b.Fatal(res.FailReason)
+		}
+		if res.Aborted {
+			b.Fatal(res.AbortReason)
+		}
+		events += res.Events
+		simulated += cfg.Horizon()
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(simulated.Seconds()/b.Elapsed().Seconds(), "simsec/s")
+}
+
 // BenchmarkWholeRunSharded measures the spatially sharded conservative
 // engine (DESIGN.md §14) end to end at 1k and 10k nodes across shard
 // counts. shards1 is the plain single-engine path on the same workload,
@@ -308,24 +332,7 @@ func BenchmarkWholeRunSharded(b *testing.B) {
 	for _, nodes := range []int{1000, 10000} {
 		for _, shards := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("n%d/shards%d", nodes, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				var events uint64
-				var simulated sim.Time
-				for i := 0; i < b.N; i++ {
-					cfg := benchShardedConfig(nodes, shards)
-					cfg.Seed = int64(i + 1)
-					res := Run(cfg)
-					if res.Failed {
-						b.Fatal(res.FailReason)
-					}
-					if res.Aborted {
-						b.Fatal(res.AbortReason)
-					}
-					events += res.Events
-					simulated += cfg.Horizon()
-				}
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-				b.ReportMetric(simulated.Seconds()/b.Elapsed().Seconds(), "simsec/s")
+				benchShardedRuns(b, func() Config { return benchShardedConfig(nodes, shards) })
 			})
 		}
 	}
@@ -341,25 +348,46 @@ func BenchmarkWholeRunSharded(b *testing.B) {
 func BenchmarkWholeRunShardedMobile(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n1000/shards%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			var simulated sim.Time
-			for i := 0; i < b.N; i++ {
+			benchShardedRuns(b, func() Config {
 				cfg := benchShardedConfig(1000, shards)
 				cfg.Scenario = Speed1
-				cfg.Seed = int64(i + 1)
-				res := Run(cfg)
-				if res.Failed {
-					b.Fatal(res.FailReason)
-				}
-				if res.Aborted {
-					b.Fatal(res.AbortReason)
-				}
-				events += res.Events
-				simulated += cfg.Horizon()
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-			b.ReportMetric(simulated.Seconds()/b.Elapsed().Seconds(), "simsec/s")
+				return cfg
+			})
+		})
+	}
+}
+
+// benchCoupledConfig is the coupled-cut workload of the sharded
+// benchmarks: 2000 stationary nodes on a Poisson-disc placement with no
+// voids for the strip cuts to fall into, so every shard pair that borders
+// is coupled at radio-range lookahead — the poisson-2k-shard2 shape of
+// BENCHMARK.json, at any shard count. Four RMAC sources, 16 packets at
+// 40 pps, 1.5 s warm-up and 0.5 s drain.
+func benchCoupledConfig(shards int) Config {
+	cfg := DefaultConfig()
+	cfg.Nodes = 2000
+	cfg.Topo = TopoPoisson
+	cfg.Field = Rect{W: 2600, H: 1300}
+	cfg.Sources = 4
+	cfg.Shards = shards
+	cfg.Rate = 40
+	cfg.Packets = 16
+	cfg.Warmup = 1500 * sim.Millisecond
+	cfg.Drain = 500 * sim.Millisecond
+	return cfg
+}
+
+// BenchmarkWholeRunShardedCoupled measures the sharded engine where it
+// has to synchronize hardest: on a coupled cut, every window is bounded by
+// a neighbour's frontier plus a sub-µs lookahead, so the run's cost is
+// dominated by how many events a window holds and how long a stalled
+// shard waits (DESIGN.md §14). shards1 is the single engine on the same
+// topology and traffic. scripts/bench.sh records this suite in
+// BENCH_shard.json.
+func BenchmarkWholeRunShardedCoupled(b *testing.B) {
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("n2000/shards%d", shards), func(b *testing.B) {
+			benchShardedRuns(b, func() Config { return benchCoupledConfig(shards) })
 		})
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"rmac/internal/geom"
@@ -130,9 +131,14 @@ func TestSweepAggregatesCells(t *testing.T) {
 		Rates:     []float64{10, 20},
 		Seeds:     2,
 	}
+	// Workers call Progress concurrently and in no fixed order, so keep
+	// the highest count reported.
+	var mu sync.Mutex
 	var progress int
 	s.Progress = func(done, total int) {
-		progress = done
+		mu.Lock()
+		progress = max(progress, done)
+		mu.Unlock()
 		if total != 8 {
 			t.Errorf("total = %d, want 8", total)
 		}

@@ -65,6 +65,7 @@ type RunMetrics struct {
 	ShardWindows   *metrics.Counter
 	ShardMessages  *metrics.CounterVec // by direction (out/in over the conduit)
 	ShardStalls    *metrics.Counter
+	ShardStallBy   *metrics.CounterVec // by the target term that bound the wait (neighbour/echo/epoch)
 	ShardStallWait *metrics.Histogram
 	ShardEpochs    *metrics.Counter
 	ShardGhosts    *metrics.CounterVec // by op (add/del of border-band ghost radios)
@@ -152,9 +153,12 @@ func NewRunMetrics(r *metrics.Registry) *RunMetrics {
 			"Cross-shard border messages over the conduit rings, by direction.",
 			[]string{"direction"}, [][]string{{"out"}, {"in"}}),
 		ShardStalls: r.Counter("rmac_kernel_shard_stalls_total",
-			"Frontier-barrier waits entered by sharded-engine runs."),
+			"Frontier and epoch-barrier waits entered by sharded-engine runs."),
+		ShardStallBy: r.CounterVec("rmac_kernel_shard_stall_bound_total",
+			"Sharded-engine waits by the term that bound the waiting shard's target: a neighbour's frontier, the shard's own undrained sends (echo), or the epoch boundary.",
+			[]string{"by"}, [][]string{{"neighbour"}, {"echo"}, {"epoch"}}),
 		ShardStallWait: r.Histogram("rmac_kernel_shard_stall_wait_seconds",
-			"Wall-clock time per frontier-barrier wait (sharded-engine runs).",
+			"Wall-clock time per frontier or epoch-barrier wait (sharded-engine runs).",
 			shardStallMinExp, 34, 1e-9),
 		ShardEpochs: r.Counter("rmac_kernel_shard_epoch_rollovers_total",
 			"Mobility epoch boundaries crossed by sharded-engine runs, summed over shards."),
@@ -178,6 +182,10 @@ func (m *RunMetrics) AddRun(res *RunResult) {
 		m.ShardMessages.At(0).Add(ss.MsgsOut)
 		m.ShardMessages.At(1).Add(ss.MsgsIn)
 		m.ShardStalls.Add(ss.Stalls)
+		neighbour, echo, epoch := ss.StallBounds()
+		m.ShardStallBy.At(0).Add(neighbour)
+		m.ShardStallBy.At(1).Add(echo)
+		m.ShardStallBy.At(2).Add(epoch)
 		for b, n := range ss.StallHist {
 			m.ShardStallWait.AddBucketSamples(b-shardStallMinExp, n)
 		}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"rmac/internal/metrics"
 )
@@ -101,8 +102,11 @@ func TestMetricsRegistryFromRun(t *testing.T) {
 }
 
 // TestShardMetricsFold runs a small mobile sharded simulation and checks
-// the rmac_kernel_shard_* families — including the epoch rollover and
-// ghost churn counters — reflect its per-shard scheduler stats.
+// the rmac_kernel_shard_* families — including the epoch rollover, ghost
+// churn and stall attribution counters — reflect its per-shard scheduler
+// stats. Every stall is attributed to exactly one term: one barrier wait
+// per epoch rollover, and an echo-bound stall only behind an undrained
+// send, so never more of them than the shard sent messages.
 func TestShardMetricsFold(t *testing.T) {
 	cfg := shardConfig(2)
 	cfg.Scenario = Speed1
@@ -115,7 +119,21 @@ func TestShardMetricsFold(t *testing.T) {
 	rm.AddRun(&res)
 
 	var windows, out, in, stalls, hist, epochs, adds, dels uint64
+	var byNeighbour, byEcho, byEpoch uint64
 	for _, ss := range res.Shards {
+		n, e, ep := ss.StallBounds()
+		if n+e+ep != ss.Stalls {
+			t.Errorf("shard %d: stall bounds %d+%d+%d do not add up to %d stalls", ss.Shard, n, e, ep, ss.Stalls)
+		}
+		if ep != ss.Epochs {
+			t.Errorf("shard %d: %d epoch-bound stalls, want one per rollover (%d)", ss.Shard, ep, ss.Epochs)
+		}
+		if e > ss.MsgsOut {
+			t.Errorf("shard %d: %d echo-bound stalls behind only %d sends", ss.Shard, e, ss.MsgsOut)
+		}
+		byNeighbour += n
+		byEcho += e
+		byEpoch += ep
 		windows += ss.Windows
 		out += ss.MsgsOut
 		in += ss.MsgsIn
@@ -151,6 +169,11 @@ func TestShardMetricsFold(t *testing.T) {
 	if got := rm.ShardStalls.Value(); got != stalls {
 		t.Errorf("shard_stalls_total = %d, want %d", got, stalls)
 	}
+	for i, want := range []uint64{byNeighbour, byEcho, byEpoch} {
+		if got := rm.ShardStallBy.At(i).Value(); got != want {
+			t.Errorf("shard_stall_bound_total cell %d = %d, want %d", i, got, want)
+		}
+	}
 	if got := rm.ShardStallWait.Count(); got != hist {
 		t.Errorf("shard_stall_wait_seconds count = %d, want %d", got, hist)
 	}
@@ -160,6 +183,11 @@ func TestShardMetricsFold(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "rmac_kernel_shard_stall_wait_seconds_bucket") {
 		t.Error("exposition missing shard stall histogram buckets")
+	}
+	for _, by := range []string{"neighbour", "echo", "epoch"} {
+		if want := `rmac_kernel_shard_stall_bound_total{by="` + by + `"}`; !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %s", want)
+		}
 	}
 }
 
@@ -173,6 +201,18 @@ func TestAddRunAllocs(t *testing.T) {
 	rm := NewRunMetrics(r)
 	if n := testing.AllocsPerRun(100, func() { rm.AddRun(&res) }); n != 0 {
 		t.Errorf("AddRun allocates %v times per run, want 0", n)
+	}
+	sharded := Run(shardConfig(2))
+	if n := testing.AllocsPerRun(100, func() { rm.AddRun(&sharded) }); n != 0 {
+		t.Errorf("AddRun of a sharded run allocates %v times per run, want 0", n)
+	}
+	// Recording a stall and its bound costs nothing either.
+	ss := &sharded.Shards[0]
+	if n := testing.AllocsPerRun(100, func() {
+		ss.stalled(1, time.Now())
+		ss.stalled(-1, time.Now())
+	}); n != 0 {
+		t.Errorf("recording a stall allocates %v times, want 0", n)
 	}
 }
 

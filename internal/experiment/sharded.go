@@ -62,9 +62,12 @@ func shardSeed(seed int64, shard int) int64 {
 }
 
 // ShardRunStats is one shard's scheduler observability. Nodes, Events,
-// Windows and the conduit message counts are deterministic for a fixed
-// (Seed, Shards); Stalls/StallWall/StallHist are wall-clock measurements.
-// None of it enters RunResult.Fingerprint.
+// the conduit message counts and the epoch and ghost counters are
+// deterministic for a fixed (Seed, Shards). Windows, Stalls, the stall
+// attribution and the wall-clock stall measurements depend on goroutine
+// timing: how far a frontier had moved when a shard read it decides where
+// its windows end and whether it waits. None of it enters
+// RunResult.Fingerprint.
 type ShardRunStats struct {
 	Shard   int
 	Nodes   int
@@ -78,12 +81,48 @@ type ShardRunStats struct {
 	Epochs    uint64
 	GhostAdds uint64
 	GhostDels uint64
-	Stalls    uint64 // frontier waits
-	// StallWall is total wall time spent waiting on foreign frontiers;
-	// StallHist buckets individual waits by power-of-two nanoseconds
-	// (bucket i counts waits in [2^(i-1), 2^i)).
+	// Stalls counts waits: for a foreign frontier or the shard's own sends
+	// to move its target, and at the epoch-boundary barrier. Each is
+	// attributed to the term that bound the target when the shard stalled
+	// (see StallBounds): StallBy[k] counts the waits bound by shard k's
+	// frontier plus lookahead, StallBy[Shard] those bound by the shard's
+	// own undrained sends plus the round trip (the echo term), and
+	// StallEpoch the barrier waits.
+	Stalls     uint64
+	StallBy    []uint64
+	StallEpoch uint64
+	// StallWall is total wall time spent waiting; StallHist buckets
+	// individual waits by power-of-two nanoseconds (bucket i counts waits
+	// in [2^(i-1), 2^i)).
 	StallWall time.Duration
 	StallHist [40]uint64
+}
+
+// StallBounds splits Stalls by the term that bound them: a neighbour's
+// frontier, the shard's own undrained sends (echo), or the epoch boundary.
+func (s *ShardRunStats) StallBounds() (neighbour, echo, epoch uint64) {
+	for k, n := range s.StallBy {
+		if k == s.Shard {
+			echo += n
+		} else {
+			neighbour += n
+		}
+	}
+	return neighbour, echo, s.StallEpoch
+}
+
+// stalled records one wait that began at begin, bound by shard by's term
+// of the target, or by the epoch boundary when by < 0.
+func (s *ShardRunStats) stalled(by int, begin time.Time) {
+	s.Stalls++
+	if by < 0 {
+		s.StallEpoch++
+	} else {
+		s.StallBy[by]++
+	}
+	wait := time.Since(begin)
+	s.StallWall += wait
+	s.StallHist[min(bits.Len64(uint64(wait.Nanoseconds())), len(s.StallHist)-1)]++
 }
 
 // shardStack is one shard's private simulation stack.
@@ -148,6 +187,7 @@ func buildSharded(cfg Config) *shardedRun {
 		st := &shardStack{shard: s, eng: eng, medium: medium, ids: part.Nodes[s],
 			metrics: app.Metrics{Nodes: cfg.Nodes}}
 		st.stats.Shard, st.stats.Nodes = s, len(st.ids)
+		st.stats.StallBy = make([]uint64, cfg.Shards)
 		if cfg.Audit {
 			st.aud = audit.New(eng, medium, audit.Config{
 				MaxFrameAirtime: cfg.Phy.TxDuration(frame.RMACDataOverhead + cfg.PacketSize + 64),
@@ -276,6 +316,11 @@ func (sr *shardedRun) publish(j int, eng *sim.Engine) {
 // (ring writes happen-before the frontier store that made the target) —
 // and the frontier is re-published only after draining, so everything the
 // drain scheduled is reflected in the next-lower-bound it advertises.
+//
+// The target's own term covers only sends already made, so a window ends
+// right after any event that sends across (the conduit stops the engine)
+// and the loop asks again: the send's echoes then land after everything
+// the window ran. Every wait spins with runtime.Gosched and never sleeps.
 func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 	st := sr.stacks[j]
 	defer func() {
@@ -290,7 +335,7 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 		sr.wg.Done()
 	}()
 	eng := st.eng
-	done := sim.Time(-1) // end of the last executed window
+	done := sim.Time(-1) // every event at or before done has run
 	// Mobility epochs: B is the next epoch boundary — a hard cap on every
 	// window, because the current lookahead tables are only valid for
 	// events strictly before it. gen is the epoch generation this shard has
@@ -298,115 +343,110 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 	B := sr.epoch
 	var gen uint64
 	for !sr.stop.Load() {
-		target := sr.sync.Target(j)
+		// Our undrained-send cap is read before the frontier scan: a
+		// receiver lowers its frontier before it releases our slot, so one
+		// of the two reads covers each echo of a send already made.
+		target, by := sr.sync.Target(j, sr.net.OutCap(j))
 		sr.net.Drain(j)
 		sr.publish(j, eng)
-		bound := target
-		if bound > B {
-			bound = B
-		}
-		if bound > endTime {
+		if min(target, B) > endTime {
 			// No foreign influence can arrive on or before the horizon
 			// anymore: an undrained message would cap its sender's frontier
 			// at the send time, pulling our target back under the horizon,
 			// and future sends land above their sender's frontier plus
 			// lookahead — above target — where the sender-side filter drops
-			// them. This is the final window. (It requires B > endTime too,
-			// so the final window never outruns the epoch tables.)
-			if endTime > done {
-				eng.Run(endTime)
-				st.stats.Windows++
+			// them. Echoes of our own sends in this window may not: a send
+			// cuts the window, and the loop asks again. The window that
+			// reaches the horizon is the last. (It requires B > endTime
+			// too, so it never outruns the epoch tables.)
+			if endTime > done && sr.window(st, endTime, &done) {
+				continue
 			}
-			sr.checkAborted(eng)
 			return
 		}
-		if target > B {
-			// Epoch rollover. target > B proves every event strictly before
-			// B safe under the *current* tables: finish the epoch's window,
-			// then synchronize. The barrier condition is MinFrontier ≥ B —
-			// every shard has executed all pre-boundary events and every
-			// conduit ring is empty (an undrained message's send time t0 < B
-			// would cap its sender's frontier below B; and any message a
-			// parked shard drains after the leader's frontier snapshot was
-			// provably sent at t0 ≥ B, because its sender's frontier had
-			// already been observed at or past B). Everyone keeps draining
-			// and re-publishing while parked, so outbound caps release and
-			// the leader's ghost records always find ring space.
-			if B-1 > done {
-				eng.Run(B - 1)
-				done = B - 1
-				st.stats.Windows++
-				sr.checkAborted(eng)
-				if sr.stop.Load() {
-					return
-				}
+		if target >= B {
+			// Epoch rollover. target ≥ B proves every event strictly before
+			// B safe under the *current* tables: finish the epoch's window
+			// (a send cuts it, and the loop asks again), then synchronize.
+			// The barrier condition is MinFrontier ≥ B — every shard has
+			// executed all pre-boundary events and every conduit ring is
+			// empty (an undrained message's send time t0 < B would cap its
+			// sender's frontier below B; and any message a parked shard
+			// drains after the leader's frontier snapshot was provably sent
+			// at t0 ≥ B, because its sender's frontier had already been
+			// observed at or past B). Everyone keeps draining and
+			// re-publishing while parked, so outbound caps release and the
+			// leader's ghost records always find ring space.
+			if B-1 > done && sr.window(st, B-1, &done) {
+				continue
+			}
+			if sr.stop.Load() {
+				return
 			}
 			sr.publish(j, eng)
 			st.stats.Epochs++
+			begin := time.Now()
 			if j == 0 {
 				for !sr.stop.Load() && sr.sync.MinFrontier() < B {
 					sr.net.Drain(j)
 					sr.publish(j, eng)
 					runtime.Gosched()
 				}
-				if sr.stop.Load() {
-					return
-				}
-				sr.rebuildEpoch(B)
-				sr.gen.Add(1) // release-publishes the new tables
 			} else {
 				for !sr.stop.Load() && sr.gen.Load() == gen {
 					sr.net.Drain(j)
 					sr.publish(j, eng)
 					runtime.Gosched()
 				}
-				if sr.stop.Load() {
-					return
-				}
+			}
+			st.stats.stalled(-1, begin)
+			if sr.stop.Load() {
+				return
+			}
+			if j == 0 {
+				sr.rebuildEpoch(B)
+				sr.gen.Add(1) // release-publishes the new tables
 			}
 			gen++
 			B += sr.epoch
 			continue
 		}
-		limit := bound - 1 // events at exactly `target` are not yet safe
-		if limit > done {
-			eng.Run(limit)
-			done = limit
-			st.stats.Windows++
-			sr.checkAborted(eng)
+		if limit := target - 1; limit > done { // events at exactly `target` are not yet safe
+			sr.window(st, limit, &done)
 			continue
 		}
-		// Cannot advance: wait for a foreign frontier to move. Keep
-		// draining while waiting — inbound messages never change our
-		// target, but consuming them unblocks producers and releases
-		// their frontier caps — and keep re-publishing as drains and
-		// consumed outbound slots raise our own frontier.
-		st.stats.Stalls++
+		// Cannot advance: wait for a foreign frontier, or for a receiver to
+		// drain our sends, to move the target. Keep draining while waiting
+		// — inbound messages never change our target, but consuming them
+		// unblocks producers and releases their frontier caps — and keep
+		// re-publishing as drains and consumed outbound slots raise our
+		// own frontier.
 		begin := time.Now()
-		for spins := 0; !sr.stop.Load(); spins++ {
-			if sr.sync.Target(j) > target {
+		for !sr.stop.Load() {
+			if t, _ := sr.sync.Target(j, sr.net.OutCap(j)); t > target {
 				break
 			}
 			sr.net.Drain(j)
 			sr.publish(j, eng)
-			if spins < 256 {
-				runtime.Gosched()
-			} else {
-				d := time.Duration(spins)
-				if d > 100 {
-					d = 100
-				}
-				time.Sleep(d * time.Microsecond)
-			}
+			runtime.Gosched()
 		}
-		wait := time.Since(begin)
-		st.stats.StallWall += wait
-		if b := bits.Len64(uint64(wait.Nanoseconds())); b < len(st.stats.StallHist) {
-			st.stats.StallHist[b]++
-		} else {
-			st.stats.StallHist[len(st.stats.StallHist)-1]++
-		}
+		st.stats.stalled(by, begin)
 	}
+}
+
+// window runs st's engine through limit and reports whether a cross-shard
+// send cut it short. done advances to limit, or after a cut to just before
+// the cut's instant, whose remaining events are still to run.
+func (sr *shardedRun) window(st *shardStack, limit sim.Time, done *sim.Time) (cut bool) {
+	st.eng.Run(limit)
+	st.stats.Windows++
+	sr.checkAborted(st.eng)
+	if st.eng.Stopped() {
+		*done = st.eng.Now() - 1
+		return true
+	}
+	*done = limit
+	return false
 }
 
 // checkAborted propagates a shard-local engine abort (watchdog budget or

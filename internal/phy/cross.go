@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"rmac/internal/frame"
 	"rmac/internal/geom"
@@ -297,7 +296,7 @@ type mirrorExp struct {
 
 // ShardStats counts one shard's conduit traffic. MsgsOut/MsgsIn and the
 // ghost churn counters are deterministic for a fixed (seed, shards);
-// FullSpins is wall-clock scheduling observability and excluded from any
+// FullSpins depends on goroutine timing and is excluded from any
 // fingerprint. GhostAdds/GhostDels count ghost installs and removals at
 // this (receiver) shard — the initial-epoch setup installs plus every
 // ghost record firing, so GhostAdds-GhostDels is the live ghost count. A
@@ -677,7 +676,9 @@ func (n *ShardNet) Stats(j int) ShardStats { return n.conduits[j].stats }
 // drained a message, the closure argument needs the sender's frontier to
 // still cover that message's send time — otherwise a third shard reading
 // the (already advanced) frontier could under-estimate how early the
-// receiver can relay it (see DESIGN.md §14).
+// receiver can relay it (see DESIGN.md §14). The cap is also the own
+// ("echo") term of shard j's target: read it before the frontier scan
+// (sim.ShardSync.Target).
 //
 // Send times are monotone per ring (the sender's clock only advances), so
 // the head slot holds each ring's minimum. Safe to call from shard j's
@@ -956,14 +957,21 @@ func (c *shardConduit) evictExpired() {
 // full. A blocked producer drains its own inboxes each spin: a cycle of
 // mutually-full shards always has every participant emptying its inbound
 // rings, so some producer always unblocks — production cannot deadlock.
+// The spin yields on every turn and never sleeps: the consumer it waits
+// for may need this very P, and a sleeping producer holds up its whole
+// shard for far longer than the ring takes to drain.
+//
+// Every message ends the running window: the engine stops right after the
+// event that minted it, and the shard loop re-reads its target, whose echo
+// term now covers the send (sim.ShardSync.Target).
 func (c *shardConduit) send(t int, fill func(slot *crossMsg)) {
 	ring := c.out[t]
-	spins := 0
 	for {
 		if slot := ring.next(); slot != nil {
 			fill(slot)
 			ring.publish()
 			c.stats.MsgsOut++
+			c.med.eng.Stop()
 			return
 		}
 		if c.net.stop.Load() {
@@ -971,16 +979,7 @@ func (c *shardConduit) send(t int, fill func(slot *crossMsg)) {
 		}
 		c.stats.FullSpins++
 		c.drain()
-		if spins < 256 {
-			runtime.Gosched()
-		} else {
-			d := time.Duration(spins)
-			if d > 100 {
-				d = 100
-			}
-			time.Sleep(d * time.Microsecond)
-		}
-		spins++
+		runtime.Gosched()
 	}
 }
 

@@ -37,6 +37,16 @@ func boundaryScript(eng *sim.Engine, a, c *Radio) {
 	at(15*ms+200*sim.Microsecond, func() { a.SetTone(Tone(0), false) })
 }
 
+// runOut runs a shard engine through horizon. The conduit stops the engine
+// right after every event that sends across shards, where the sharded loop
+// re-reads its target; a test stepping shards by hand just resumes.
+func runOut(eng *sim.Engine, horizon sim.Time) {
+	eng.Run(horizon)
+	for eng.Stopped() {
+		eng.Run(horizon)
+	}
+}
+
 // TestShardBoundaryPhysics is the golden cross-check of DESIGN.md §14: a
 // transmitter within one disc radius of a shard boundary must produce
 // identical delivery, collision, truncation and tone outcomes at a
@@ -70,9 +80,9 @@ func TestShardBoundaryPhysics(t *testing.T) {
 	}
 	net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 0, 1}, horizon, 0)
 	boundaryScript(eng0, srads[0].Radio, srads[1].Radio)
-	eng0.Run(horizon)
+	runOut(eng0, horizon)
 	net.Drain(1)
-	eng1.Run(horizon)
+	runOut(eng1, horizon)
 	got := srads[2].rec
 
 	// All three sit within one disc radius of a foreign radio.
@@ -156,9 +166,9 @@ func TestShardBoundaryAbortBeforeDelivery(t *testing.T) {
 		net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon, 0)
 		eng0.ScheduleCall(0, scriptStep{func() { a.StartTx(testFrame(0, 400)) }}, 0)
 		eng0.ScheduleCall(sim.Millisecond, scriptStep{func() { a.AbortTx() }}, 0)
-		eng0.Run(horizon)
+		runOut(eng0, horizon)
 		net.Drain(1)
-		eng1.Run(horizon)
+		runOut(eng1, horizon)
 		return rb.rec
 	}
 
@@ -232,7 +242,7 @@ func mobileBoundaryCase(t *testing.T, field geom.Rect, pos []geom.Point, shardOf
 		if s > 0 {
 			net.Drain(s)
 		}
-		engs[s].Run(horizon)
+		runOut(engs[s], horizon)
 	}
 
 	for _, li := range listeners {

@@ -14,23 +14,27 @@ import (
 // receiver has drained yet) — and each shard j may safely execute all
 // events strictly before
 //
-//	target(j) = min over all k of frontier(k) + walkLookahead(k, j)
+//	target(j) = min( outCap(j) + walkLookahead(j, j),
+//	                 min over k ≠ j of frontier(k) + walkLookahead(k, j) )
 //
 // where walkLookahead is the all-pairs minimum over walks of length ≥ 1
 // in the direct lookahead graph (minimum cross-shard propagation delay
-// between any two radios of the two shards). Including walks — not just
-// simple paths — matters twice over. Relays: influence from k forwarded
-// through intermediate shards is bounded transitively by the triangle
-// inequality, with the sender-side cap keeping frontier(k) at or below
-// an in-flight message's send time until its receiver has scheduled the
-// delivery (and so covers the relay itself). Echoes: the k = j diagonal
-// is the minimum round trip through any other shard, bounding responses
-// to shard j's *own* future sends — a neighbour can react to a border
+// between any two radios of the two shards) and outCap(j) is the send
+// time of j's earliest undrained outbound message. Including walks — not
+// just simple paths — matters twice over. Relays: influence from k
+// forwarded through intermediate shards is bounded transitively by the
+// triangle inequality, with the sender-side cap keeping frontier(k) at or
+// below an in-flight message's send time until its receiver has scheduled
+// the delivery (and so covers the relay itself). Echoes: the k = j
+// diagonal is the minimum round trip through any other shard, bounding
+// responses to shard j's *own* sends — a neighbour can react to a border
 // arrival and transmit back within the same timestamp (tone-triggered
-// aborts), so j may never outrun its own frontier by more than that
-// round trip. Frontiers are pure measurements (next event / undrained
-// send time), never derived from other shards' frontiers, so targets
-// converge in one step and the classic null-message creep cannot occur.
+// aborts). The own term covers only sends already made; the shard loop
+// covers the rest by ending every window right after an event that sends
+// across, so each echo lands after everything the window ran. Frontiers
+// are pure measurements (next event / undrained send time), never derived
+// from other shards' frontiers, so targets converge in one step and the
+// classic null-message creep cannot occur.
 //
 // Cross-shard events are injected with ScheduleCrossCall under a dedicated
 // sequence-number space (CrossSeqBase | sender<<CrossSeqShardShift | local
@@ -265,7 +269,18 @@ func (ss *ShardSync) Lookahead(k, j int) Time { return (*ss.la.Load())[k][j] }
 // outbound send time) — never from other shards' frontiers. Frontiers are
 // not monotone: Lower pulls one down when a drain schedules an earlier
 // delivery. Only shard k's goroutine may publish or lower frontier k.
-func (ss *ShardSync) Publish(k int, t Time) { ss.fr[k].v.Store(int64(t)) }
+//
+// An unchanged frontier is not stored again: a shard re-publishes on every
+// spin of its waits, and each store would invalidate the cache line its
+// neighbours are polling. Readers then synchronise with the earlier store
+// of the same value, which is enough: between the two, shard k ran only
+// events at or after that value, so any message it sent meanwhile lands at
+// or after the value plus the lookahead the readers already bound by.
+func (ss *ShardSync) Publish(k int, t Time) {
+	if Time(ss.fr[k].v.Load()) != t {
+		ss.fr[k].v.Store(int64(t))
+	}
+}
 
 // Lower pulls shard k's published frontier down to t when it is above it.
 // A draining shard calls it with the deliveries it has just scheduled,
@@ -290,38 +305,57 @@ func (ss *ShardSync) Lower(k int, t Time) {
 // Frontier returns shard k's last published frontier.
 func (ss *ShardSync) Frontier(k int) Time { return Time(ss.fr[k].v.Load()) }
 
-// Target returns the conservative execution bound for shard j: it may run
-// every event strictly before the returned time. The k == j term is the
-// echo bound — shard j's own frontier plus the minimum round trip, since
-// a neighbour may respond to one of j's future sends with zero turnaround.
-// MaxTime means j is unconstrained (no shard — itself included — can route
-// influence to it, or all have terminated).
-func (ss *ShardSync) Target(j int) Time {
+// Target returns the conservative execution bound for shard j — it may
+// run every event strictly before the returned time — and the shard whose
+// term set it (-1 when none did). outCap is the send time of j's earliest
+// undrained outbound message (MaxTime when none); the caller must read it
+// before calling Target. A receiver lowers its own frontier before it
+// releases a drained slot (Lower), so a cap read first and a frontier read
+// after can never both miss the delivery.
+//
+// The k == j term is the echo bound: outCap plus the minimum round trip
+// covers every response to a send j has already made, and Target returns
+// j when it binds. Sends j has yet to make are not covered: the caller
+// must end its window right after any event that sends across and ask
+// again. j's own published frontier plays no part, so with nothing in
+// flight only foreign frontiers bound the window. MaxTime means j is
+// unconstrained (no shard — itself included — can route influence to it,
+// or all have terminated).
+func (ss *ShardSync) Target(j int, outCap Time) (Time, int) {
 	for {
 		n := ss.lowered.Load()
-		t := ss.target(j)
+		t, by := ss.target(j, outCap)
 		if ss.lowered.Load() == n {
-			return t
+			return t, by
 		}
 	}
 }
 
 // target is one scan of Target's bound.
-func (ss *ShardSync) target(j int) Time {
-	t := maxTime
+func (ss *ShardSync) target(j int, outCap Time) (Time, int) {
+	t, by := Time(maxTime), -1
 	m := *ss.la.Load()
 	for k := range ss.fr {
 		la := m[k][j]
 		if la == maxTime {
 			continue
 		}
-		f := Time(ss.fr[k].v.Load())
+		f := outCap
+		if k != j {
+			f = Time(ss.fr[k].v.Load())
+		}
 		if f == maxTime {
-			continue // k terminated: constrains nobody
+			continue // k terminated (or j has nothing in flight): constrains nobody
 		}
 		if b := f + la; b < t {
-			t = b
+			t, by = b, k
 		}
 	}
-	return t
+	return t, by
 }
+
+// Stopped reports whether an event called Stop during the engine's last
+// Run, which then returned right after that event; the next Run clears
+// it. The sharded loop uses it to tell a window a cross-shard send cut
+// short from one that ran every event up to its limit.
+func (e *Engine) Stopped() bool { return e.stopped }

@@ -34,14 +34,15 @@ func TestShardSyncClosureDecoupled(t *testing.T) {
 			}
 		}
 	}
-	if got := ss.Target(0); got != MaxTime {
-		t.Errorf("decoupled Target = %v, want MaxTime", got)
+	if got, by := ss.Target(0, 100); got != MaxTime || by != -1 {
+		t.Errorf("decoupled Target = %v (by %d), want MaxTime (by -1)", got, by)
 	}
 }
 
 // TestShardSyncTarget pins the target formula, in particular the echo
-// term: shard 0's own frontier plus the minimum round trip bounds it even
-// when the other frontiers are far ahead.
+// term: shard 0's own undrained send plus the minimum round trip bounds it
+// even when the other frontiers are far ahead, while its own published
+// frontier, with nothing in flight, does not bound it at all.
 func TestShardSyncTarget(t *testing.T) {
 	inf := Time(MaxTime)
 	ss := NewShardSync([][]Time{
@@ -49,19 +50,18 @@ func TestShardSyncTarget(t *testing.T) {
 		{7, inf, 10},
 		{inf, 3, inf},
 	})
-	ss.Publish(0, 100) // echo term: 100 + (5+7) = 112
+	ss.Publish(0, 100)
 	ss.Publish(1, 1000)
 	ss.Publish(2, 1000)
-	if got := ss.Target(0); got != 112 {
-		t.Errorf("Target(0) = %v, want 112 (echo bound)", got)
+	if got, by := ss.Target(0, MaxTime); got != 1007 || by != 1 {
+		t.Errorf("Target(0) = %v by %d, want 1007 by 1 (frontier 1000 + lookahead 7; own frontier 100 does not cap)", got, by)
 	}
-	ss.Publish(0, 5000)
-	if got := ss.Target(0); got != 1007 {
-		t.Errorf("Target(0) = %v, want 1007 (frontier 1 + lookahead 7)", got)
+	if got, by := ss.Target(0, 100); got != 112 || by != 0 {
+		t.Errorf("Target(0) = %v by %d, want 112 by 0 (echo: undrained send at 100 + round trip 5+7)", got, by)
 	}
 	ss.Publish(1, MaxTime) // terminated shard constrains nobody
-	if got := ss.Target(0); got != 1010 {
-		t.Errorf("Target(0) = %v, want 1010 (shard 2 via relay closure)", got)
+	if got, by := ss.Target(0, MaxTime); got != 1010 || by != 2 {
+		t.Errorf("Target(0) = %v by %d, want 1010 by 2 (shard 2 via relay closure)", got, by)
 	}
 	if got := ss.Frontier(1); got != MaxTime {
 		t.Errorf("Frontier(1) = %v", got)
@@ -86,11 +86,27 @@ func TestShardSyncLower(t *testing.T) {
 	if got := ss.Frontier(1); got != 300 {
 		t.Fatalf("Frontier(1) = %v after Lower(1, 300)", got)
 	}
-	if got := ss.Target(0); got != 307 {
+	if got, _ := ss.Target(0, MaxTime); got != 307 {
 		t.Errorf("Target(0) = %v, want 307 (lowered frontier 300 + lookahead 7)", got)
 	}
 	if got := ss.MinFrontier(); got != 300 {
 		t.Errorf("MinFrontier = %v, want 300", got)
+	}
+}
+
+// TestEngineStopped: Stopped tells a Run that Stop cut short from one
+// that reached its horizon, and the next Run clears it.
+func TestEngineStopped(t *testing.T) {
+	eng := NewEngine(1)
+	eng.Schedule(10, eng.Stop)
+	eng.Schedule(20, func() {})
+	eng.Run(100)
+	if !eng.Stopped() || eng.Now() != 10 {
+		t.Fatalf("after a stopping event: Stopped %v, Now %v; want true, 10", eng.Stopped(), eng.Now())
+	}
+	eng.Run(100)
+	if eng.Stopped() || eng.Now() != 100 {
+		t.Fatalf("after a full window: Stopped %v, Now %v; want false, 100", eng.Stopped(), eng.Now())
 	}
 }
 

@@ -168,13 +168,15 @@ bench_suite '^BenchmarkWholeRun$' BENCH_run.json .
 # quote that core count next to any speedup claim. The Mobile variant
 # re-runs the 1k row with every node on a Speed1 waypoint trajectory, so
 # BENCH_shard.json also records the mobility-epoch overhead at equal
-# shard counts. Quick mode runs only the 1k rows as a liveness check;
+# shard counts. The Coupled variant runs the 2k-node Poisson cut, where
+# no void separates the strips and frontier synchronization dominates.
+# Quick mode runs only the 1k and 2k rows as a liveness check;
 # check mode skips the suite — wall-clock
 # scaling ratios on shared runners are noise, and the allocation gates
 # live in the test suite (TestShardedSteadyStateAllocs).
 if [[ "$CHECK" == 0 ]]; then
-    SHARD_PATTERN='^BenchmarkWholeRunSharded(Mobile)?$'
-    [[ "$QUICK" == 1 ]] && SHARD_PATTERN='^BenchmarkWholeRunSharded(Mobile)?$/^n1000$'
+    SHARD_PATTERN='^BenchmarkWholeRunSharded(Mobile|Coupled)?$'
+    [[ "$QUICK" == 1 ]] && SHARD_PATTERN='^BenchmarkWholeRunSharded(Mobile|Coupled)?$/^n[12]000$'
     BENCHTIME=1x # whole runs: one iteration is the measurement
     bench_suite "$SHARD_PATTERN" BENCH_shard.json .
 fi
