@@ -10,6 +10,7 @@ package rmac
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"rmac/internal/frame"
@@ -295,8 +296,8 @@ func benchShardedConfig(nodes, shards int) Config {
 }
 
 // benchShardedRuns runs whole simulations of config, seeded 1, 2, …, and
-// reports their event throughput and simulated seconds per second;
-// events/s counts events across all shards.
+// reports their event throughput, wall time per event and simulated
+// seconds per second; events count across all shards.
 func benchShardedRuns(b *testing.B, config func() Config) {
 	b.ReportAllocs()
 	var events uint64
@@ -315,6 +316,7 @@ func benchShardedRuns(b *testing.B, config func() Config) {
 		simulated += cfg.Horizon()
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(simulated.Seconds()/b.Elapsed().Seconds(), "simsec/s")
 }
 
@@ -388,6 +390,33 @@ func BenchmarkWholeRunShardedCoupled(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n2000/shards%d", shards), func(b *testing.B) {
 			benchShardedRuns(b, func() Config { return benchCoupledConfig(shards) })
+		})
+	}
+}
+
+// benchScaleConfig is the metro workload of BenchmarkWholeRunSharded on
+// one engine, on the field shape of the benchmark suite's metro-4k
+// (BENCHMARK.json) scaled to any population: 2800·√(N/1000) ×
+// 600·√(N/1000) m, so district density stays the same as N grows.
+func benchScaleConfig(nodes int) Config {
+	s := math.Sqrt(float64(nodes) / 1000)
+	cfg := benchShardedConfig(nodes, 1)
+	cfg.Field = Rect{W: 2800 * s, H: 600 * s}
+	return cfg
+}
+
+// BenchmarkWholeRunScale is the scale ladder of one engine: the same
+// metro workload at constant district density from 1k to 16k nodes.
+// Traffic runs long enough (64 packets from each of the eight sources)
+// that events per node per simulated second stay within about 25% along
+// the ladder (≈1350 at 1k and 4k nodes, ≈1030 at 16k), so ns/event
+// growing with N is mostly engine cost: scattered per-node memory and
+// per-event work that depends on N. scripts/bench.sh records this suite
+// in BENCH_shard.json.
+func BenchmarkWholeRunScale(b *testing.B) {
+	for _, nodes := range []int{1000, 2000, 4000, 8000, 16000} {
+		b.Run(fmt.Sprintf("n%d", nodes), func(b *testing.B) {
+			benchShardedRuns(b, func() Config { return benchScaleConfig(nodes) })
 		})
 	}
 }

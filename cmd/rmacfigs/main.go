@@ -41,7 +41,7 @@ func run() int {
 	csvPath := flag.String("csv", "", "write all sweep points to this CSV file")
 	ascii := flag.Bool("ascii", false, "also render each figure panel as a terminal plot")
 	jsonPath := flag.String("json", "", "write all sweep points to this JSON file")
-	protoFlag := flag.String("protocols", "", "comma-separated protocols to sweep (rmac,bmmm,bmw,lbp,mx); default: the paper's figure set")
+	protoFlag := flag.String("protocols", "", "comma-separated protocols to sweep (rmac,bmmm,bmw,lbp,mx,dot11); default: the paper's figure set")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	resilience := flag.Bool("resilience", false, "run the resilience sweep (delivery vs burst loss and node churn) instead of the paper figures")
 	flag.IntVar(&base.Shards, "shards", 0, "spatial shards per run for the parallel engine (0/1 = single engine; mobile scenarios recompute lookahead per epoch)")

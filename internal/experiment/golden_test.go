@@ -33,6 +33,22 @@ func goldenGridConfig() Config {
 	return cfg
 }
 
+// goldenMXConfig is the golden run under 802.11MX, pinning the sender's
+// NAK-window tone meter reading alongside RMAC's RBT/ABT windows.
+func goldenMXConfig() Config {
+	cfg := goldenConfig()
+	cfg.Protocol = MX
+	return cfg
+}
+
+// goldenGridMobileConfig is the grid-sized run with mobile radios, so the
+// spatial grid's periodic rebuild is pinned as well as its static build.
+func goldenGridMobileConfig() Config {
+	cfg := goldenGridConfig()
+	cfg.Scenario = Speed2
+	return cfg
+}
+
 // goldenFaultConfig is the golden run with the impairment layer switched
 // on — Gilbert–Elliott bursts erasing 20% of the timeline and nodes that
 // are up 90% of the time — pinning the fault layer's RNG consumption and
@@ -77,6 +93,11 @@ const (
 	// but with bursty loss and churn enabled, so any drift in the GE chain
 	// advancement, churn scheduling, or crash semantics shows up here.
 	goldenFault = "events=1011170 gen=200 rx=4771 dup=0 deliv=0.82258620689655171 delay=0.734644046 drop=0.10764765045303065 retx=1.7330833580432325 ovh=0.21918798901650646 nonleaf=11 mrts_n=5236 abort_n=11 reach=30 bursterr=4848 badentries=14914 crashes=279 recoveries=274 deadlocks=0"
+	// goldenMX and goldenGridMobile were recorded before the tone log and
+	// the hashed grid gave way to cumulative tone meters and the sorted
+	// cell index, which must reproduce them bit-identically.
+	goldenMX         = "events=236374 gen=200 rx=5633 dup=7618 deliv=0.9712068965517241 delay=0.0099776099999999996 drop=0 retx=0.19508896436300152 ovh=0.30369259250930269 nonleaf=12 mrts_n=0 abort_n=12 reach=30"
+	goldenGridMobile = "events=1615119 gen=60 rx=3947 dup=0 deliv=0.55280112044817931 delay=1.0257260399999999 drop=0.27601985152372743 retx=2.0473391782331825 ovh=1.0088576259248709 nonleaf=45 mrts_n=4757 abort_n=45 reach=120"
 )
 
 // TestGoldenDeterminism pins the fixed-seed RunResult of a full RMAC run
@@ -91,6 +112,8 @@ func TestGoldenDeterminism(t *testing.T) {
 		{"stationary-30", goldenConfig(), goldenStationary},
 		{"grid-120", goldenGridConfig(), goldenGrid},
 		{"fault-30", goldenFaultConfig(), goldenFault},
+		{"mx-30", goldenMXConfig(), goldenMX},
+		{"grid-120-speed2", goldenGridMobileConfig(), goldenGridMobile},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := Run(tc.cfg)

@@ -95,7 +95,7 @@ type Node struct {
 	cur     *txContext
 	ctxBuf  txContext // backs cur; one packet in flight at a time
 	nakTmr  *sim.Timer
-	dataEnd sim.Time
+	nakMark sim.Time // ToneTime(ABT) when the NAK window opened
 
 	arm    rxArm
 	armed  bool
@@ -273,7 +273,7 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		n.afterSIFS()
 	case stTxData:
 		n.st = stWfNAK
-		n.dataEnd = n.eng.Now()
+		n.nakMark = n.radio.ToneTime(phy.ToneABT)
 		n.nakTmr.Start(NAKWindow + windowSlack)
 	case stTxUData:
 		n.stats.UnreliableSent++
@@ -335,7 +335,7 @@ func (n *Node) afterSIFS() {
 // receiver complained.
 func (n *Node) onNAKWindowEnd() {
 	n.stats.ABTCheckTime += NAKWindow + windowSlack
-	naked := n.radio.ToneOverlap(phy.ToneABT, n.dataEnd, n.eng.Now()) >= phy.Lambda
+	naked := n.radio.ToneTime(phy.ToneABT)-n.nakMark >= phy.Lambda
 	if !naked {
 		n.completeReliable(false)
 		return

@@ -134,11 +134,12 @@ type Node struct {
 	// sees each sender's sequence numbers in non-decreasing order.
 	lastSeq map[frame.Addr]uint32
 
-	// Sender-side timers.
+	// Sender-side timers. rbtMark and abtMark are the radio's tone meter
+	// readings (phy.Radio.ToneTime) when the open RBT or ABT window began.
 	wfRBT    *sim.Timer
 	wfABT    *sim.Timer
-	mrtsEnd  sim.Time
-	dataEnd  sim.Time
+	rbtMark  sim.Time
+	abtMark  sim.Time
 	abtSlot  int
 	abtAcked []bool
 
@@ -342,7 +343,6 @@ func (n *Node) startUnreliable() {
 }
 
 func (n *Node) startMRTS() {
-	n.radio.PruneToneLog(n.eng.Now() - sim.Second)
 	m := n.frames.MRTS()
 	m.Transmitter = n.addr
 	m.Receivers = append(m.Receivers, n.cur.remaining...)
@@ -360,12 +360,12 @@ func (n *Node) OnTxDone(f frame.Frame) {
 	case StateTxMRTS:
 		// C17: MRTS complete -> WF_RBT, timer 2τ+λ.
 		n.state = StateWfRBT
-		n.mrtsEnd = n.eng.Now()
+		n.rbtMark = n.radio.ToneTime(phy.ToneRBT)
 		n.wfRBT.Start(phy.ToneWaitTimeout)
 	case StateTxRData:
 		// C19: data complete -> WF_ABT, n cycles of 2τ+λ.
 		n.state = StateWfABT
-		n.dataEnd = n.eng.Now()
+		n.abtMark = n.radio.ToneTime(phy.ToneABT)
 		n.abtSlot = 0
 		n.abtAcked = n.abtAcked[:0]
 		for range n.cur.remaining {
@@ -396,7 +396,7 @@ func (n *Node) completeUnreliable() {
 // an RBT was detected during the timer period, otherwise back off and
 // retry.
 func (n *Node) onWfRBTExpire() {
-	detected := n.radio.ToneOverlap(phy.ToneRBT, n.mrtsEnd, n.eng.Now()) >= phy.Lambda
+	detected := n.radio.ToneTime(phy.ToneRBT)-n.rbtMark >= phy.Lambda
 	if !detected {
 		n.attemptFailed()
 		return
@@ -416,16 +416,17 @@ func (n *Node) onWfRBTExpire() {
 }
 
 // onABTWindow closes one ABT sensing window (step 6 of §3.3.2): window i
-// covers [dataEnd+i·l_abt, dataEnd+(i+1)·l_abt]; receiver i acknowledged
-// iff the ABT channel was sensed for at least λ within it.
+// spans the i-th l_abt after the data frame ended; receiver i acknowledged
+// iff the ABT channel was sensed for at least λ within it. Window i closes
+// now, and window i+1 opens now.
 func (n *Node) onABTWindow() {
 	i := n.abtSlot
-	from := n.dataEnd + sim.Time(i)*phy.ABTDuration
-	to := from + phy.ABTDuration
 	n.stats.ABTCheckTime += phy.ABTDuration
-	if n.radio.ToneOverlap(phy.ToneABT, from, to) >= phy.Lambda {
+	mark := n.radio.ToneTime(phy.ToneABT)
+	if mark-n.abtMark >= phy.Lambda {
 		n.abtAcked[i] = true
 	}
+	n.abtMark = mark
 	n.abtSlot++
 	if n.abtSlot < len(n.cur.remaining) {
 		n.wfABT.Start(phy.ABTDuration)

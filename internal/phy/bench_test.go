@@ -47,7 +47,7 @@ func benchMediumFanout(b *testing.B, n int) {
 	eng, m := benchMedium(b, n)
 	src := m.Radios()[0]
 	f := benchFrame()
-	// Warm the pools (rx paths, event arena, grid buckets) to steady state
+	// Warm the pools (rx paths, event arena, the grid) to steady state
 	// before measuring: the first cycles grow them, and those one-time
 	// bytes would otherwise show up amortized as a spurious nonzero B/op.
 	for i := 0; i < 8; i++ {
@@ -107,9 +107,9 @@ func BenchmarkToneStorm(b *testing.B) {
 	const n = 100
 	eng, m := benchMedium(b, n)
 	radios := m.Radios()
-	// Warm every radio's tone log and the session pool: the log ring grows
-	// on first use per node, and that one-time growth must not be billed to
-	// the measured steady state (see benchMediumFanout).
+	// Warm the session pool and the event arena: they grow on first use,
+	// and that one-time growth must not be billed to the measured steady
+	// state (see benchMediumFanout).
 	for i := 0; i < 2*n; i++ {
 		r := radios[i%n]
 		m.SetTone(r, ToneRBT, true)

@@ -640,9 +640,6 @@ func (c *shardConduit) ghost(src int, pos geom.Point) *Radio {
 	g := c.ghosts[src]
 	if g == nil {
 		g = &Radio{m: c.med, eng: c.med.eng, id: src, static: true, pos: pos, memoTime: -1}
-		for ti := range g.toneLog {
-			g.toneLog[ti].onSince = -1
-		}
 		c.ghosts[src] = g
 	} else {
 		g.pos = pos

@@ -232,8 +232,8 @@ func TestChurnPreservesQuiescence(t *testing.T) {
 			t.Fatalf("node %d not quiescent after churn", r.ID())
 		}
 		for tone := Tone(0); tone < NumTones; tone++ {
-			if r.toneLog[tone].count != 0 {
-				t.Fatalf("node %d tone %v count %d after churn", r.ID(), tone, r.toneLog[tone].count)
+			if r.tones[tone].count != 0 {
+				t.Fatalf("node %d tone %v count %d after churn", r.ID(), tone, r.tones[tone].count)
 			}
 		}
 	}

@@ -1,7 +1,10 @@
 package phy
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -112,6 +115,168 @@ func TestGridInvalidate(t *testing.T) {
 	got := gridNeighbors(m, rads[1].Radio, 75)
 	if !sameInts(got, want) {
 		t.Fatal("grid wrong after invalidate")
+	}
+}
+
+// hashedGrid is the reference index the sorted-cell grid replaced: a map
+// from cell to the radios in it, in registration order, rebuilt from
+// current positions when invalid or older than gridRefresh.
+type hashedGrid struct {
+	cell  float64
+	built sim.Time
+	valid bool
+	cells map[[2]int][]gridEntry
+}
+
+type visit struct {
+	id int
+	d2 float64
+}
+
+// inRange is forEachInRange computed the old way: cells visited dx outer,
+// dy inner, registration order within a cell, static radios checked at
+// their cached position and mobile radios at their current one.
+func (h *hashedGrid) inRange(m *Medium, src *Radio, pos geom.Point, dist float64) []visit {
+	if !h.valid || m.eng.Now()-h.built > gridRefresh {
+		h.cells = map[[2]int][]gridEntry{}
+		for _, r := range m.radios {
+			p := m.PositionOf(r)
+			k := [2]int{int(math.Floor(p.X / h.cell)), int(math.Floor(p.Y / h.cell))}
+			h.cells[k] = append(h.cells[k], gridEntry{r: r, pos: p, static: r.static})
+		}
+		h.built, h.valid = m.eng.Now(), true
+	}
+	cx, cy := int(math.Floor(pos.X/h.cell)), int(math.Floor(pos.Y/h.cell))
+	var out []visit
+	for dx := -1; dx <= 1; dx++ {
+		for dy := -1; dy <= 1; dy++ {
+			for _, e := range h.cells[[2]int{cx + dx, cy + dy}] {
+				op := e.pos
+				if !e.static {
+					op = m.PositionOf(e.r)
+				}
+				if d2 := op.Dist2(pos); e.r != src && d2 <= dist*dist {
+					out = append(out, visit{e.r.ID(), d2})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestGridVisitOrderMatchesHashedGrid pins forEachInRange's callback
+// sequence — ids, squared distances and their order, which fix the event
+// tie-breaks of every fan-out — to the hashed grid's, over queries spread
+// across a second of simulated time on a static and on a mobile network.
+func TestGridVisitOrderMatchesHashedGrid(t *testing.T) {
+	for _, mobile := range []bool{false, true} {
+		eng, m, rads := buildBig(t, 300, 7, mobile)
+		ref := &hashedGrid{cell: m.cfg.interferenceRange() * gridSlack}
+		rng := rand.New(rand.NewSource(8))
+		queries := 0
+		for k := 0; k < 400; k++ {
+			src := rads[rng.Intn(len(rads))].Radio
+			dist := m.cfg.interferenceRange()
+			if k%3 == 0 {
+				dist = m.cfg.CommRange
+			}
+			eng.Schedule(sim.Time(rng.Intn(1000))*sim.Millisecond, func() {
+				pos := m.PositionOf(src)
+				var got []visit
+				m.forEachInRange(src, pos, dist, func(o *Radio, d2 float64) {
+					got = append(got, visit{o.ID(), d2})
+				})
+				want := ref.inRange(m, src, pos, dist)
+				if !slices.Equal(got, want) {
+					t.Fatalf("mobile=%v t=%v node %d: visits %v, hashed grid %v", mobile, eng.Now(), src.ID(), got, want)
+				}
+				queries++
+			})
+		}
+		eng.RunAll()
+		if queries != 400 {
+			t.Fatalf("mobile=%v: %d of 400 queries ran", mobile, queries)
+		}
+	}
+}
+
+// TestGridRebuildsOnlyWhenMobile: a grid over stationary radios is built
+// once; with mobile radios it is rebuilt once it is gridRefresh old.
+func TestGridRebuildsOnlyWhenMobile(t *testing.T) {
+	for _, mobile := range []bool{false, true} {
+		eng, m, rads := buildBig(t, 120, 5, mobile)
+		_ = gridNeighbors(m, rads[0].Radio, 75)
+		eng.Schedule(2*gridRefresh, func() { _ = gridNeighbors(m, rads[1].Radio, 75) })
+		eng.RunAll()
+		want := sim.Time(0)
+		if mobile {
+			want = 2 * gridRefresh
+		}
+		if m.grid.built != want {
+			t.Fatalf("mobile=%v: grid built at %v, want %v", mobile, m.grid.built, want)
+		}
+	}
+}
+
+// TestGridSeesRadioAddedAfterQuery: registering a radio invalidates the
+// grid, so the next query finds it.
+func TestGridSeesRadioAddedAfterQuery(t *testing.T) {
+	_, m, rads := buildBig(t, 120, 3, false)
+	src := rads[0].Radio
+	_ = gridNeighbors(m, src, 75)
+	p := m.PositionOf(src)
+	late := m.AddRadio(120, mobility.Stationary{P: geom.Point{X: p.X + 10, Y: p.Y}})
+	if got := gridNeighbors(m, src, 75); !slices.Contains(got, late.ID()) {
+		t.Fatalf("radio added after the first query is invisible: %v", got)
+	}
+	if got, want := gridNeighbors(m, src, 75), linearNeighbors(m, src, 75); !sameInts(got, want) {
+		t.Fatalf("grid %v vs linear %v", got, want)
+	}
+}
+
+// TestGridMemoryLinearInRadios: the grid's size follows the radios, not
+// the field. A hundred radios scattered over a 10⁷ m × 10⁷ m field —
+// ~10¹⁰ cells of bounding box — build a grid of a few kilobytes.
+func TestGridMemoryLinearInRadios(t *testing.T) {
+	const n = 100
+	eng := sim.NewEngine(1)
+	m := NewMedium(eng, DefaultConfig())
+	rng := rand.New(rand.NewSource(2))
+	field := geom.Rect{W: 1e7, H: 1e7}
+	for i := 0; i < n; i++ {
+		m.AddRadio(i, mobility.Stationary{P: field.RandomPoint(rng)})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.rebuildGrid()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 256*n {
+		t.Fatalf("grid over %d radios allocated %d bytes, want ≤ %d", n, got, 256*n)
+	}
+	if len(m.grid.keys) != n {
+		t.Fatalf("%d occupied cells, want %d", len(m.grid.keys), n)
+	}
+}
+
+// TestGridFarField: fields are outside input (rmacserved takes their
+// size), so radios straddling the edge of the packed cell range, ~1.7·10¹¹
+// m out, still find exactly the radios in range.
+func TestGridFarField(t *testing.T) {
+	eng := sim.NewEngine(1)
+	m := NewMedium(eng, DefaultConfig())
+	edge := math.MaxInt32 * m.cfg.interferenceRange() * gridSlack
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 150; i++ {
+		at := geom.Point{X: edge - 200 + rng.Float64()*400, Y: -edge - 150 + rng.Float64()*300}
+		if i%3 == 0 {
+			at = geom.Point{X: rng.Float64() * 400, Y: rng.Float64() * 300}
+		}
+		m.AddRadio(i, mobility.Stationary{P: at})
+	}
+	for _, r := range m.Radios() {
+		if got, want := gridNeighbors(m, r, 75), linearNeighbors(m, r, 75); !sameInts(got, want) {
+			t.Fatalf("node %d: grid %v vs linear %v", r.ID(), got, want)
+		}
 	}
 }
 

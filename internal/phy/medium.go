@@ -40,7 +40,8 @@ type Medium struct {
 	// hook site.
 	Obs Observer
 
-	grid *spatialGrid
+	grid   *spatialGrid
+	mobile bool // some radio moves: the grid goes stale over time
 
 	// Object pools. A released object keeps its slice capacity, so a
 	// steady-state broadcast reuses the same backing arrays every frame.
@@ -114,7 +115,7 @@ func (m *Medium) Engine() *sim.Engine { return m.eng }
 // AddRadio creates and registers the radio for node id, moving according to
 // mob. The returned radio must be given a Handler before traffic starts.
 // Stationary radios cache their position, removing the mobility-model call
-// from every in-range query.
+// from every in-range query. The next in-range query sees the new radio.
 func (m *Medium) AddRadio(id int, mob mobility.Model) *Radio {
 	r := &Radio{
 		m:        m,
@@ -126,11 +127,11 @@ func (m *Medium) AddRadio(id int, mob mobility.Model) *Radio {
 	if s, ok := mob.(mobility.Stationary); ok {
 		r.static = true
 		r.pos = s.P
-	}
-	for t := range r.toneLog {
-		r.toneLog[t].onSince = -1
+	} else {
+		m.mobile = true
 	}
 	m.radios = append(m.radios, r)
+	m.InvalidateGrid()
 	return r
 }
 

@@ -241,11 +241,21 @@ func TestAbortTruncatesSignal(t *testing.T) {
 	}
 }
 
+// readToneAt schedules a reading of r's tone meter for t at instant at and
+// returns where the reading will be stored.
+func readToneAt(eng *sim.Engine, r *Radio, t Tone, at sim.Time) *sim.Time {
+	v := new(sim.Time)
+	eng.Schedule(at, func() { *v = r.ToneTime(t) })
+	return v
+}
+
 func TestTonePropagationAndSensing(t *testing.T) {
 	cfg := DefaultConfig()
 	eng, m, rads := build(t, cfg, []geom.Point{{X: 0, Y: 0}, {X: 60, Y: 0}, {X: 200, Y: 0}})
 	eng.Schedule(10*sim.Microsecond, func() { rads[0].SetTone(ToneRBT, true) })
 	eng.Schedule(110*sim.Microsecond, func() { rads[0].SetTone(ToneRBT, false) })
+	from := readToneAt(eng, rads[1].Radio, ToneRBT, 0)
+	to := readToneAt(eng, rads[1].Radio, ToneRBT, 200*sim.Microsecond)
 	m.Engine().RunAll()
 	prop := m.propDelay(60)
 	tr := rads[1].rec.tones
@@ -264,9 +274,9 @@ func TestTonePropagationAndSensing(t *testing.T) {
 	if len(rads[0].rec.tones) != 0 {
 		t.Fatal("node sensed its own tone")
 	}
-	// Windowed query: 100 µs of tone within [0, 200µs].
-	if got := rads[1].ToneOverlap(ToneRBT, 0, 200*sim.Microsecond); got != 100*sim.Microsecond {
-		t.Fatalf("ToneOverlap = %v, want 100µs", got)
+	// Windowed reading: 100 µs of tone within [0, 200µs].
+	if got := *to - *from; got != 100*sim.Microsecond {
+		t.Fatalf("ToneTime difference = %v, want 100µs", got)
 	}
 }
 
@@ -278,6 +288,8 @@ func TestToneCountsFromMultipleEmitters(t *testing.T) {
 	eng.Schedule(20*sim.Microsecond, func() { rads[2].SetTone(ToneABT, true) })
 	eng.Schedule(50*sim.Microsecond, func() { rads[0].SetTone(ToneABT, false) })
 	eng.Schedule(80*sim.Microsecond, func() { rads[2].SetTone(ToneABT, false) })
+	from := readToneAt(eng, rads[1].Radio, ToneABT, 0)
+	to := readToneAt(eng, rads[1].Radio, ToneABT, sim.Second)
 	m.Engine().RunAll()
 	tr := rads[1].rec.tones
 	if len(tr) != 2 || !tr[0].sensed || tr[1].sensed {
@@ -285,8 +297,8 @@ func TestToneCountsFromMultipleEmitters(t *testing.T) {
 	}
 	// Level stayed up across the emitter handoff.
 	rise, fall := tr[0].at, tr[1].at
-	if got := rads[1].ToneOverlap(ToneABT, 0, sim.Second); got != fall-rise {
-		t.Fatalf("overlap = %v, want %v", got, fall-rise)
+	if got := *to - *from; got != fall-rise {
+		t.Fatalf("sensed time = %v, want %v", got, fall-rise)
 	}
 }
 
@@ -363,8 +375,8 @@ func TestMediumStats(t *testing.T) {
 	}
 }
 
-// Property: tone overlap accounting is consistent — for any on/off schedule
-// the measured overlap in a covering window equals the total emitted time
+// Property: tone time accounting is consistent — for any on/off schedule
+// the sensed time over a covering window equals the total emitted time
 // (single emitter, fixed propagation).
 func TestPropertyToneAccounting(t *testing.T) {
 	f := func(durs []uint8) bool {
@@ -378,6 +390,7 @@ func TestPropertyToneAccounting(t *testing.T) {
 		rb := &recRadio{Radio: b, rec: &recorder{}, eng: eng}
 		b.SetHandler(rb)
 		var total sim.Time
+		from := b.ToneTime(ToneABT)
 		at := sim.Time(0)
 		for _, d := range durs {
 			on := sim.Time(d%50+1) * sim.Microsecond
@@ -389,8 +402,7 @@ func TestPropertyToneAccounting(t *testing.T) {
 			at = en + gap
 		}
 		eng.RunAll()
-		got := b.ToneOverlap(ToneABT, 0, eng.Now())
-		return got == total
+		return b.ToneTime(ToneABT)-from == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func TestPropertyChannelQuiescence(t *testing.T) {
 				if r.ToneSensed(tone) || r.OwnTone(tone) {
 					return false
 				}
-				if r.toneLog[tone].count != 0 || r.toneLog[tone].onSince != -1 {
+				if r.tones[tone].count != 0 {
 					return false
 				}
 			}
@@ -84,33 +84,5 @@ func TestPropertyChannelQuiescence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPruneToneLogBoundsMemory: pruning removes old intervals without
-// breaking subsequent overlap queries.
-func TestPruneToneLog(t *testing.T) {
-	eng := sim.NewEngine(1)
-	m := NewMedium(eng, DefaultConfig())
-	a := m.AddRadio(0, mobility.Stationary{P: geom.Point{X: 0, Y: 0}})
-	b := m.AddRadio(1, mobility.Stationary{P: geom.Point{X: 30, Y: 0}})
-	a.SetHandler(nil2{})
-	b.SetHandler(nil2{})
-	for i := 0; i < 10; i++ {
-		at := sim.Time(i) * 100 * sim.Microsecond
-		eng.Schedule(at, func() { a.SetTone(ToneABT, true) })
-		eng.Schedule(at+20*sim.Microsecond, func() { a.SetTone(ToneABT, false) })
-	}
-	eng.RunAll()
-	if got := b.ToneOverlap(ToneABT, 0, eng.Now()); got != 200*sim.Microsecond {
-		t.Fatalf("pre-prune overlap = %v", got)
-	}
-	b.PruneToneLog(500 * sim.Microsecond)
-	// Intervals entirely before 500 µs are gone; later ones remain.
-	if got := b.ToneOverlap(ToneABT, 500*sim.Microsecond, eng.Now()); got != 100*sim.Microsecond {
-		t.Fatalf("post-prune overlap = %v", got)
-	}
-	if got := b.ToneOverlap(ToneABT, 0, 400*sim.Microsecond); got != 0 {
-		t.Fatalf("pruned intervals still visible: %v", got)
 	}
 }

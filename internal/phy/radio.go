@@ -27,21 +27,15 @@ type Handler interface {
 	OnTxDone(f frame.Frame)
 }
 
-// toneInterval is one closed period during which a tone was sensed.
-type toneInterval struct {
-	from, to sim.Time
-}
-
-// toneState tracks sensed level and a short history for windowed queries.
-type toneState struct {
+// toneMeter is one tone's sensing state at a radio: the sensed level and
+// a cumulative sensed-time counter. A MAC measures how long the tone was
+// sensed over a window by reading the counter (Radio.ToneTime) when the
+// window opens and again when it closes.
+type toneMeter struct {
 	count   int      // number of in-range emitters currently sensed
-	onSince sim.Time // -1 when not sensed
-	log     []toneInterval
+	onSince sim.Time // start of the current sensed period (count > 0)
+	sensed  sim.Time // total length of the completed sensed periods
 }
-
-// maxToneLog bounds the per-tone interval history. RMAC needs at most one
-// MRTS/DATA/ABT cycle of history (≤ 21 windows); 128 is generous.
-const maxToneLog = 128
 
 // Radio is one node's PHY entity: transmitter, receiver, tone emitter and
 // tone sensor.
@@ -75,8 +69,7 @@ type Radio struct {
 	active   []*rxPath // signals currently arriving at this node
 	ownTone  [NumTones]bool
 	toneSess [NumTones]*toneSession
-
-	toneLog [NumTones]toneState
+	tones    [NumTones]toneMeter
 
 	// Sharded-run state (see cross.go). border marks a radio within one
 	// interference range of a foreign shard's radio; crossTone records, per
@@ -120,7 +113,7 @@ func (r *Radio) CarrierSensed() bool { return len(r.active) > 0 }
 
 // ToneSensed reports whether tone t from some other node is currently
 // present at this node.
-func (r *Radio) ToneSensed(t Tone) bool { return r.toneLog[t].count > 0 }
+func (r *Radio) ToneSensed(t Tone) bool { return r.tones[t].count > 0 }
 
 // OwnTone reports whether this node is currently emitting tone t.
 func (r *Radio) OwnTone(t Tone) bool { return r.ownTone[t] }
@@ -148,98 +141,37 @@ func (r *Radio) Call(tag int32) {
 
 // toneDelta applies a propagated +1/-1 tone transition from a remote node.
 func (r *Radio) toneDelta(t Tone, d int) {
-	s := &r.toneLog[t]
+	s := &r.tones[t]
 	was := s.count > 0
 	s.count += d
 	if s.count < 0 {
 		panic("phy: tone count negative")
 	}
-	now := r.eng.Now()
 	is := s.count > 0
 	switch {
 	case !was && is:
-		s.onSince = now
+		s.onSince = r.eng.Now()
 		if r.handler != nil {
 			r.handler.OnToneChange(t, true)
 		}
 	case was && !is:
-		if s.log == nil {
-			// One-time full-capacity grab: the log halves in place once it
-			// reaches maxToneLog (below), so with room for the transient
-			// maxToneLog+1th entry this is the only allocation it ever
-			// makes — append-doubling churn would otherwise dominate a
-			// tone-heavy run's allocation profile.
-			s.log = make([]toneInterval, 0, maxToneLog+1)
-		}
-		s.log = append(s.log, toneInterval{s.onSince, now})
-		if len(s.log) > maxToneLog {
-			// Shift the kept half to the front of the backing array. A
-			// tail reslice would keep appending into the array's dwindling
-			// remainder and reallocate on every halving.
-			n := copy(s.log, s.log[len(s.log)-maxToneLog/2:])
-			s.log = s.log[:n]
-		}
-		s.onSince = -1
+		s.sensed += r.eng.Now() - s.onSince
 		if r.handler != nil {
 			r.handler.OnToneChange(t, false)
 		}
 	}
 }
 
-// ToneOverlap returns the total time tone t was sensed at this node within
-// the window [from, to]. to must not be in the future. The MAC uses this
-// with λ to decide whether a busy tone was "detected" in a timer window
-// (e.g. one ABT slot), which is what disambiguates an ABT spilling into
-// the next window by ≤2τ from a genuine detection (§3.3.2).
-func (r *Radio) ToneOverlap(t Tone, from, to sim.Time) sim.Time {
-	if now := r.eng.Now(); to > now {
-		// The future part of the window has not been sensed yet.
-		to = now
+// ToneTime returns the total time tone t has been sensed at this node up
+// to now. The MAC decides whether a busy tone was "detected" in a timer
+// window (e.g. one ABT slot) by comparing the difference of the readings
+// taken when the window opened and when it closed with λ — which is what
+// disambiguates an ABT spilling into the next window by ≤2τ from a
+// genuine detection (§3.3.2).
+func (r *Radio) ToneTime(t Tone) sim.Time {
+	s := &r.tones[t]
+	if s.count > 0 {
+		return s.sensed + r.eng.Now() - s.onSince
 	}
-	s := &r.toneLog[t]
-	var total sim.Time
-	for _, iv := range s.log {
-		total += overlap(iv.from, iv.to, from, to)
-	}
-	if s.onSince >= 0 {
-		total += overlap(s.onSince, r.eng.Now(), from, to)
-	}
-	return total
-}
-
-// PruneToneLog discards tone history ending before t, bounding memory over
-// long runs. Senders call this when starting a new exchange.
-func (r *Radio) PruneToneLog(before sim.Time) {
-	for ti := range r.toneLog {
-		s := &r.toneLog[ti]
-		kept := s.log[:0]
-		for _, iv := range s.log {
-			if iv.to >= before {
-				kept = append(kept, iv)
-			}
-		}
-		s.log = kept
-	}
-}
-
-func overlap(a1, a2, b1, b2 sim.Time) sim.Time {
-	lo, hi := max64(a1, b1), min64(a2, b2)
-	if hi > lo {
-		return hi - lo
-	}
-	return 0
-}
-
-func max64(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
-	}
-	return b
+	return s.sensed
 }

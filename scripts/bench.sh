@@ -10,7 +10,8 @@
 #   scripts/bench.sh -quick     # single iteration smoke (CI)
 #   scripts/bench.sh -check     # short run, gate against committed JSONs
 #
-# Each JSON maps a benchmark to {ns_op, b_op, allocs_op}, and its
+# Each JSON maps a benchmark to {ns_op, b_op, allocs_op} (plus events_s
+# and ns_event where the benchmark reports them), and its
 # "_provenance" entry records where the numbers came from: CPU model,
 # core count, GOMAXPROCS, Go version, source commit ("-dirty" when the
 # tree had uncommitted changes) and date. Commit the refreshed files
@@ -73,18 +74,20 @@ bench_suite() {
     /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)   # strip -GOMAXPROCS suffix
-        ns = ""; bop = ""; allocs = ""; evs = ""
+        ns = ""; bop = ""; allocs = ""; evs = ""; nsev = ""
         for (i = 2; i <= NF; i++) {
             if ($(i) == "ns/op")     ns     = $(i - 1)
             if ($(i) == "B/op")      bop    = $(i - 1)
             if ($(i) == "allocs/op") allocs = $(i - 1)
             if ($(i) == "events/s")  evs    = $(i - 1)
+            if ($(i) == "ns/event")  nsev   = $(i - 1)
         }
         if (ns == "") next
         if (n++) printf ",\n"
         printf "  \"%s\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s", \
             name, ns, (bop == "" ? "null" : bop), (allocs == "" ? "null" : allocs)
         if (evs != "") printf ", \"events_s\": %s", evs
+        if (nsev != "") printf ", \"ns_event\": %s", nsev
         printf "}"
     }
     END { print "\n}" }
@@ -170,13 +173,16 @@ bench_suite '^BenchmarkWholeRun$' BENCH_run.json .
 # BENCH_shard.json also records the mobility-epoch overhead at equal
 # shard counts. The Coupled variant runs the 2k-node Poisson cut, where
 # no void separates the strips and frontier synchronization dominates.
+# The Scale ladder runs one engine on the metro workload at constant
+# density from 1k to 16k nodes; its ns_event column is how one engine's
+# cost per event grows with N.
 # Quick mode runs only the 1k and 2k rows as a liveness check;
 # check mode skips the suite — wall-clock
 # scaling ratios on shared runners are noise, and the allocation gates
 # live in the test suite (TestShardedSteadyStateAllocs).
 if [[ "$CHECK" == 0 ]]; then
-    SHARD_PATTERN='^BenchmarkWholeRunSharded(Mobile|Coupled)?$'
-    [[ "$QUICK" == 1 ]] && SHARD_PATTERN='^BenchmarkWholeRunSharded(Mobile|Coupled)?$/^n[12]000$'
+    SHARD_PATTERN='^BenchmarkWholeRun(Sharded(Mobile|Coupled)?|Scale)$'
+    [[ "$QUICK" == 1 ]] && SHARD_PATTERN='^BenchmarkWholeRun(Sharded(Mobile|Coupled)?|Scale)$/^n[12]000$'
     BENCHTIME=1x # whole runs: one iteration is the measurement
     bench_suite "$SHARD_PATTERN" BENCH_shard.json .
 fi
