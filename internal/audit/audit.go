@@ -615,12 +615,11 @@ func (a *Auditor) ObsDown(r *phy.Radio, down bool) {
 
 // ---- quiesce checks ----
 
-// Quiesce runs the end-of-run invariants. It is sound at any event
-// boundary (the experiment harness chains it into Engine.QuiesceAudit, so
-// it also runs on watchdog aborts and mid-horizon returns): the
-// conservation identity holds between events, and both the stuck-backoff
-// and leaked-tone predicates only fire on states no pending event can
-// advance.
+// Quiesce runs the end-of-run invariants. The experiment harness calls it
+// once, after the run, including runs a watchdog aborted mid-horizon. It
+// is sound at any event boundary: the conservation identity holds between
+// events, and both the stuck-backoff and leaked-tone predicates only fire
+// on states no pending event can advance.
 func (a *Auditor) Quiesce() {
 	if a == nil {
 		return

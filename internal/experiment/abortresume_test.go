@@ -19,41 +19,41 @@ func TestAbortResumeReleasesFrames(t *testing.T) {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := smallConfig()
 			cfg.Protocol = proto
-			// The quiesce audit runs at every Run return; a mid-abort
-			// quiesce legitimately observes in-flight state a clean run
-			// never quiesces into, so the invariant auditor is detached
-			// for the bit-identity comparison.
-			cfg.Audit = false
+			// The liveness and invariant audits run once, in collect, after
+			// the resumed run, so a mid-run abort never quiesces the auditor
+			// and it stays attached for the bit-identity comparison.
 			cancelAt := cfg.Horizon() / 2
 
 			clean := build(cfg)
-			clean.eng.After(cancelAt, func() {}) // mirrors the ctx run's cancel trigger
-			clean.eng.Run(cfg.Horizon())
+			eng := clean.stacks[0].eng
+			eng.After(cancelAt, func() {}) // mirrors the ctx run's cancel trigger
+			eng.Run(cfg.Horizon())
 			want := clean.collect()
-			wantFrames := clean.medium.Frames().Stats()
+			wantFrames := want.Totals.FramePool
 			if want.Aborted {
 				t.Fatalf("clean run aborted: %s", want.AbortReason)
 			}
 
 			// Variant 1: event-budget abort mid-run, then resume.
 			n := build(cfg)
-			n.eng.After(cancelAt, func() {})
-			n.eng.SetWatchdog(want.Events/2, 0)
-			n.eng.Run(cfg.Horizon())
-			if _, aborted := n.eng.Aborted(); !aborted {
+			eng = n.stacks[0].eng
+			eng.After(cancelAt, func() {})
+			eng.SetWatchdog(want.Events/2, 0)
+			eng.Run(cfg.Horizon())
+			if _, aborted := eng.Aborted(); !aborted {
 				t.Fatal("event budget did not abort the run")
 			}
-			if n.eng.Pending() == 0 {
+			if eng.Pending() == 0 {
 				t.Fatal("abort left nothing pending; not a mid-cascade abort")
 			}
-			n.eng.SetWatchdog(0, 0)
-			n.eng.Run(cfg.Horizon())
+			eng.SetWatchdog(0, 0)
+			eng.Run(cfg.Horizon())
 			got := n.collect()
 			if got.Fingerprint() != want.Fingerprint() {
 				t.Errorf("resumed run diverged from uninterrupted run:\n got %s\nwant %s",
 					got.Fingerprint(), want.Fingerprint())
 			}
-			if gotFrames := n.medium.Frames().Stats(); gotFrames != wantFrames {
+			if gotFrames := got.Totals.FramePool; gotFrames != wantFrames {
 				t.Errorf("frame pool accounting diverged after abort/resume:\n got %+v\nwant %+v",
 					gotFrames, wantFrames)
 			}
@@ -62,21 +62,22 @@ func TestAbortResumeReleasesFrames(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			c := build(cfg)
-			c.eng.SetContext(ctx)
-			c.eng.After(cancelAt, cancel)
-			c.eng.Run(cfg.Horizon())
-			if _, aborted := c.eng.Aborted(); !aborted {
+			eng = c.stacks[0].eng
+			eng.SetContext(ctx)
+			eng.After(cancelAt, cancel)
+			eng.Run(cfg.Horizon())
+			if _, aborted := eng.Aborted(); !aborted {
 				t.Fatal("mid-run context cancel did not abort")
 			}
-			c.eng.SetContext(nil)
-			c.eng.SetWatchdog(0, 0)
-			c.eng.Run(cfg.Horizon())
+			eng.SetContext(nil)
+			eng.SetWatchdog(0, 0)
+			eng.Run(cfg.Horizon())
 			got = c.collect()
 			if got.Fingerprint() != want.Fingerprint() {
 				t.Errorf("ctx-aborted resumed run diverged from uninterrupted run:\n got %s\nwant %s",
 					got.Fingerprint(), want.Fingerprint())
 			}
-			if gotFrames := c.medium.Frames().Stats(); gotFrames != wantFrames {
+			if gotFrames := got.Totals.FramePool; gotFrames != wantFrames {
 				t.Errorf("frame pool accounting diverged after ctx abort/resume:\n got %+v\nwant %+v",
 					gotFrames, wantFrames)
 			}

@@ -31,19 +31,19 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			n := build(cfg)
+			eng := build(cfg).stacks[0].eng
 
 			// Warm up: routing convergence plus two seconds of traffic so
 			// every pool and reusable buffer reaches working-set size.
 			warm := cfg.Warmup + 2*sim.Second
-			n.eng.Run(warm)
+			eng.Run(warm)
 
 			var before, after runtime.MemStats
-			ev0 := n.eng.Processed
+			ev0 := eng.Processed
 			runtime.ReadMemStats(&before)
-			n.eng.Run(warm + 3*sim.Second)
+			eng.Run(warm + 3*sim.Second)
 			runtime.ReadMemStats(&after)
-			events := n.eng.Processed - ev0
+			events := eng.Processed - ev0
 
 			if events == 0 {
 				t.Fatal("no events in measurement window")

@@ -281,6 +281,15 @@ var Scenarios = []Scenario{Stationary, Speed1, Speed2}
 // front ends call Validate up front so flag mistakes exit non-zero with a
 // message instead of starting a doomed simulation.
 func (c Config) Validate() error {
+	if c.Protocol < RMAC || c.Protocol > DOT11 {
+		return fmt.Errorf("experiment: unknown protocol %v", c.Protocol)
+	}
+	if c.Scenario < Stationary || c.Scenario > Speed2 {
+		return fmt.Errorf("experiment: unknown scenario %v", c.Scenario)
+	}
+	if c.Topo < TopoConnected || c.Topo > TopoMetro {
+		return fmt.Errorf("experiment: unknown topology %v", c.Topo)
+	}
 	if c.Nodes < 2 {
 		return fmt.Errorf("experiment: need at least 2 nodes, have %d", c.Nodes)
 	}

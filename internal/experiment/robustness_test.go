@@ -78,6 +78,24 @@ func TestInvalidConfigFails(t *testing.T) {
 		t.Errorf("FailReason = %q, want the node-count message", res.FailReason)
 	}
 
+	// Unknown enum values are rejected by name before anything is built,
+	// not left to a nil MAC, a mobility panic or the default generator.
+	for _, tc := range []struct {
+		set  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.Protocol = 9 }, "unknown protocol Protocol(9)"},
+		{func(c *Config) { c.Protocol = -1 }, "unknown protocol Protocol(-1)"},
+		{func(c *Config) { c.Scenario = 9 }, "unknown scenario Scenario(9)"},
+		{func(c *Config) { c.Topo = 9 }, "unknown topology TopoKind(9)"},
+	} {
+		cfg := smallConfig()
+		tc.set(&cfg)
+		if res := Run(cfg); !res.Failed || !strings.Contains(res.FailReason, tc.want) {
+			t.Errorf("Run: Failed=%v FailReason=%q, want a rejection containing %q", res.Failed, res.FailReason, tc.want)
+		}
+	}
+
 	bad := smallConfig()
 	bad.Fault.Burst = fault.BurstConfig{Enabled: true, BERBad: 2}
 	if err := bad.Validate(); err == nil {

@@ -180,21 +180,27 @@ func auditLiveness(macs []mac.MAC) []Deadlock {
 	return out
 }
 
-// network is one fully-wired simulation.
-type network struct {
-	cfg      Config
+// stack is one engine's share of the network: the engine, its medium and
+// what is registered on them. A classic run has one stack; a sharded run
+// has one per strip (sharded.go).
+type stack struct {
 	eng      *sim.Engine
 	medium   *phy.Medium
-	macs     []mac.MAC
-	routers  []*routing.Protocol
-	apps     []*app.Node
-	metrics  *app.Metrics
-	sources  []*app.Source
+	metrics  app.Metrics
 	injector *fault.Injector
 	aud      *audit.Auditor
 	tstats   *sim.TimerStats
+}
 
-	deadlocks []Deadlock
+// network is one fully-wired simulation: its stacks, and every node's MAC
+// and router indexed by global node id.
+type network struct {
+	cfg       Config
+	placement topo.Placement
+	isRoot    []bool
+	stacks    []*stack
+	macs      []mac.MAC
+	routers   []*routing.Protocol
 }
 
 // makePlacement runs cfg's placement generator. Deterministic in
@@ -215,89 +221,122 @@ func makePlacement(cfg Config) topo.Placement {
 	}
 }
 
-// build assembles the network for cfg, which must already be validated.
+// newNetwork places cfg's nodes and sizes the per-node tables; addStack
+// then wires the nodes onto engines.
+func newNetwork(cfg Config) *network {
+	n := &network{cfg: cfg, placement: makePlacement(cfg), isRoot: make([]bool, cfg.Nodes),
+		macs: make([]mac.MAC, cfg.Nodes), routers: make([]*routing.Protocol, cfg.Nodes)}
+	for _, r := range cfg.sourceNodes() {
+		n.isRoot[r] = true
+	}
+	return n
+}
+
+// build assembles the classic single-engine network for cfg, which must
+// already be validated.
 func build(cfg Config) *network {
-	eng := sim.NewEngine(cfg.Seed)
-	medium := phy.NewMedium(eng, cfg.Phy)
-
-	placement := makePlacement(cfg)
-	roots := cfg.sourceNodes()
-	isRoot := make(map[int]bool, len(roots))
-	for _, r := range roots {
-		isRoot[r] = true
+	n := newNetwork(cfg)
+	ids := make([]int, cfg.Nodes)
+	for i := range ids {
+		ids[i] = i
 	}
+	n.addStack(cfg.Seed, ids)
+	return n
+}
 
+// addStack wires the nodes ids onto a new engine seeded with seed: each
+// node's radio, MAC, BLESS routing, application and auditor hooks, and at
+// the roots a source.
+func (n *network) addStack(seed int64, ids []int) *stack {
+	cfg := n.cfg
+	eng := sim.NewEngine(seed)
+	st := &stack{eng: eng, medium: phy.NewMedium(eng, cfg.Phy), metrics: app.Metrics{Nodes: cfg.Nodes}}
 	if cfg.TraceCap > 0 {
-		medium.Tracer = trace.New(cfg.TraceCap)
+		st.medium.Tracer = trace.New(cfg.TraceCap)
 	}
-	n := &network{cfg: cfg, eng: eng, medium: medium, metrics: &app.Metrics{Nodes: cfg.Nodes}}
 	if cfg.TimerStats {
-		n.tstats = eng.EnableTimerStats()
+		st.tstats = eng.EnableTimerStats()
 	}
 	if cfg.Audit {
 		// The airtime bound sizes the legal RBT hold window: the largest
 		// data frame a run can carry is a forwarded source packet (beacons
 		// are far smaller), with a little slack for header variations.
-		n.aud = audit.New(eng, medium, audit.Config{
+		st.aud = audit.New(eng, st.medium, audit.Config{
 			MaxFrameAirtime: cfg.Phy.TxDuration(frame.RMACDataOverhead + cfg.PacketSize + 64),
 		})
 	}
-	for i := 0; i < cfg.Nodes; i++ {
+	for _, i := range ids {
 		var mob mobility.Model
 		if cfg.Scenario == Stationary {
-			mob = mobility.Stationary{P: placement.Points[i]}
+			mob = mobility.Stationary{P: n.placement.Points[i]}
 		} else {
-			nodeRNG := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-			mob = mobility.NewRandomWaypoint(cfg.Field, 0, cfg.Scenario.MaxSpeed(), cfg.Scenario.Pause(), placement.Points[i], nodeRNG)
+			mob = n.waypoint(i)
 		}
-		radio := medium.AddRadio(i, mob)
-		var m mac.MAC
-		switch cfg.Protocol {
-		case RMAC:
-			m = rmac.NewWithOptions(radio, cfg.Phy, eng, cfg.Limits, cfg.RMACOptions)
-		case BMMM:
-			m = bmmm.New(radio, cfg.Phy, eng, cfg.Limits)
-		case BMW:
-			m = bmw.New(radio, cfg.Phy, eng, cfg.Limits)
-		case LBP:
-			m = lbp.New(radio, cfg.Phy, eng, cfg.Limits)
-		case MX:
-			m = mx.New(radio, cfg.Phy, eng, cfg.Limits)
-		case DOT11:
-			m = dot11.New(radio, cfg.Phy, eng, cfg.Limits)
-		}
-		rt := routing.New(eng, m, i, isRoot[i], cfg.Routing)
-		a := app.NewNode(eng, m, rt, i, n.metrics)
+		m := newMAC(cfg, st.medium.AddRadio(i, mob), eng)
+		rt := routing.New(eng, m, i, n.isRoot[i], cfg.Routing)
+		a := app.NewNode(eng, m, rt, i, &st.metrics)
 		rt.Start()
-		if n.aud != nil {
-			n.aud.RegisterMAC(i, m)
+		if st.aud != nil {
+			st.aud.RegisterMAC(i, m)
 			if s, ok := m.(interface{ SetAuditor(*audit.Auditor) }); ok {
-				s.SetAuditor(n.aud)
+				s.SetAuditor(st.aud)
 			}
 			// app.NewNode installed itself as the MAC's upper layer;
 			// interpose the at-most-once delivery check in front of it.
-			m.SetUpper(n.aud.WrapUpper(i, a))
+			m.SetUpper(st.aud.WrapUpper(i, a))
 		}
-		n.macs = append(n.macs, m)
-		n.routers = append(n.routers, rt)
-		n.apps = append(n.apps, a)
-	}
-	for _, r := range roots {
-		s := app.NewSource(n.apps[r], cfg.Rate, cfg.Packets, cfg.PacketSize)
-		s.Start(cfg.Warmup)
-		n.sources = append(n.sources, s)
+		if n.isRoot[i] {
+			app.NewSource(a, cfg.Rate, cfg.Packets, cfg.PacketSize).Start(cfg.Warmup)
+		}
+		n.macs[i], n.routers[i] = m, rt
 	}
 	// The impairment layer attaches after every radio exists (its GE
 	// chains are built per registered radio). A zero cfg.Fault leaves the
 	// medium untouched.
-	n.injector = fault.New(eng, medium, cfg.Fault)
-	// The liveness and invariant audits run whenever the engine quiesces —
-	// horizon reached, queue drained, or watchdog abort.
-	eng.QuiesceAudit = func() {
-		n.deadlocks = auditLiveness(n.macs)
-		n.aud.Quiesce()
+	st.injector = fault.New(eng, st.medium, cfg.Fault)
+	n.stacks = append(n.stacks, st)
+	return st
+}
+
+// waypoint is node i's random-waypoint model. Its RNG derives from
+// (Seed, i) alone, so the trajectory is the same for every shard count and
+// for the epoch leader's shadow replica (sharded.go).
+func (n *network) waypoint(i int) *mobility.RandomWaypoint {
+	rng := rand.New(rand.NewSource(n.cfg.Seed*1_000_003 + int64(i)))
+	return mobility.NewRandomWaypoint(n.cfg.Field, 0, n.cfg.Scenario.MaxSpeed(), n.cfg.Scenario.Pause(), n.placement.Points[i], rng)
+}
+
+// newMAC builds cfg.Protocol's MAC on radio. Validate admits only the six
+// protocols below.
+func newMAC(cfg Config, radio *phy.Radio, eng *sim.Engine) mac.MAC {
+	switch cfg.Protocol {
+	case RMAC:
+		return rmac.NewWithOptions(radio, cfg.Phy, eng, cfg.Limits, cfg.RMACOptions)
+	case BMMM:
+		return bmmm.New(radio, cfg.Phy, eng, cfg.Limits)
+	case BMW:
+		return bmw.New(radio, cfg.Phy, eng, cfg.Limits)
+	case LBP:
+		return lbp.New(radio, cfg.Phy, eng, cfg.Limits)
+	case MX:
+		return mx.New(radio, cfg.Phy, eng, cfg.Limits)
+	case DOT11:
+		return dot11.New(radio, cfg.Phy, eng, cfg.Limits)
 	}
-	return n
+	panic(fmt.Sprintf("experiment: no MAC for %v", cfg.Protocol))
+}
+
+// arm sets cfg's watchdog budgets and ctx on every engine. Each engine gets
+// the full budget: MaxEvents bounds any single engine, so a sharded run may
+// process up to Shards× more events before tripping — budgets bound
+// runaway shards, not aggregate work.
+func (n *network) arm(ctx context.Context) {
+	for _, st := range n.stacks {
+		if n.cfg.MaxEvents > 0 || n.cfg.MaxWall > 0 {
+			st.eng.SetWatchdog(n.cfg.MaxEvents, n.cfg.MaxWall)
+		}
+		st.eng.SetContext(ctx)
+	}
 }
 
 // testHookPreRun, when non-nil, runs inside Run's panic isolation just
@@ -338,51 +377,81 @@ func RunCtx(ctx context.Context, cfg Config) (res RunResult) {
 		return runSharded(ctx, cfg)
 	}
 	n := build(cfg)
-	if cfg.MaxEvents > 0 || cfg.MaxWall > 0 {
-		n.eng.SetWatchdog(cfg.MaxEvents, cfg.MaxWall)
-	}
-	n.eng.SetContext(ctx)
-	n.eng.Run(cfg.Horizon())
+	n.arm(ctx)
+	n.stacks[0].eng.Run(cfg.Horizon())
 	return n.collect()
 }
 
+// collect reduces the network into one RunResult once the run is over. It
+// folds every stack's counters, runs the liveness and invariant audits —
+// once, here, never at a mid-run engine return — and walks nodes in global
+// id order, so pooled samples are ordered alike on every shard layout.
 func (n *network) collect() RunResult {
+	cfg := n.cfg
 	res := RunResult{
-		Config:      n.cfg,
-		Metrics:     *n.metrics,
-		Delivery:    n.metrics.DeliveryRatio(),
-		AvgDelay:    n.metrics.AvgDelay(),
+		Config:      cfg,
+		Metrics:     app.Metrics{Nodes: cfg.Nodes},
 		MRTSLens:    &stats.Sample{},
 		AbortRatios: &stats.Sample{},
-		Events:      n.eng.Processed,
-		TimerStats:  n.tstats,
-		Trace:       n.medium.Tracer,
-		Fault:       n.injector.Stats,
-		Crashes:     n.medium.Stats.Crashes,
-		Deadlocks:   n.deadlocks,
-		Violations:  n.aud.Violations(),
+		// Validate admits tracing and the timer census on one engine only.
+		TimerStats: n.stacks[0].tstats,
+		Trace:      n.stacks[0].medium.Tracer,
 	}
-	if n.aud != nil {
-		res.ViolationCount = n.aud.Count
+	tot := &res.Totals
+	for s, st := range n.stacks {
+		if reason, aborted := st.eng.Aborted(); aborted && !res.Aborted {
+			if len(n.stacks) > 1 {
+				reason = fmt.Sprintf("shard %d: %s", s, reason)
+			}
+			res.Aborted, res.AbortReason = true, reason
+		}
+		st.aud.Quiesce()
+		res.Violations = append(res.Violations, st.aud.Violations()...)
+		if st.aud != nil {
+			res.ViolationCount += st.aud.Count
+			for c, v := range st.aud.ByClass {
+				tot.ViolationsByClass[c] += v
+			}
+		}
+		res.Events += st.eng.Processed
+		m := &res.Metrics
+		m.Generated += st.metrics.Generated
+		m.Receptions += st.metrics.Receptions
+		m.Duplicates += st.metrics.Duplicates
+		m.DelaySum += st.metrics.DelaySum
+		m.DelayCount += st.metrics.DelayCount
+		m.DelayMax = max(m.DelayMax, st.metrics.DelayMax)
+		fs := &st.injector.Stats
+		res.Fault.BurstErrors += fs.BurstErrors
+		res.Fault.BadEntries += fs.BadEntries
+		res.Fault.Crashes += fs.Crashes
+		res.Fault.Recoveries += fs.Recoveries
+		ms := &st.medium.Stats
+		tot.Medium.Transmissions += ms.Transmissions
+		tot.Medium.Aborts += ms.Aborts
+		tot.Medium.FramesDecoded += ms.FramesDecoded
+		tot.Medium.FramesCorrupt += ms.FramesCorrupt
+		tot.Medium.ToneActivation += ms.ToneActivation
+		tot.Medium.Crashes += ms.Crashes
+		fp := st.medium.Frames().Stats()
+		tot.FramePool.Live += fp.Live
+		tot.FramePool.Acquired += fp.Acquired
+		tot.FramePool.Allocated += fp.Allocated
+		tot.FramePool.Released += fp.Released
+		tot.ArenaCap += st.eng.ArenaCap()
+		tot.ArenaLive += st.eng.PoolInUse()
 	}
-	if reason, aborted := n.eng.Aborted(); aborted {
-		res.Aborted = true
-		res.AbortReason = reason
-	}
-	res.Totals.Medium = n.medium.Stats
-	res.Totals.FramePool = n.medium.Frames().Stats()
-	res.Totals.ArenaCap = n.eng.ArenaCap()
-	res.Totals.ArenaLive = n.eng.PoolInUse()
-	if n.aud != nil {
-		res.Totals.ViolationsByClass = n.aud.ByClass
-	}
-	res.Totals.Generated = res.Metrics.Generated
-	res.Totals.Receptions = res.Metrics.Receptions
-	res.Totals.Duplicates = res.Metrics.Duplicates
+	res.Crashes = tot.Medium.Crashes
+	res.Deadlocks = auditLiveness(n.macs)
+	res.Delivery = res.Metrics.DeliveryRatio()
+	res.AvgDelay = res.Metrics.AvgDelay()
+	tot.Generated = res.Metrics.Generated
+	tot.Receptions = res.Metrics.Receptions
+	tot.Duplicates = res.Metrics.Duplicates
 	var drop, retx, ovh stats.Sample
 	for _, m := range n.macs {
 		s := m.Stats()
-		res.Totals.addMAC(s)
+		tot.addMAC(s)
 		if !s.NonLeaf() {
 			continue
 		}
@@ -405,7 +474,7 @@ func (n *network) collect() RunResult {
 	res.AvgRetxRatio = retx.Mean()
 	res.AvgOverheadRatio = ovh.Mean()
 
-	parent := make([]int, n.cfg.Nodes)
+	parent := make([]int, cfg.Nodes)
 	for i, rt := range n.routers {
 		parent[i] = rt.Parent()
 	}

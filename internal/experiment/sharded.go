@@ -4,38 +4,25 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rmac/internal/app"
-	"rmac/internal/audit"
-	"rmac/internal/fault"
-	"rmac/internal/frame"
 	"rmac/internal/geom"
-	"rmac/internal/mac"
-	"rmac/internal/mac/bmmm"
-	"rmac/internal/mac/bmw"
-	"rmac/internal/mac/dot11"
-	"rmac/internal/mac/lbp"
-	"rmac/internal/mac/mx"
-	"rmac/internal/mac/rmac"
 	"rmac/internal/mobility"
 	"rmac/internal/phy"
-	"rmac/internal/routing"
 	"rmac/internal/sim"
-	"rmac/internal/stats"
 	"rmac/internal/topo"
 )
 
 // Sharded conservative parallel runs (Config.Shards > 1). The field is cut
 // into vertical strips by population quantile (snapped to the widest
 // nearby X-gap), each strip gets a complete private stack — engine,
-// medium, MACs, routing, apps, fault injector, auditor — on its own
-// goroutine, and the strips synchronize through the frontier protocol of
+// medium, MACs, routing, apps, fault injector, auditor, built by the
+// classic run's network.addStack — on its own goroutine, and the strips
+// synchronize through the frontier protocol of
 // sim.ShardSync with the cross-shard conduit of phy.ConnectShards carrying
 // border traffic. See DESIGN.md §14 for the protocol, its liveness
 // argument, and the determinism contract.
@@ -125,29 +112,13 @@ func (s *ShardRunStats) stalled(by int, begin time.Time) {
 	s.StallHist[min(bits.Len64(uint64(wait.Nanoseconds())), len(s.StallHist)-1)]++
 }
 
-// shardStack is one shard's private simulation stack.
-type shardStack struct {
-	shard    int
-	eng      *sim.Engine
-	medium   *phy.Medium
-	macs     []mac.MAC
-	routers  []*routing.Protocol
-	apps     []*app.Node
-	metrics  app.Metrics
-	injector *fault.Injector
-	aud      *audit.Auditor
-	ids      []int // global node ids, ascending; parallel to macs/routers/apps
-
-	stats ShardRunStats
-}
-
-// shardedRun is the coordinator state of one sharded simulation.
+// shardedRun is the coordinator state of one sharded simulation: the
+// network with one stack per strip, and the cross-shard fabric.
 type shardedRun struct {
-	cfg    Config
-	part   topo.Partition
-	stacks []*shardStack
-	net    *phy.ShardNet
-	sync   *sim.ShardSync
+	*network
+	net   *phy.ShardNet
+	sync  *sim.ShardSync
+	stats []ShardRunStats // by shard; only shard j's goroutine writes stats[j]
 
 	// Mobility epoch state. epoch is sim.MaxTime for a stationary run.
 	// shadow/posB are leader-owned: only shard 0 touches them, inside the
@@ -169,82 +140,16 @@ type shardedRun struct {
 	panicDump string
 }
 
-// buildSharded assembles every shard stack and the cross-shard fabric.
+// buildSharded assembles one stack per strip and the cross-shard fabric.
 func buildSharded(cfg Config) *shardedRun {
-	placement := makePlacement(cfg)
-	part := topo.PartitionStrips(placement, cfg.Shards)
-	roots := cfg.sourceNodes()
-	isRoot := make(map[int]bool, len(roots))
-	for _, r := range roots {
-		isRoot[r] = true
-	}
-
-	sr := &shardedRun{cfg: cfg, part: part}
+	n := newNetwork(cfg)
+	part := topo.PartitionStrips(n.placement, cfg.Shards)
+	sr := &shardedRun{network: n, stats: make([]ShardRunStats, cfg.Shards)}
 	mediums := make([]*phy.Medium, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		eng := sim.NewEngine(shardSeed(cfg.Seed, s))
-		medium := phy.NewMedium(eng, cfg.Phy)
-		st := &shardStack{shard: s, eng: eng, medium: medium, ids: part.Nodes[s],
-			metrics: app.Metrics{Nodes: cfg.Nodes}}
-		st.stats.Shard, st.stats.Nodes = s, len(st.ids)
-		st.stats.StallBy = make([]uint64, cfg.Shards)
-		if cfg.Audit {
-			st.aud = audit.New(eng, medium, audit.Config{
-				MaxFrameAirtime: cfg.Phy.TxDuration(frame.RMACDataOverhead + cfg.PacketSize + 64),
-			})
-		}
-		for _, i := range st.ids {
-			var mob mobility.Model
-			if cfg.Scenario == Stationary {
-				mob = mobility.Stationary{P: placement.Points[i]}
-			} else {
-				// Same per-node RNG derivation as the unsharded build: the
-				// trajectory of node i is a pure function of (Seed, i),
-				// identical across shard counts and to the leader's shadow
-				// replica below.
-				nodeRNG := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-				mob = mobility.NewRandomWaypoint(cfg.Field, 0, cfg.Scenario.MaxSpeed(), cfg.Scenario.Pause(), placement.Points[i], nodeRNG)
-			}
-			radio := medium.AddRadio(i, mob)
-			var m mac.MAC
-			switch cfg.Protocol {
-			case RMAC:
-				m = rmac.NewWithOptions(radio, cfg.Phy, eng, cfg.Limits, cfg.RMACOptions)
-			case BMMM:
-				m = bmmm.New(radio, cfg.Phy, eng, cfg.Limits)
-			case BMW:
-				m = bmw.New(radio, cfg.Phy, eng, cfg.Limits)
-			case LBP:
-				m = lbp.New(radio, cfg.Phy, eng, cfg.Limits)
-			case MX:
-				m = mx.New(radio, cfg.Phy, eng, cfg.Limits)
-			case DOT11:
-				m = dot11.New(radio, cfg.Phy, eng, cfg.Limits)
-			}
-			rt := routing.New(eng, m, i, isRoot[i], cfg.Routing)
-			a := app.NewNode(eng, m, rt, i, &st.metrics)
-			rt.Start()
-			if st.aud != nil {
-				st.aud.RegisterMAC(i, m)
-				if s, ok := m.(interface{ SetAuditor(*audit.Auditor) }); ok {
-					s.SetAuditor(st.aud)
-				}
-				m.SetUpper(st.aud.WrapUpper(i, a))
-			}
-			st.macs = append(st.macs, m)
-			st.routers = append(st.routers, rt)
-			st.apps = append(st.apps, a)
-			if isRoot[i] {
-				app.NewSource(a, cfg.Rate, cfg.Packets, cfg.PacketSize).Start(cfg.Warmup)
-			}
-		}
-		st.injector = fault.New(eng, medium, cfg.Fault)
-		// Deliberately no eng.QuiesceAudit: Run quiesces at the end of
-		// every frontier window, which would spray false mid-run strand /
-		// liveness findings. The audits run once, after the final window
-		// (see collectSharded).
-		mediums[s] = medium
-		sr.stacks = append(sr.stacks, st)
+	for s := range mediums {
+		ids := part.Nodes[s]
+		mediums[s] = n.addStack(shardSeed(cfg.Seed, s), ids).medium
+		sr.stats[s] = ShardRunStats{Shard: s, Nodes: len(ids), StallBy: make([]uint64, cfg.Shards)}
 	}
 	sr.epoch = sim.MaxTime
 	envelope := cfg.shardEnvelope()
@@ -259,12 +164,11 @@ func buildSharded(cfg Config) *shardedRun {
 		}
 		sr.shadow = make([]*mobility.RandomWaypoint, cfg.Nodes)
 		sr.posB = make([]geom.Point, cfg.Nodes)
-		for i := 0; i < cfg.Nodes; i++ {
-			rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-			sr.shadow[i] = mobility.NewRandomWaypoint(cfg.Field, 0, cfg.Scenario.MaxSpeed(), cfg.Scenario.Pause(), placement.Points[i], rng)
+		for i := range sr.shadow {
+			sr.shadow[i] = n.waypoint(i)
 		}
 	}
-	sr.net = phy.ConnectShards(mediums, placement.Points, part.Shard, cfg.Horizon(), envelope)
+	sr.net = phy.ConnectShards(mediums, n.placement.Points, part.Shard, cfg.Horizon(), envelope)
 	sr.sync = sr.net.Sync()
 	return sr
 }
@@ -322,7 +226,7 @@ func (sr *shardedRun) publish(j int, eng *sim.Engine) {
 // and the loop asks again: the send's echoes then land after everything
 // the window ran. Every wait spins with runtime.Gosched and never sleeps.
 func (sr *shardedRun) runShard(j int, endTime sim.Time) {
-	st := sr.stacks[j]
+	eng, ss := sr.stacks[j].eng, &sr.stats[j]
 	defer func() {
 		if r := recover(); r != nil {
 			sr.fail(r, debug.Stack())
@@ -334,7 +238,6 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 		sr.sync.Publish(j, sim.MaxTime)
 		sr.wg.Done()
 	}()
-	eng := st.eng
 	done := sim.Time(-1) // every event at or before done has run
 	// Mobility epochs: B is the next epoch boundary — a hard cap on every
 	// window, because the current lookahead tables are only valid for
@@ -359,7 +262,7 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 			// cuts the window, and the loop asks again. The window that
 			// reaches the horizon is the last. (It requires B > endTime
 			// too, so it never outruns the epoch tables.)
-			if endTime > done && sr.window(st, endTime, &done) {
+			if endTime > done && sr.window(j, endTime, &done) {
 				continue
 			}
 			return
@@ -377,14 +280,14 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 			// observed at or past B). Everyone keeps draining and
 			// re-publishing while parked, so outbound caps release and the
 			// leader's ghost records always find ring space.
-			if B-1 > done && sr.window(st, B-1, &done) {
+			if B-1 > done && sr.window(j, B-1, &done) {
 				continue
 			}
 			if sr.stop.Load() {
 				return
 			}
 			sr.publish(j, eng)
-			st.stats.Epochs++
+			ss.Epochs++
 			begin := time.Now()
 			if j == 0 {
 				for !sr.stop.Load() && sr.sync.MinFrontier() < B {
@@ -399,7 +302,7 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 					runtime.Gosched()
 				}
 			}
-			st.stats.stalled(-1, begin)
+			ss.stalled(-1, begin)
 			if sr.stop.Load() {
 				return
 			}
@@ -412,7 +315,7 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 			continue
 		}
 		if limit := target - 1; limit > done { // events at exactly `target` are not yet safe
-			sr.window(st, limit, &done)
+			sr.window(j, limit, &done)
 			continue
 		}
 		// Cannot advance: wait for a foreign frontier, or for a receiver to
@@ -430,19 +333,20 @@ func (sr *shardedRun) runShard(j int, endTime sim.Time) {
 			sr.publish(j, eng)
 			runtime.Gosched()
 		}
-		st.stats.stalled(by, begin)
+		ss.stalled(by, begin)
 	}
 }
 
-// window runs st's engine through limit and reports whether a cross-shard
-// send cut it short. done advances to limit, or after a cut to just before
-// the cut's instant, whose remaining events are still to run.
-func (sr *shardedRun) window(st *shardStack, limit sim.Time, done *sim.Time) (cut bool) {
-	st.eng.Run(limit)
-	st.stats.Windows++
-	sr.checkAborted(st.eng)
-	if st.eng.Stopped() {
-		*done = st.eng.Now() - 1
+// window runs shard j's engine through limit and reports whether a
+// cross-shard send cut it short. done advances to limit, or after a cut to
+// just before the cut's instant, whose remaining events are still to run.
+func (sr *shardedRun) window(j int, limit sim.Time, done *sim.Time) (cut bool) {
+	eng := sr.stacks[j].eng
+	eng.Run(limit)
+	sr.stats[j].Windows++
+	sr.checkAborted(eng)
+	if eng.Stopped() {
+		*done = eng.Now() - 1
 		return true
 	}
 	*done = limit
@@ -461,31 +365,16 @@ func (sr *shardedRun) checkAborted(eng *sim.Engine) {
 }
 
 // runSharded executes cfg on the sharded engine. Config must be valid and
-// cfg.Shards > 1.
-func runSharded(ctx context.Context, cfg Config) (res RunResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = RunResult{Config: cfg, Failed: true,
-				FailReason: fmt.Sprintf("panic: %v", r), Stack: string(debug.Stack())}
-		}
-	}()
+// cfg.Shards > 1. A panic while building reaches RunCtx's recover on this
+// goroutine; each shard goroutine recovers its own (runShard).
+func runSharded(ctx context.Context, cfg Config) RunResult {
 	sr := buildSharded(cfg)
 	ctx, sr.cancel = context.WithCancel(ctx)
 	defer sr.cancel()
-	endTime := cfg.Horizon()
-	for _, st := range sr.stacks {
-		if cfg.MaxEvents > 0 || cfg.MaxWall > 0 {
-			// Each shard gets the full budget: MaxEvents bounds any single
-			// engine, so a sharded run may process up to Shards× more
-			// events before tripping — budgets bound runaway shards, not
-			// aggregate work.
-			st.eng.SetWatchdog(cfg.MaxEvents, cfg.MaxWall)
-		}
-		st.eng.SetContext(ctx)
-	}
+	sr.arm(ctx)
 	sr.wg.Add(len(sr.stacks))
 	for j := range sr.stacks {
-		go sr.runShard(j, endTime)
+		go sr.runShard(j, cfg.Horizon())
 	}
 	sr.wg.Wait()
 	if sr.panicked {
@@ -494,103 +383,15 @@ func runSharded(ctx context.Context, cfg Config) (res RunResult) {
 	return sr.collect()
 }
 
-// collect merges every shard's measurements into one RunResult, iterating
-// nodes in global id order so pooled samples are ordered exactly like the
-// unsharded collector's.
+// collect is the network's collector plus the per-shard scheduler stats.
 func (sr *shardedRun) collect() RunResult {
-	cfg := sr.cfg
-	res := RunResult{
-		Config:      cfg,
-		Metrics:     app.Metrics{Nodes: cfg.Nodes},
-		MRTSLens:    &stats.Sample{},
-		AbortRatios: &stats.Sample{},
+	res := sr.network.collect()
+	for j, st := range sr.stacks {
+		ss, cs := &sr.stats[j], sr.net.Stats(j)
+		ss.Events = st.eng.Processed
+		ss.MsgsOut, ss.MsgsIn = cs.MsgsOut, cs.MsgsIn
+		ss.GhostAdds, ss.GhostDels = cs.GhostAdds, cs.GhostDels
 	}
-	// Post-run audits, once per shard (see buildSharded).
-	macByID := make([]mac.MAC, cfg.Nodes)
-	rtByID := make([]*routing.Protocol, cfg.Nodes)
-	for _, st := range sr.stacks {
-		st.stats.Events = st.eng.Processed
-		cs := sr.net.Stats(st.shard)
-		st.stats.MsgsOut, st.stats.MsgsIn = cs.MsgsOut, cs.MsgsIn
-		st.stats.GhostAdds, st.stats.GhostDels = cs.GhostAdds, cs.GhostDels
-		for k, id := range st.ids {
-			macByID[id] = st.macs[k]
-			rtByID[id] = st.routers[k]
-		}
-		if reason, aborted := st.eng.Aborted(); aborted && !res.Aborted {
-			res.Aborted, res.AbortReason = true, fmt.Sprintf("shard %d: %s", st.shard, reason)
-		}
-		st.aud.Quiesce()
-		res.Violations = append(res.Violations, st.aud.Violations()...)
-		if st.aud != nil {
-			res.ViolationCount += st.aud.Count
-			for c, v := range st.aud.ByClass {
-				res.Totals.ViolationsByClass[c] += v
-			}
-		}
-		res.Events += st.eng.Processed
-		res.Metrics.Generated += st.metrics.Generated
-		res.Metrics.Receptions += st.metrics.Receptions
-		res.Metrics.Duplicates += st.metrics.Duplicates
-		res.Metrics.DelaySum += st.metrics.DelaySum
-		res.Metrics.DelayCount += st.metrics.DelayCount
-		if st.metrics.DelayMax > res.Metrics.DelayMax {
-			res.Metrics.DelayMax = st.metrics.DelayMax
-		}
-		res.Fault.BurstErrors += st.injector.Stats.BurstErrors
-		res.Fault.BadEntries += st.injector.Stats.BadEntries
-		res.Fault.Crashes += st.injector.Stats.Crashes
-		res.Fault.Recoveries += st.injector.Stats.Recoveries
-		res.Crashes += st.medium.Stats.Crashes
-		ms := &res.Totals.Medium
-		ms.Transmissions += st.medium.Stats.Transmissions
-		ms.Aborts += st.medium.Stats.Aborts
-		ms.FramesDecoded += st.medium.Stats.FramesDecoded
-		ms.FramesCorrupt += st.medium.Stats.FramesCorrupt
-		ms.ToneActivation += st.medium.Stats.ToneActivation
-		ms.Crashes += st.medium.Stats.Crashes
-		fp := st.medium.Frames().Stats()
-		res.Totals.FramePool.Live += fp.Live
-		res.Totals.FramePool.Acquired += fp.Acquired
-		res.Totals.FramePool.Allocated += fp.Allocated
-		res.Totals.FramePool.Released += fp.Released
-		res.Totals.ArenaCap += st.eng.ArenaCap()
-		res.Totals.ArenaLive += st.eng.PoolInUse()
-		res.Shards = append(res.Shards, st.stats)
-	}
-	// Liveness audit over the global MAC array: Deadlock.Node ids come out
-	// global and ordered.
-	res.Deadlocks = auditLiveness(macByID)
-	res.Delivery = res.Metrics.DeliveryRatio()
-	res.AvgDelay = res.Metrics.AvgDelay()
-	res.Totals.Generated = res.Metrics.Generated
-	res.Totals.Receptions = res.Metrics.Receptions
-	res.Totals.Duplicates = res.Metrics.Duplicates
-	var drop, retx, ovh stats.Sample
-	for id := 0; id < cfg.Nodes; id++ {
-		s := macByID[id].Stats()
-		res.Totals.addMAC(s)
-		if !s.NonLeaf() {
-			continue
-		}
-		res.NonLeafCount++
-		drop.Add(totalDropRatio(s))
-		retx.Add(s.RetxRatio())
-		if s.DataTxTime > 0 {
-			ovh.Add(s.OverheadRatio())
-		}
-		res.AbortRatios.Add(s.AbortRatio())
-		for _, l := range s.MRTSLens {
-			res.MRTSLens.Add(float64(l))
-		}
-	}
-	res.AvgDropRatio = drop.Mean()
-	res.AvgRetxRatio = retx.Mean()
-	res.AvgOverheadRatio = ovh.Mean()
-	parent := make([]int, cfg.Nodes)
-	for id, rt := range rtByID {
-		parent[id] = rt.Parent()
-	}
-	res.Tree = topo.AnalyzeTree(parent, 0)
+	res.Shards = sr.stats
 	return res
 }

@@ -5,8 +5,10 @@
 #
 #   1. the restarted server resumes and completes the job (unfinished
 #      points are retried; finished ones are not re-run),
-#   2. the served delivery ratio is identical to what the batch CLI
-#      (rmacsim) computes for the same grid point, and
+#   2. the served result is bit-identical to what the batch CLI (rmacsim)
+#      computes for the same grid point: equal fingerprints (the digest of
+#      every deterministic measurement, RunResult.Fingerprint) and equal
+#      delivery ratios, and
 #   3. the telemetry surface holds up: /metrics serves well-formed,
 #      convention-named series, the counters replayed from the journal
 #      are monotone across the kill -9 (post-resume totals >= any value
@@ -80,19 +82,26 @@ if [ "$STATE" != completed ]; then
 fi
 
 # First results entry is grid point 0 (rmac, rate 10, placement seed 1).
-SERVED=$(curl -fsS "http://$ADDR/jobs/$JOB" | grep -m1 '"delivery"' | sed 's/.*: \([0-9.eE+-]*\),*/\1/')
+JOBJSON=$(curl -fsS "http://$ADDR/jobs/$JOB")
+SERVED=$(printf '%s\n' "$JOBJSON" | grep -m1 '"delivery"' | sed 's/.*: \([0-9.eE+-]*\),*/\1/')
 SERVED=$(printf '%.4f' "$SERVED")
+SERVED_FP=$(printf '%s\n' "$JOBJSON" | grep -m1 '"fingerprint"' | sed 's/.*"fingerprint": "\([0-9a-f]*\)".*/\1/')
 
 echo "== batch CLI on the same grid point"
-BATCH=$("$BIN/rmacsim" -protocol rmac -scenario stationary -rate 10 -packets 40 \
-    -nodes 20 -field-w 250 -field-h 150 -seed 1 \
-    | sed -n 's/.*packet delivery ratio *\([0-9.]*\).*/\1/p')
+CLI=$("$BIN/rmacsim" -protocol rmac -scenario stationary -rate 10 -packets 40 \
+    -nodes 20 -field-w 250 -field-h 150 -seed 1)
+BATCH=$(printf '%s\n' "$CLI" | sed -n 's/.*packet delivery ratio *\([0-9.]*\).*/\1/p')
+BATCH_FP=$(printf '%s\n' "$CLI" | sed -n 's/^fingerprint \([0-9a-f]*\)$/\1/p')
 
 if [ "$SERVED" != "$BATCH" ]; then
     echo "FAIL: served delivery $SERVED != batch delivery $BATCH" >&2
     exit 1
 fi
-echo "OK: resumed job completed; served delivery $SERVED == batch $BATCH"
+if [ -z "$SERVED_FP" ] || [ "$SERVED_FP" != "$BATCH_FP" ]; then
+    echo "FAIL: served fingerprint '$SERVED_FP' != batch fingerprint '$BATCH_FP'" >&2
+    exit 1
+fi
+echo "OK: resumed job completed; served delivery $SERVED == batch $BATCH, fingerprint $SERVED_FP"
 
 echo "== telemetry: core series, monotone resume, name lint, pprof"
 EV_AFTER=$(metric rmac_kernel_events_total)
