@@ -41,6 +41,13 @@ func goldenMXConfig() Config {
 	return cfg
 }
 
+// goldenUnder is cfg run by another MAC, so the DCF baselines are pinned
+// on the same placements and traffic as RMAC.
+func goldenUnder(cfg Config, p Protocol) Config {
+	cfg.Protocol = p
+	return cfg
+}
+
 // goldenGridMobileConfig is the grid-sized run with mobile radios, so the
 // spatial grid's periodic rebuild is pinned as well as its static build.
 func goldenGridMobileConfig() Config {
@@ -96,7 +103,18 @@ const (
 	// goldenMX and goldenGridMobile were recorded before the tone log and
 	// the hashed grid gave way to cumulative tone meters and the sorted
 	// cell index, which must reproduce them bit-identically.
-	goldenMX         = "events=236374 gen=200 rx=5633 dup=7618 deliv=0.9712068965517241 delay=0.0099776099999999996 drop=0 retx=0.19508896436300152 ovh=0.30369259250930269 nonleaf=12 mrts_n=0 abort_n=12 reach=30"
+	goldenMX = "events=236374 gen=200 rx=5633 dup=7618 deliv=0.9712068965517241 delay=0.0099776099999999996 drop=0 retx=0.19508896436300152 ovh=0.30369259250930269 nonleaf=12 mrts_n=0 abort_n=12 reach=30"
+	// The DCF baselines on goldenConfig and goldenFaultConfig, pinned so a
+	// change to the MAC code they share shows up under every protocol.
+	goldenBMMM       = "events=635053 gen=200 rx=5797 dup=152 deliv=0.99948275862068969 delay=0.38596240399999998 drop=0.015769230769230771 retx=0.64431001159644374 ovh=1.5200718085617857 nonleaf=13 mrts_n=0 abort_n=13 reach=30"
+	goldenBMW        = "events=583692 gen=200 rx=5800 dup=7395 deliv=1 delay=0.46961636600000001 drop=0.0029166666666666664 retx=0.71916666666666673 ovh=0.54799713357616342 nonleaf=12 mrts_n=0 abort_n=12 reach=30"
+	goldenLBP        = "events=1083152 gen=200 rx=5089 dup=7636 deliv=0.87741379310344825 delay=1.0435910159999999 drop=0.059437477883934886 retx=1.6552974610757254 ovh=0.31885230867974018 nonleaf=12 mrts_n=0 abort_n=12 reach=30"
+	goldenDOT11      = "events=169870 gen=200 rx=5242 dup=1841 deliv=0.9037931034482759 delay=0.0096411129999999998 drop=0 retx=0.032025251266088968 ovh=0.1471731133506459 nonleaf=12 mrts_n=0 abort_n=12 reach=30"
+	goldenFaultBMMM  = "events=1330484 gen=200 rx=4194 dup=0 deliv=0.72310344827586204 delay=2.6919656509999998 drop=0.16189691561259212 retx=2.1566452343287232 ovh=0.73220970157981891 nonleaf=11 mrts_n=0 abort_n=11 reach=30 bursterr=6897 badentries=14872 crashes=315 recoveries=309 deadlocks=0"
+	goldenFaultBMW   = "events=1059361 gen=200 rx=4318 dup=3460 deliv=0.74448275862068969 delay=1.94232151 drop=0.14743006392200217 retx=2.0693043594225258 ovh=0.4935996105248272 nonleaf=11 mrts_n=0 abort_n=11 reach=30 bursterr=5437 badentries=14953 crashes=301 recoveries=296 deadlocks=0"
+	goldenFaultLBP   = "events=1613103 gen=200 rx=3323 dup=3270 deliv=0.57293103448275862 delay=2.2260021270000001 drop=0.33642413965897472 retx=3.7883251631146764 ovh=0.33599002142369089 nonleaf=11 mrts_n=0 abort_n=11 reach=30 bursterr=5596 badentries=14944 crashes=294 recoveries=293 deadlocks=0"
+	goldenFaultMX    = "events=523136 gen=200 rx=2535 dup=1860 deliv=0.43706896551724139 delay=0.181949154 drop=0.057317806094249815 retx=1.8729592406984528 ovh=0.24936074194442084 nonleaf=11 mrts_n=0 abort_n=11 reach=30 bursterr=3211 badentries=14836 crashes=292 recoveries=289 deadlocks=0"
+	goldenFaultDOT11 = "events=150824 gen=200 rx=2810 dup=1551 deliv=0.48448275862068968 delay=0.0075762370000000004 drop=0.032131329903272596 retx=0.41584755146943825 ovh=0.11269260477672577 nonleaf=11 mrts_n=0 abort_n=11 reach=30 bursterr=1679 badentries=14818 crashes=294 recoveries=288 deadlocks=0"
 	goldenGridMobile = "events=1615119 gen=60 rx=3947 dup=0 deliv=0.55280112044817931 delay=1.0257260399999999 drop=0.27601985152372743 retx=2.0473391782331825 ovh=1.0088576259248709 nonleaf=45 mrts_n=4757 abort_n=45 reach=120"
 )
 
@@ -114,6 +132,15 @@ func TestGoldenDeterminism(t *testing.T) {
 		{"fault-30", goldenFaultConfig(), goldenFault},
 		{"mx-30", goldenMXConfig(), goldenMX},
 		{"grid-120-speed2", goldenGridMobileConfig(), goldenGridMobile},
+		{"bmmm-30", goldenUnder(goldenConfig(), BMMM), goldenBMMM},
+		{"bmw-30", goldenUnder(goldenConfig(), BMW), goldenBMW},
+		{"lbp-30", goldenUnder(goldenConfig(), LBP), goldenLBP},
+		{"dot11-30", goldenUnder(goldenConfig(), DOT11), goldenDOT11},
+		{"fault-30-bmmm", goldenUnder(goldenFaultConfig(), BMMM), goldenFaultBMMM},
+		{"fault-30-bmw", goldenUnder(goldenFaultConfig(), BMW), goldenFaultBMW},
+		{"fault-30-lbp", goldenUnder(goldenFaultConfig(), LBP), goldenFaultLBP},
+		{"fault-30-mx", goldenUnder(goldenFaultConfig(), MX), goldenFaultMX},
+		{"fault-30-dot11", goldenUnder(goldenFaultConfig(), DOT11), goldenFaultDOT11},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := Run(tc.cfg)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"rmac/internal/fault"
 	"rmac/internal/stats"
@@ -99,11 +97,7 @@ func RunResilienceSweep(s ResilienceSweep) []ResiliencePoint {
 // dispatched once ctx is done, in-flight runs abort at their engines'
 // next periodic check, and completed results are aggregated as usual.
 func RunResilienceSweepCtx(ctx context.Context, s ResilienceSweep) []ResiliencePoint {
-	type job struct {
-		cell int
-		cfg  Config
-	}
-	var jobs []job
+	var jobs []sweepJob
 	// Level-major order, so results group naturally into one table block
 	// per impairment level.
 	cells := make([]ResiliencePoint, 0, len(s.Protocols)*len(s.Levels))
@@ -117,57 +111,13 @@ func RunResilienceSweepCtx(ctx context.Context, s ResilienceSweep) []ResilienceP
 				cfg.Fault = lv.Fault
 				// Same placement across compared protocols, as in RunSweep.
 				cfg.Seed = int64(seed)*7919 + int64(cfg.Scenario) + 1
-				jobs = append(jobs, job{cell, cfg})
+				jobs = append(jobs, sweepJob{cell, cfg})
 			}
 		}
 	}
-
-	workers := s.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	results := make([][]RunResult, len(cells))
-	var mu sync.Mutex
-	done := 0
-	jobCh := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				if ctx.Err() != nil {
-					continue // drain without dispatching
-				}
-				res := RunCtx(ctx, j.cfg)
-				mu.Lock()
-				results[j.cell] = append(results[j.cell], res)
-				done++
-				d := done
-				mu.Unlock()
-				if s.Progress != nil {
-					s.Progress(d, len(jobs))
-				}
-			}
-		}()
-	}
-feed:
-	for _, j := range jobs {
-		select {
-		case jobCh <- j:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobCh)
-	wg.Wait()
-
+	runs := runJobs(ctx, jobs, len(cells), s.Parallelism, s.Progress)
 	for i := range cells {
-		cells[i].Runs = results[i]
+		cells[i].Runs = runs[i]
 		cells[i].aggregate()
 	}
 	return cells

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"rmac/internal/stats"
 )
@@ -69,7 +70,8 @@ func (s Sweep) Cells() int { return len(s.Protocols) * len(s.Scenarios) * len(s.
 // RunSweep executes the grid with a worker pool — one goroutine per
 // simulation, each with its own engine (simulations share nothing) — and
 // aggregates per cell. Results are ordered by (protocol, scenario, rate)
-// in the order given.
+// in the order given, and each cell's runs by seed, so the aggregates do
+// not depend on Parallelism.
 func RunSweep(s Sweep) []Point { return RunSweepCtx(context.Background(), s) }
 
 // RunSweepCtx is RunSweep with cooperative cancellation: once ctx is done,
@@ -78,11 +80,7 @@ func RunSweep(s Sweep) []Point { return RunSweepCtx(context.Background(), s) }
 // as Aborted), and the points aggregate whatever completed. A sweep whose
 // context is never canceled is bit-identical to RunSweep.
 func RunSweepCtx(ctx context.Context, s Sweep) []Point {
-	type job struct {
-		cell int
-		cfg  Config
-	}
-	var jobs []job
+	var jobs []sweepJob
 	cells := make([]Point, 0, s.Cells())
 	for _, p := range s.Protocols {
 		for _, sc := range s.Scenarios {
@@ -98,63 +96,77 @@ func RunSweepCtx(ctx context.Context, s Sweep) []Point {
 					// compared protocols; seeding by (scenario, seed)
 					// only achieves that.
 					cfg.Seed = int64(seed)*7919 + int64(sc) + 1
-					jobs = append(jobs, job{cell, cfg})
+					jobs = append(jobs, sweepJob{cell, cfg})
 				}
 			}
 		}
 	}
+	runs := runJobs(ctx, jobs, len(cells), s.Parallelism, s.Progress)
+	for i := range cells {
+		cells[i].Runs = runs[i]
+		cells[i].aggregate()
+	}
+	return cells
+}
 
-	workers := s.Parallelism
+// sweepJob is one run of a sweep: its config and the cell it folds into.
+type sweepJob struct {
+	cell int
+	cfg  Config
+}
+
+// runJobs runs jobs on parallelism workers (GOMAXPROCS when ≤ 0), each
+// simulation with its own engine, and returns every cell's runs in job
+// order: a result is stored at its job's index, so what a cell
+// aggregates does not depend on the order in which runs finish. Once ctx
+// is done no further job is dispatched, and the jobs never run are left
+// out. progress, when non-nil, receives (done, total) after each run,
+// outside any lock: a slow or re-entrant callback must not stall the
+// other workers.
+func runJobs(ctx context.Context, jobs []sweepJob, cells, parallelism int, progress func(done, total int)) [][]RunResult {
+	workers := parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	results := make([][]RunResult, len(cells))
-	var mu sync.Mutex
-	done := 0
-	jobCh := make(chan job)
+	workers = min(workers, len(jobs))
+	results := make([]RunResult, len(jobs))
+	ran := make([]bool, len(jobs))
+	var done atomic.Int64
+	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobCh {
+			for i := range next {
 				if ctx.Err() != nil {
 					continue // canceled: drain without running
 				}
-				res := RunCtx(ctx, j.cfg)
-				mu.Lock()
-				results[j.cell] = append(results[j.cell], res)
-				done++
-				d := done
-				mu.Unlock()
-				// Invoke the user callback outside the results lock: a slow
-				// or re-entrant Progress must not stall the other workers.
-				if s.Progress != nil {
-					s.Progress(d, len(jobs))
+				results[i], ran[i] = RunCtx(ctx, jobs[i].cfg), true
+				if progress != nil {
+					progress(int(done.Add(1)), len(jobs))
 				}
 			}
 		}()
 	}
 feed:
-	for _, j := range jobs {
+	for i := range jobs {
 		select {
-		case jobCh <- j:
+		case next <- i:
 		case <-ctx.Done():
 			break feed
 		}
 	}
-	close(jobCh)
+	close(next)
 	wg.Wait()
 
-	for i := range cells {
-		cells[i].Runs = results[i]
-		cells[i].aggregate()
+	runs := make([][]RunResult, cells)
+	for i, j := range jobs {
+		if ran[i] {
+			runs[j.cell] = append(runs[j.cell], results[i])
+		}
 	}
-	return cells
+	return runs
 }
 
 // aggregate folds the cell's runs into the paper's point shape.

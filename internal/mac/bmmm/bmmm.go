@@ -6,8 +6,10 @@
 // feedback — 2n pairs of control frames per data frame, costing 632 n µs
 // of control airtime at 802.11b rates.
 //
-// It reuses the DCF contention process and NAV virtual carrier sense from
-// package csma. Its Unreliable service is plain 802.11 broadcast.
+// It embeds the DCF station of package csma (contention, NAV virtual
+// carrier sense, SIFS responses, delivery); the node declares its DCF-won
+// initiations and reliable outcomes to the auditor. Its Unreliable
+// service is plain 802.11 broadcast.
 //
 // Two simulator liberties, both invisible on the wire: the RAK a sender
 // emits carries the data sequence number in the struct (real BMMM
@@ -27,27 +29,17 @@ import (
 	"rmac/internal/sim"
 )
 
-// respSlack pads control response timeouts beyond SIFS + frame airtime to
-// absorb propagation and turnaround.
-const respSlack = 2*phy.Tau + 2*sim.Microsecond
-
-type state int
-
 const (
-	stIdle state = iota
-	stTxRTS
+	stTxRTS = csma.FirstState + iota
 	stWfCTS
 	stTxData
 	stTxRAK
 	stWfACK
 	stTxUData
-	stTxResp // transmitting a CTS or ACK as a receiver
-	stGap    // inside a SIFS gap of an ongoing exchange
+	stGap // inside a SIFS gap of an ongoing exchange
 )
 
-var stateNames = [...]string{"IDLE", "TX_RTS", "WF_CTS", "TX_DATA", "TX_RAK", "WF_ACK", "TX_UDATA", "TX_RESP", "GAP"}
-
-func (s state) String() string { return stateNames[s] }
+var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "TX_RAK", "WF_ACK", "TX_UDATA", "GAP"}
 
 // txContext tracks one reliable packet across retransmission rounds.
 type txContext struct {
@@ -68,8 +60,6 @@ type peerState struct {
 	solicited bool   // an RTS from this sender addressed us
 	haveSeq   uint16 // last data seq correctly received
 	have      bool
-	delivered uint16 // last seq passed to the upper layer
-	deliverOK bool
 }
 
 // step identifies the deferred exchange step scheduled by afterSIFS,
@@ -85,20 +75,7 @@ const (
 
 // Node is one BMMM instance bound to a radio.
 type Node struct {
-	eng    *sim.Engine
-	radio  *phy.Radio
-	cfg    phy.Config
-	addr   frame.Addr
-	limits mac.Limits
-	upper  mac.UpperLayer
-	frames *frame.Pool
-
-	st    state
-	queue *mac.Queue
-	dcf   *csma.DCF
-	nav   *csma.NAV
-	stats mac.Stats
-	aud   *audit.Auditor
+	csma.Station
 
 	cur   *txContext
 	timer *sim.Timer // CTS/ACK response timeout
@@ -111,108 +88,55 @@ type Node struct {
 	stillBuf  []frame.Addr
 	failedBuf []frame.Addr
 
-	// pendingStep/pendingResp carry the argument of the next tagged
-	// event: the deferred sender-side step, and the acquired (not yet
-	// transmitted) CTS/ACK response frame.
+	// pendingStep carries the argument of the next tagged event: the
+	// deferred sender-side step (exchange steps are strictly sequential).
 	pendingStep step
-	pendingResp frame.Frame
-
-	// deferred counts scheduled exchange steps (SIFS gaps, pending
-	// responses) not yet fired, so the liveness audit sees them.
-	deferred int
 }
 
-var _ mac.MAC = (*Node)(nil)
-var _ phy.Handler = (*Node)(nil)
+var (
+	_ mac.MAC                                 = (*Node)(nil)
+	_ phy.Handler                             = (*Node)(nil)
+	_ mac.LivenessReporter                    = (*Node)(nil)
+	_ audit.ContentionReporter                = (*Node)(nil)
+	_ audit.NAVReporter                       = (*Node)(nil)
+	_ audit.PendingReporter                   = (*Node)(nil)
+	_ interface{ SetAuditor(*audit.Auditor) } = (*Node)(nil)
+)
 
 // New creates a BMMM node on the given radio and installs itself as the
 // radio's PHY handler.
 func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *Node {
-	n := &Node{
-		eng:    eng,
-		radio:  radio,
-		cfg:    cfg,
-		addr:   frame.AddrFromID(radio.ID()),
-		limits: limits,
-		queue:  mac.NewQueue(limits.QueueCap),
-		peers:  make(map[frame.Addr]*peerState),
-		frames: radio.Frames(),
-	}
-	n.nav = csma.NewNAV(eng, func() { n.dcf.ChannelMaybeIdle() })
-	n.dcf = csma.NewDCF(eng, eng.Rand(), n.mediumIdle, n.onWin)
+	n := &Node{peers: make(map[frame.Addr]*peerState)}
+	n.Init(n, radio, cfg, eng, limits, n.onWin)
 	n.timer = sim.NewTimer(eng, n.onRespTimeout)
-	radio.SetHandler(n)
 	return n
 }
 
-// Addr implements mac.MAC.
-func (n *Node) Addr() frame.Addr { return n.addr }
-
-// Stats implements mac.MAC.
-func (n *Node) Stats() *mac.Stats { return &n.stats }
-
-// SetUpper implements mac.MAC.
-func (n *Node) SetUpper(u mac.UpperLayer) { n.upper = u }
-
-// SetAuditor attaches the protocol-invariant auditor; the node declares
-// DCF-won initiations and reliable outcomes to it.
-func (n *Node) SetAuditor(a *audit.Auditor) { n.aud = a }
-
-// AuditContention implements audit.ContentionReporter.
-func (n *Node) AuditContention() (wants, counting, gated, idle bool) {
-	armed, counting, difsPending := n.dcf.AuditState()
-	return armed, counting, difsPending, n.mediumIdle()
-}
-
-// AuditNAVBusy implements audit.NAVReporter.
-func (n *Node) AuditNAVBusy() bool { return n.nav.Busy() }
-
 // AuditPending implements audit.PendingReporter.
 func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.queue.Len(), n.cur != nil
+	return n.Queue.Len(), n.cur != nil
 }
 
 // Liveness implements mac.LivenessReporter.
 func (n *Node) Liveness() mac.Liveness {
-	return mac.Liveness{
-		State: n.st.String(),
-		Idle:  n.st == stIdle && n.cur == nil && n.queue.Len() == 0,
-		Pending: n.timer.Pending() || n.radio.Transmitting() ||
-			n.radio.CarrierSensed() || n.dcf.Armed() || n.deferred > 0,
-	}
+	return n.Progress(stateNames[n.St], n.cur != nil, n.timer)
 }
 
 // Send implements mac.MAC.
 func (n *Node) Send(req *mac.SendRequest) bool {
-	if req.Service == mac.Reliable && len(req.Dests) == 0 {
-		panic("bmmm: Reliable Send needs at least one destination")
-	}
-	req.EnqueuedAt = n.eng.Now()
-	var pushed bool
-	if req.Urgent {
-		pushed = n.queue.PushFront(req)
-	} else {
-		pushed = n.queue.Push(req)
-	}
-	if !pushed {
-		n.stats.QueueDrops++
+	if !n.Queue.Admit(req, n.Eng.Now(), n.Stats()) {
 		return false
 	}
-	n.stats.Enqueued++
 	n.trySend()
 	return true
 }
 
-func (n *Node) mediumIdle() bool {
-	return !n.radio.DataChannelBusy() && !n.nav.Busy()
-}
-
 func (n *Node) trySend() {
-	if n.st != stIdle || n.dcf.Armed() {
+	if n.St != csma.Idle || n.DCF.Armed() {
 		return
 	}
 	if n.cur == nil {
-		req := n.queue.Pop()
+		req := n.Queue.Pop()
 		if req == nil {
 			return
 		}
@@ -228,28 +152,21 @@ func (n *Node) trySend() {
 		n.cur = ctx
 		if req.Service == mac.Reliable {
 			ctx.remaining = append(ctx.remaining, req.Dests...)
-			n.stats.ReliableToTransmit++
+			n.Stats().ReliableToTransmit++
 		}
 	}
-	n.dcf.Arm()
+	n.DCF.Arm()
 }
 
 // onWin: the DCF granted a transmission opportunity.
 func (n *Node) onWin() {
-	if n.cur == nil || n.st != stIdle {
+	if n.cur == nil || n.St != csma.Idle {
 		return
 	}
-	n.aud.Initiation(n.radio.ID())
+	n.Aud.Initiation(n.Radio.ID())
 	if n.cur.req.Service == mac.Unreliable {
-		dest := frame.Broadcast
-		if len(n.cur.req.Dests) > 0 {
-			dest = n.cur.req.Dests[0]
-		}
-		n.st = stTxUData
-		f := n.frames.Data()
-		f.Receiver, f.Transmitter, f.Seq = dest, n.addr, n.cur.seq
-		f.Payload = append(f.Payload, n.cur.req.Payload...)
-		n.startTx(f)
+		n.St = stTxUData
+		n.StartUnreliable(n.cur.req, n.cur.seq)
 		return
 	}
 	// New round: solicit every remaining receiver.
@@ -263,17 +180,11 @@ func (n *Node) onWin() {
 	n.sendRTS()
 }
 
-// startTx wraps Radio.StartTx with DCF bookkeeping.
-func (n *Node) startTx(f frame.Frame) sim.Time {
-	n.dcf.ChannelBusy()
-	return n.radio.StartTx(f)
-}
-
 // exchangeRemaining computes the Duration (NAV) value covering the rest of
 // the exchange as seen from just after the current frame: control pairs,
 // the data frame and the RAK/ACK tail.
-func (n *Node) exchangeRemaining(phase state) sim.Time {
-	c := n.cfg
+func (n *Node) exchangeRemaining(phase csma.State) uint16 {
+	c := n.Cfg
 	rts := c.TxDuration(frame.RTSLen)
 	cts := c.TxDuration(frame.CTSLen)
 	rak := c.TxDuration(frame.RAKLen)
@@ -281,7 +192,7 @@ func (n *Node) exchangeRemaining(phase state) sim.Time {
 	data := c.TxDuration(frame.Data80211Overhead + len(n.cur.req.Payload))
 	var d sim.Time
 	switch phase {
-	case stTxRTS, stWfCTS:
+	case stTxRTS:
 		pairsLeft := len(n.cur.remaining) - n.cur.idx - 1
 		d = phy.SIFS + cts
 		d += sim.Time(pairsLeft) * (phy.SIFS + rts + phy.SIFS + cts)
@@ -289,12 +200,12 @@ func (n *Node) exchangeRemaining(phase state) sim.Time {
 		d += sim.Time(len(n.cur.remaining)) * (phy.SIFS + rak + phy.SIFS + ack)
 	case stTxData:
 		d = sim.Time(len(n.cur.remaining)) * (phy.SIFS + rak + phy.SIFS + ack)
-	case stTxRAK, stWfACK:
+	case stTxRAK:
 		raksLeft := countTrue(n.cur.ctsOK[n.cur.idx+1:])
 		d = phy.SIFS + ack
 		d += sim.Time(raksLeft) * (phy.SIFS + rak + phy.SIFS + ack)
 	}
-	return d
+	return csma.Micros(d)
 }
 
 func countTrue(b []bool) int {
@@ -307,82 +218,58 @@ func countTrue(b []bool) int {
 	return c
 }
 
-func durationMicros(d sim.Time) uint16 {
-	us := int64(d / sim.Microsecond)
-	if us > 65535 {
-		us = 65535
-	}
-	return uint16(us)
-}
-
 func (n *Node) sendRTS() {
-	n.st = stTxRTS
-	f := n.frames.RTS()
-	f.Duration = durationMicros(n.exchangeRemaining(stTxRTS))
+	n.St = stTxRTS
+	f := n.Frames.RTS()
+	f.Duration = n.exchangeRemaining(stTxRTS)
 	f.Receiver = n.cur.remaining[n.cur.idx]
-	f.Transmitter = n.addr
-	dur := n.startTx(f)
-	n.stats.CtrlTxTime += dur
+	f.Transmitter = n.Addr()
+	n.SendCtrl(f)
 }
 
 func (n *Node) sendData() {
-	n.st = stTxData
-	f := n.frames.Data()
-	f.Duration = durationMicros(n.exchangeRemaining(stTxData))
-	f.Receiver = frame.Broadcast
-	f.Transmitter = n.addr
-	f.Seq = n.cur.seq
-	f.Payload = append(f.Payload, n.cur.req.Payload...)
-	dur := n.startTx(f)
-	n.stats.DataTxTime += dur
+	n.St = stTxData
+	f := n.Data(frame.Broadcast, n.cur.seq, n.cur.req.Payload)
+	f.Duration = n.exchangeRemaining(stTxData)
+	n.SendData(f)
 }
 
 func (n *Node) sendRAK() {
-	n.st = stTxRAK
-	f := n.frames.RAK()
-	f.Duration = durationMicros(n.exchangeRemaining(stTxRAK))
+	n.St = stTxRAK
+	f := n.Frames.RAK()
+	f.Duration = n.exchangeRemaining(stTxRAK)
 	f.Receiver = n.cur.remaining[n.cur.idx]
-	f.Transmitter = n.addr
+	f.Transmitter = n.Addr()
 	f.Seq = n.cur.seq
-	dur := n.startTx(f)
-	n.stats.CtrlTxTime += dur
+	n.SendCtrl(f)
 }
 
 // OnTxDone implements phy.Handler.
 func (n *Node) OnTxDone(f frame.Frame) {
-	n.dcf.ChannelMaybeIdle()
-	switch n.st {
+	n.DCF.ChannelMaybeIdle()
+	switch n.St {
 	case stTxRTS:
-		n.st = stWfCTS
-		n.timer.Start(phy.SIFS + n.cfg.TxDuration(frame.CTSLen) + respSlack)
+		n.St = stWfCTS
+		n.timer.Start(n.RespWait(frame.CTSLen))
 	case stTxData:
 		n.cur.idx = -1
 		n.advanceRAK()
 	case stTxRAK:
-		n.st = stWfACK
-		n.timer.Start(phy.SIFS + n.cfg.TxDuration(frame.ACKLen) + respSlack)
+		n.St = stWfACK
+		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxUData:
-		n.stats.UnreliableSent++
-		req := n.cur.req
-		n.cur = nil
-		n.st = stIdle
-		n.dcf.Backoff().Reset()
-		n.dcf.Backoff().Draw()
-		if n.upper != nil {
-			n.upper.OnSendComplete(mac.TxResult{Req: req})
-		}
-		n.trySend()
-	case stTxResp:
-		n.st = stIdle
+		n.finish(mac.TxResult{Req: n.cur.req})
+	case csma.Responding:
+		n.St = csma.Idle
 		n.trySend()
 	default:
-		panic(fmt.Sprintf("bmmm: node %v OnTxDone in state %v", n.addr, n.st))
+		panic(fmt.Sprintf("bmmm: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
 }
 
 // onRespTimeout: the solicited CTS or ACK did not arrive.
 func (n *Node) onRespTimeout() {
-	switch n.st {
+	switch n.St {
 	case stWfCTS:
 		n.advanceCTS(false)
 	case stWfACK:
@@ -428,48 +315,23 @@ func (n *Node) advanceACK(ok bool) {
 	n.advanceRAK()
 }
 
-// Tags for the node's sim.Caller dispatch.
-const (
-	tagStep int32 = iota // deferred sender-side exchange step (afterSIFS)
-	tagResp              // deferred CTS/ACK response (respond)
-)
-
-// Call implements sim.Caller: the SIFS-deferred continuations, scheduled
-// closure-free through the engine's tagged-event path. The step/response
-// argument rides in pendingStep/pendingResp — at most one of each can be
-// outstanding (exchange steps are strictly sequential, and back-to-back
-// solicitations are separated by at least one frame airtime ≫ SIFS).
-func (n *Node) Call(tag int32) {
-	switch tag {
-	case tagStep:
-		n.deferred--
-		s := n.pendingStep
-		n.pendingStep = stepNone
-		if n.cur == nil || n.radio.Transmitting() {
-			return
-		}
-		switch s {
-		case stepRTS:
-			n.sendRTS()
-		case stepData:
-			n.sendData()
-		case stepRAK:
-			n.sendRAK()
-		}
-	case tagResp:
-		n.deferred--
-		f := n.pendingResp
-		n.pendingResp = nil
-		if f == nil {
-			return
-		}
-		if n.st != stIdle || n.radio.Transmitting() {
-			frame.Release(f) // busy with our own exchange; solicitation lost
-			return
-		}
-		n.st = stTxResp
-		dur := n.startTx(f)
-		n.stats.CtrlTxTime += dur
+// Call implements sim.Caller: the SIFS-deferred sender-side step,
+// scheduled closure-free through the engine's tagged-event path, with
+// its argument in pendingStep.
+func (n *Node) Call(int32) {
+	n.Deferred--
+	s := n.pendingStep
+	n.pendingStep = stepNone
+	if n.cur == nil || n.Radio.Transmitting() {
+		return
+	}
+	switch s {
+	case stepRTS:
+		n.sendRTS()
+	case stepData:
+		n.sendData()
+	case stepRAK:
+		n.sendRAK()
 	}
 }
 
@@ -477,10 +339,10 @@ func (n *Node) Call(tag int32) {
 // stays in stGap so it neither responds to solicitations nor starts a new
 // contention meanwhile.
 func (n *Node) afterSIFS(s step) {
-	n.st = stGap
-	n.deferred++
+	n.St = stGap
+	n.Deferred++
 	n.pendingStep = s
-	n.eng.AfterCall(phy.SIFS, n, tagStep)
+	n.Eng.AfterCall(phy.SIFS, n, 0)
 }
 
 // scoreRound splits the remaining receivers by ACK outcome. still reuses
@@ -505,37 +367,30 @@ func (n *Node) scoreRound() {
 }
 
 func (n *Node) roundFailed() {
-	n.st = stIdle
-	n.cur.retries++
-	if n.cur.retries > n.limits.RetryLimit {
+	n.St = csma.Idle
+	if !n.Retry(&n.cur.retries) {
 		n.completeReliable(true)
 		return
 	}
-	n.stats.Retransmissions++
-	n.dcf.Backoff().Fail()
-	n.dcf.Backoff().Draw()
 	n.trySend()
 }
 
 func (n *Node) completeReliable(dropped bool) {
-	n.st = stIdle
 	ctx := n.cur
-	n.cur = nil
-	res := mac.TxResult{Req: ctx.req, Delivered: ctx.delivered, Retries: ctx.retries}
+	res := mac.TxResult{Req: ctx.req, Delivered: ctx.delivered, Retries: ctx.retries, Dropped: dropped}
 	if dropped {
-		n.stats.Drops++
-		res.Dropped = true
 		res.Failed = append(n.failedBuf[:0], ctx.remaining...)
 		n.failedBuf = res.Failed
-	} else {
-		n.stats.ReliableDelivered++
 	}
-	n.dcf.Backoff().Reset()
-	n.dcf.Backoff().Draw()
-	n.aud.ReliableOutcome(n.radio.ID(), len(ctx.delivered), len(ctx.req.Dests), dropped)
-	if n.upper != nil {
-		n.upper.OnSendComplete(res)
-	}
+	n.Aud.ReliableOutcome(n.Radio.ID(), len(ctx.delivered), len(ctx.req.Dests), dropped)
+	n.finish(res)
+}
+
+// finish ends the packet in flight with res and moves on to the next.
+func (n *Node) finish(res mac.TxResult) {
+	n.St = csma.Idle
+	n.cur = nil
+	n.Complete(res)
 	n.trySend()
 }
 
@@ -557,64 +412,42 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 	}
 	switch g := f.(type) {
 	case *frame.RTS:
-		if g.Receiver == n.addr {
-			n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
+		if g.Receiver == n.Addr() {
+			n.CountCtrlRx(g)
 			n.peer(g.Transmitter).solicited = true
-			cts := n.frames.CTS()
-			cts.Duration = subDuration(g.Duration, phy.SIFS+n.cfg.TxDuration(frame.CTSLen))
-			cts.Receiver = g.Transmitter
-			cts.Transmitter = n.addr
-			n.respond(cts)
+			n.Respond(n.CTS(g))
 			return
 		}
-		n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-		n.dcf.ChannelBusy()
+		n.Reserve(g.Duration)
 	case *frame.CTS:
-		if n.st == stWfCTS && g.Receiver == n.addr {
-			n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
+		if n.St == stWfCTS && g.Receiver == n.Addr() {
+			n.CountCtrlRx(g)
 			n.advanceCTS(true)
 			return
 		}
-		if g.Receiver != n.addr {
-			n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-			n.dcf.ChannelBusy()
-		}
+		n.Overhear(g.Receiver, g.Duration)
 	case *frame.Data:
 		n.onData(g, rxStart)
 	case *frame.RAK:
-		if g.Receiver == n.addr {
-			n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
+		if g.Receiver == n.Addr() {
+			n.CountCtrlRx(g)
 			p := n.peer(g.Transmitter)
 			if p.have && p.haveSeq == g.Seq {
-				ack := n.frames.ACK()
-				ack.Duration = subDuration(g.Duration, phy.SIFS+n.cfg.TxDuration(frame.ACKLen))
-				ack.Receiver = g.Transmitter
-				ack.Transmitter = n.addr
-				n.respond(ack)
+				ack := n.ACK(g.Transmitter)
+				ack.Duration = csma.SubDuration(g.Duration, phy.SIFS+n.Cfg.TxDuration(frame.ACKLen))
+				n.Respond(ack)
 			}
 			return
 		}
-		n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-		n.dcf.ChannelBusy()
+		n.Reserve(g.Duration)
 	case *frame.ACK:
-		if n.st == stWfACK && g.Receiver == n.addr {
-			n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
+		if n.St == stWfACK && g.Receiver == n.Addr() {
+			n.CountCtrlRx(g)
 			n.advanceACK(true)
 			return
 		}
-		if g.Receiver != n.addr {
-			n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-			n.dcf.ChannelBusy()
-		}
+		n.Overhear(g.Receiver, g.Duration)
 	}
-}
-
-func subDuration(d uint16, sub sim.Time) uint16 {
-	s := int64(sub / sim.Microsecond)
-	if int64(d) <= s {
-		return 0
-	}
-	return d - uint16(s)
 }
 
 // onData handles a data frame. A reliable multicast data frame always
@@ -624,64 +457,16 @@ func subDuration(d uint16, sub sim.Time) uint16 {
 func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
 	if d.Duration > 0 { // reliable multicast data
 		p := n.peer(d.Transmitter)
-		if p.solicited && (d.Receiver == n.addr || d.Receiver.IsBroadcast()) {
+		if p.solicited && (d.Receiver == n.Addr() || d.Receiver.IsBroadcast()) {
 			p.have = true
 			p.haveSeq = d.Seq
-			n.deliver(d, true, rxStart)
+			n.Deliver(d, true, true, rxStart)
 			return
 		}
-		n.nav.Set(sim.Time(d.Duration) * sim.Microsecond)
-		n.dcf.ChannelBusy()
+		n.Reserve(d.Duration)
 		return
 	}
-	if d.Receiver == n.addr || d.Receiver.IsBroadcast() {
-		n.deliver(d, false, rxStart)
+	if d.Receiver == n.Addr() || d.Receiver.IsBroadcast() {
+		n.Deliver(d, false, false, rxStart)
 	}
 }
-
-func (n *Node) deliver(d *frame.Data, reliable bool, rxStart sim.Time) {
-	p := n.peer(d.Transmitter)
-	if reliable {
-		if p.deliverOK && p.delivered == d.Seq {
-			return // duplicate retransmission round
-		}
-		p.deliverOK = true
-		p.delivered = d.Seq
-	}
-	if n.upper != nil {
-		n.upper.OnDeliver(d.Payload, mac.RxInfo{
-			From:     d.Transmitter,
-			Reliable: reliable,
-			Seq:      uint32(d.Seq),
-			RxStart:  rxStart,
-			RxEnd:    n.eng.Now(),
-		})
-	}
-}
-
-// respond transmits an acquired CTS or ACK one SIFS after the soliciting
-// frame (via the tagResp tagged event). The node owns f until then; if the
-// response cannot be sent the frame is released in Call.
-func (n *Node) respond(f frame.Frame) {
-	if n.pendingResp != nil {
-		// A response is already queued; a second solicitation within one
-		// SIFS cannot happen on a collision-free channel. Drop the new one.
-		frame.Release(f)
-		return
-	}
-	n.deferred++
-	n.pendingResp = f
-	n.eng.AfterCall(phy.SIFS, n, tagResp)
-}
-
-// OnCarrierChange implements phy.Handler.
-func (n *Node) OnCarrierChange(busy bool) {
-	if busy {
-		n.dcf.ChannelBusy()
-	} else {
-		n.dcf.ChannelMaybeIdle()
-	}
-}
-
-// OnToneChange implements phy.Handler; BMMM has no busy-tone hardware.
-func (n *Node) OnToneChange(phy.Tone, bool) {}

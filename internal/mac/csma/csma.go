@@ -1,8 +1,10 @@
-// Package csma provides the IEEE 802.11 DCF primitives shared by the
-// baseline protocols BMMM and BMW: NAV virtual carrier sense and a
-// DIFS-gated contention process wrapping the common backoff entity.
-// RMAC deliberately does not use this package — it discards virtual
-// carrier sense in favour of busy tones (§2).
+// Package csma is the IEEE 802.11 DCF the baselines are built on: NAV
+// virtual carrier sense, a DIFS-gated contention process wrapping the
+// common backoff entity, and Station, the protocol-independent half of a
+// DCF node that BMMM, BMW, LBP, 802.11MX and plain 802.11 embed. Each of
+// them keeps only its own exchange. RMAC deliberately does not use this
+// package — it discards virtual carrier sense in favour of busy tones
+// (§2).
 package csma
 
 import (

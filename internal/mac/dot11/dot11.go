@@ -11,6 +11,11 @@
 // *attempted*; the application-level delivery ratio shows the loss the
 // paper's introduction motivates RMAC with). The Unreliable service is
 // the same single broadcast.
+//
+// It embeds the DCF station of package csma. The node declares its
+// DCF-won initiations and its unicast reliable outcomes to the auditor.
+// The one-shot reliable broadcast is not declared: it completes on
+// attempt by design (§1), so there is no ACK-complete contract to check.
 package dot11
 
 import (
@@ -24,24 +29,16 @@ import (
 	"rmac/internal/sim"
 )
 
-const respSlack = 2*phy.Tau + 2*sim.Microsecond
-
-type state int
-
 const (
-	stIdle state = iota
-	stTxRTS
+	stTxRTS = csma.FirstState + iota
 	stWfCTS
 	stTxData
 	stWfACK
 	stTxBcast
-	stTxResp
 	stGap
 )
 
-var stateNames = [...]string{"IDLE", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_BCAST", "TX_RESP", "GAP"}
-
-func (s state) String() string { return stateNames[s] }
+var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_BCAST", "GAP"}
 
 type txContext struct {
 	req     *mac.SendRequest
@@ -50,136 +47,62 @@ type txContext struct {
 	unicast bool
 }
 
-type peerDedup struct {
-	delivered uint16
-	deliverOK bool
-}
-
 // Node is one 802.11 DCF instance bound to a radio.
 type Node struct {
-	eng    *sim.Engine
-	radio  *phy.Radio
-	cfg    phy.Config
-	addr   frame.Addr
-	limits mac.Limits
-	upper  mac.UpperLayer
-
-	st     state
-	queue  *mac.Queue
-	dcf    *csma.DCF
-	nav    *csma.NAV
-	stats  mac.Stats
-	frames *frame.Pool
-	aud    *audit.Auditor
+	csma.Station
 
 	cur   *txContext
 	timer *sim.Timer
-	peers map[frame.Addr]*peerDedup
 	seq   uint16
 
-	// ctxBuf backs cur (one packet in flight at a time); pendingResp is
-	// an acquired CTS/ACK awaiting its SIFS-deferred transmission.
-	ctxBuf      txContext
-	pendingResp frame.Frame
-
-	// deferred counts scheduled exchange steps (SIFS gaps, pending
-	// responses) not yet fired, so the liveness audit sees them.
-	deferred int
+	// ctxBuf backs cur (one packet in flight at a time).
+	ctxBuf txContext
 }
 
-var _ mac.MAC = (*Node)(nil)
-var _ phy.Handler = (*Node)(nil)
+var (
+	_ mac.MAC                                 = (*Node)(nil)
+	_ phy.Handler                             = (*Node)(nil)
+	_ mac.LivenessReporter                    = (*Node)(nil)
+	_ audit.ContentionReporter                = (*Node)(nil)
+	_ audit.NAVReporter                       = (*Node)(nil)
+	_ audit.PendingReporter                   = (*Node)(nil)
+	_ interface{ SetAuditor(*audit.Auditor) } = (*Node)(nil)
+)
 
 // New creates an 802.11 node on the given radio and installs itself as
 // the radio's PHY handler.
 func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *Node {
-	n := &Node{
-		eng:    eng,
-		radio:  radio,
-		cfg:    cfg,
-		addr:   frame.AddrFromID(radio.ID()),
-		limits: limits,
-		queue:  mac.NewQueue(limits.QueueCap),
-		peers:  make(map[frame.Addr]*peerDedup),
-		frames: radio.Frames(),
-	}
-	n.nav = csma.NewNAV(eng, func() { n.dcf.ChannelMaybeIdle() })
-	n.dcf = csma.NewDCF(eng, eng.Rand(), n.mediumIdle, n.onWin)
+	n := &Node{}
+	n.Init(n, radio, cfg, eng, limits, n.onWin)
 	n.timer = sim.NewTimer(eng, n.onTimeout)
-	radio.SetHandler(n)
 	return n
 }
 
-// Addr implements mac.MAC.
-func (n *Node) Addr() frame.Addr { return n.addr }
-
-// Stats implements mac.MAC.
-func (n *Node) Stats() *mac.Stats { return &n.stats }
-
-// SetUpper implements mac.MAC.
-func (n *Node) SetUpper(u mac.UpperLayer) { n.upper = u }
-
-// SetAuditor attaches the protocol-invariant auditor; the node declares
-// DCF-won initiations and unicast reliable outcomes to it. The one-shot
-// reliable broadcast is not declared: it completes on attempt by design
-// (§1), so there is no ACK-complete contract to check.
-func (n *Node) SetAuditor(a *audit.Auditor) { n.aud = a }
-
-// AuditContention implements audit.ContentionReporter.
-func (n *Node) AuditContention() (wants, counting, gated, idle bool) {
-	armed, counting, difsPending := n.dcf.AuditState()
-	return armed, counting, difsPending, n.mediumIdle()
-}
-
-// AuditNAVBusy implements audit.NAVReporter.
-func (n *Node) AuditNAVBusy() bool { return n.nav.Busy() }
-
 // AuditPending implements audit.PendingReporter.
 func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.queue.Len(), n.cur != nil
+	return n.Queue.Len(), n.cur != nil
 }
 
 // Liveness implements mac.LivenessReporter.
 func (n *Node) Liveness() mac.Liveness {
-	return mac.Liveness{
-		State: n.st.String(),
-		Idle:  n.st == stIdle && n.cur == nil && n.queue.Len() == 0,
-		Pending: n.timer.Pending() || n.radio.Transmitting() ||
-			n.radio.CarrierSensed() || n.dcf.Armed() || n.deferred > 0,
-	}
+	return n.Progress(stateNames[n.St], n.cur != nil, n.timer)
 }
 
 // Send implements mac.MAC.
 func (n *Node) Send(req *mac.SendRequest) bool {
-	if req.Service == mac.Reliable && len(req.Dests) == 0 {
-		panic("dot11: Reliable Send needs at least one destination")
-	}
-	req.EnqueuedAt = n.eng.Now()
-	var pushed bool
-	if req.Urgent {
-		pushed = n.queue.PushFront(req)
-	} else {
-		pushed = n.queue.Push(req)
-	}
-	if !pushed {
-		n.stats.QueueDrops++
+	if !n.Queue.Admit(req, n.Eng.Now(), n.Stats()) {
 		return false
 	}
-	n.stats.Enqueued++
 	n.trySend()
 	return true
 }
 
-func (n *Node) mediumIdle() bool {
-	return !n.radio.DataChannelBusy() && !n.nav.Busy()
-}
-
 func (n *Node) trySend() {
-	if n.st != stIdle || n.dcf.Armed() {
+	if n.St != csma.Idle || n.DCF.Armed() {
 		return
 	}
 	if n.cur == nil {
-		req := n.queue.Pop()
+		req := n.Queue.Pop()
 		if req == nil {
 			return
 		}
@@ -188,183 +111,117 @@ func (n *Node) trySend() {
 		n.cur = &n.ctxBuf
 		if req.Service == mac.Reliable {
 			n.cur.unicast = len(req.Dests) == 1 && !req.Dests[0].IsBroadcast()
-			n.stats.ReliableToTransmit++
+			n.Stats().ReliableToTransmit++
 		}
 	}
-	n.dcf.Arm()
-}
-
-func (n *Node) startTx(f frame.Frame) sim.Time {
-	n.dcf.ChannelBusy()
-	return n.radio.StartTx(f)
+	n.DCF.Arm()
 }
 
 func (n *Node) onWin() {
-	if n.cur == nil || n.st != stIdle {
+	if n.cur == nil || n.St != csma.Idle {
 		return
 	}
-	n.aud.Initiation(n.radio.ID())
-	if n.cur.req.Service == mac.Reliable && n.cur.unicast {
-		n.st = stTxRTS
-		tail := phy.SIFS + n.cfg.TxDuration(frame.CTSLen) +
-			phy.SIFS + n.cfg.TxDuration(frame.Data80211Overhead+len(n.cur.req.Payload)) +
-			phy.SIFS + n.cfg.TxDuration(frame.ACKLen)
-		f := n.frames.RTS()
-		f.Duration = durationMicros(tail)
-		f.Receiver = n.cur.req.Dests[0]
-		f.Transmitter = n.addr
-		dur := n.startTx(f)
-		n.stats.CtrlTxTime += dur
+	n.Aud.Initiation(n.Radio.ID())
+	req := n.cur.req
+	if req.Service == mac.Reliable && n.cur.unicast {
+		n.St = stTxRTS
+		tail := phy.SIFS + n.Cfg.TxDuration(frame.CTSLen) +
+			phy.SIFS + n.Cfg.TxDuration(frame.Data80211Overhead+len(req.Payload)) +
+			phy.SIFS + n.Cfg.TxDuration(frame.ACKLen)
+		f := n.Frames.RTS()
+		f.Duration = csma.Micros(tail)
+		f.Receiver = req.Dests[0]
+		f.Transmitter = n.Addr()
+		n.SendCtrl(f)
 		return
 	}
 	// Multicast/broadcast (reliable requested or not): one transmission,
 	// no recovery — the 802.11 behaviour §1 describes.
-	dest := frame.Broadcast
-	if n.cur.req.Service == mac.Unreliable && len(n.cur.req.Dests) > 0 {
-		dest = n.cur.req.Dests[0]
+	n.St = stTxBcast
+	if req.Service == mac.Unreliable {
+		n.StartUnreliable(req, n.cur.seq)
+		return
 	}
-	n.st = stTxBcast
-	f := n.frames.Data()
-	f.Receiver, f.Transmitter, f.Seq = dest, n.addr, n.cur.seq
-	f.Payload = append(f.Payload, n.cur.req.Payload...)
-	dur := n.startTx(f)
-	if n.cur.req.Service == mac.Reliable {
-		n.stats.DataTxTime += dur
-	}
-}
-
-func durationMicros(d sim.Time) uint16 {
-	us := int64(d / sim.Microsecond)
-	if us > 65535 {
-		us = 65535
-	}
-	return uint16(us)
+	n.SendData(n.Data(frame.Broadcast, n.cur.seq, req.Payload))
 }
 
 // OnTxDone implements phy.Handler.
 func (n *Node) OnTxDone(f frame.Frame) {
-	n.dcf.ChannelMaybeIdle()
-	switch n.st {
+	n.DCF.ChannelMaybeIdle()
+	switch n.St {
 	case stTxRTS:
-		n.st = stWfCTS
-		n.timer.Start(phy.SIFS + n.cfg.TxDuration(frame.CTSLen) + respSlack)
+		n.St = stWfCTS
+		n.timer.Start(n.RespWait(frame.CTSLen))
 	case stTxData:
-		n.st = stWfACK
-		n.timer.Start(phy.SIFS + n.cfg.TxDuration(frame.ACKLen) + respSlack)
+		n.St = stWfACK
+		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxBcast:
-		ctx := n.cur
-		n.cur = nil
-		n.st = stIdle
-		res := mac.TxResult{Req: ctx.req}
-		if ctx.req.Service == mac.Reliable {
+		res := mac.TxResult{Req: n.cur.req}
+		if res.Req.Service == mac.Reliable {
 			// Best effort: the sender has no way to learn the outcome;
 			// report the attempt.
-			n.stats.ReliableDelivered++
-			res.Delivered = ctx.req.Dests // loaned; see mac.TxResult
-		} else {
-			n.stats.UnreliableSent++
+			res.Delivered = res.Req.Dests // loaned; see mac.TxResult
 		}
-		n.dcf.Backoff().Reset()
-		n.dcf.Backoff().Draw()
-		if n.upper != nil {
-			n.upper.OnSendComplete(res)
-		}
-		n.trySend()
-	case stTxResp:
-		n.st = stIdle
+		n.finish(res)
+	case csma.Responding:
+		n.St = csma.Idle
 		n.trySend()
 	default:
-		panic(fmt.Sprintf("dot11: node %v OnTxDone in state %v", n.addr, n.st))
+		panic(fmt.Sprintf("dot11: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
 }
 
 func (n *Node) onTimeout() {
-	switch n.st {
+	switch n.St {
 	case stWfCTS, stWfACK:
-		n.st = stIdle
-		n.cur.retries++
-		if n.cur.retries > n.limits.RetryLimit {
+		n.St = csma.Idle
+		if !n.Retry(&n.cur.retries) {
 			n.completeUnicast(true)
 			return
 		}
-		n.stats.Retransmissions++
-		n.dcf.Backoff().Fail()
-		n.dcf.Backoff().Draw()
 		n.trySend()
 	}
 }
 
 func (n *Node) sendData() {
-	n.st = stTxData
-	tail := phy.SIFS + n.cfg.TxDuration(frame.ACKLen)
-	f := n.frames.Data()
-	f.Duration = durationMicros(tail)
-	f.Receiver = n.cur.req.Dests[0]
-	f.Transmitter = n.addr
-	f.Seq = n.cur.seq
-	f.Payload = append(f.Payload, n.cur.req.Payload...)
-	dur := n.startTx(f)
-	n.stats.DataTxTime += dur
+	n.St = stTxData
+	f := n.Data(n.cur.req.Dests[0], n.cur.seq, n.cur.req.Payload)
+	f.Duration = csma.Micros(phy.SIFS + n.Cfg.TxDuration(frame.ACKLen))
+	n.SendData(f)
 }
 
-// Tags for the node's sim.Caller dispatch.
-const (
-	tagData int32 = iota // SIFS-deferred data transmission (after CTS)
-	tagResp              // SIFS-deferred CTS/ACK response
-)
-
-// Call implements sim.Caller: the SIFS-deferred continuations, scheduled
-// closure-free through the engine's tagged-event path.
-func (n *Node) Call(tag int32) {
-	switch tag {
-	case tagData:
-		n.deferred--
-		if n.cur == nil || n.radio.Transmitting() {
-			return
-		}
-		n.sendData()
-	case tagResp:
-		n.deferred--
-		f := n.pendingResp
-		n.pendingResp = nil
-		if f == nil {
-			return
-		}
-		if n.st != stIdle || n.radio.Transmitting() {
-			frame.Release(f) // busy with our own exchange; solicitation lost
-			return
-		}
-		n.st = stTxResp
-		dur := n.startTx(f)
-		n.stats.CtrlTxTime += dur
+// Call implements sim.Caller: the SIFS-deferred data transmission after
+// a CTS, scheduled closure-free through the engine's tagged-event path.
+func (n *Node) Call(int32) {
+	n.Deferred--
+	if n.cur == nil || n.Radio.Transmitting() {
+		return
 	}
+	n.sendData()
 }
 
 func (n *Node) afterSIFS() {
-	n.st = stGap
-	n.deferred++
-	n.eng.AfterCall(phy.SIFS, n, tagData)
+	n.St = stGap
+	n.Deferred++
+	n.Eng.AfterCall(phy.SIFS, n, 0)
 }
 
 func (n *Node) completeUnicast(dropped bool) {
-	n.st = stIdle
-	ctx := n.cur
-	n.cur = nil
-	res := mac.TxResult{Req: ctx.req, Retries: ctx.retries}
+	res := mac.TxResult{Req: n.cur.req, Retries: n.cur.retries, Dropped: dropped}
 	if dropped {
-		n.stats.Drops++
-		res.Dropped = true
-		res.Failed = ctx.req.Dests // loaned; see mac.TxResult
+		res.Failed = n.cur.req.Dests // loaned; see mac.TxResult
 	} else {
-		n.stats.ReliableDelivered++
-		res.Delivered = ctx.req.Dests // loaned; see mac.TxResult
+		res.Delivered = n.cur.req.Dests // loaned; see mac.TxResult
 	}
-	n.aud.ReliableOutcome(n.radio.ID(), len(res.Delivered), 1, dropped)
-	n.dcf.Backoff().Reset()
-	n.dcf.Backoff().Draw()
-	if n.upper != nil {
-		n.upper.OnSendComplete(res)
-	}
+	n.Aud.ReliableOutcome(n.Radio.ID(), len(res.Delivered), 1, dropped)
+	n.finish(res)
+}
+
+// finish ends the packet in flight with res and moves on to the next.
+func (n *Node) finish(res mac.TxResult) {
+	n.St = csma.Idle
+	n.cur = nil
+	n.Complete(res)
 	n.trySend()
 }
 
@@ -377,118 +234,50 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 	}
 	switch g := f.(type) {
 	case *frame.RTS:
-		if g.Receiver == n.addr {
-			n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
-			cts := n.frames.CTS()
-			cts.Duration = subDuration(g.Duration, phy.SIFS+n.cfg.TxDuration(frame.CTSLen))
-			cts.Receiver = g.Transmitter
-			cts.Transmitter = n.addr
-			n.respond(cts)
+		if g.Receiver == n.Addr() {
+			n.CountCtrlRx(g)
+			n.Respond(n.CTS(g))
 			return
 		}
-		n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-		n.dcf.ChannelBusy()
+		n.Reserve(g.Duration)
 	case *frame.CTS:
-		if n.st == stWfCTS && g.Receiver == n.addr {
-			n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
+		if n.St == stWfCTS && g.Receiver == n.Addr() {
+			n.CountCtrlRx(g)
 			n.timer.Stop()
 			n.afterSIFS()
 			return
 		}
-		if g.Receiver != n.addr {
-			n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-			n.dcf.ChannelBusy()
-		}
+		n.Overhear(g.Receiver, g.Duration)
 	case *frame.Data:
 		n.onData(g, rxStart)
 	case *frame.ACK:
-		if n.st == stWfACK && g.Receiver == n.addr {
-			n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
+		if n.St == stWfACK && g.Receiver == n.Addr() {
+			n.CountCtrlRx(g)
 			n.timer.Stop()
 			n.completeUnicast(false)
 			return
 		}
-		if g.Receiver != n.addr {
-			n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-			n.dcf.ChannelBusy()
-		}
+		n.Overhear(g.Receiver, g.Duration)
 	}
 }
 
+// onData delivers every data frame addressed to us or broadcast, once per
+// (sender, seq): unlike the multicast baselines, 802.11 deduplicates its
+// one-shot frames too.
 func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
-	if d.Receiver == n.addr && d.Duration > 0 {
+	if d.Receiver == n.Addr() && d.Duration > 0 {
 		// Unicast data under reservation: deliver and ACK.
-		n.deliver(d, true, rxStart)
-		ack := n.frames.ACK()
-		ack.Receiver, ack.Transmitter = d.Transmitter, n.addr
-		n.respond(ack)
+		n.Deliver(d, true, true, rxStart)
+		n.Respond(n.ACK(d.Transmitter))
 		return
 	}
-	if d.Receiver == n.addr || d.Receiver.IsBroadcast() {
+	if d.Receiver == n.Addr() || d.Receiver.IsBroadcast() {
 		// One-shot multicast/broadcast data (no reservation tail): the
 		// upper layer treats it as best-effort.
-		n.deliver(d, false, rxStart)
+		n.Deliver(d, false, true, rxStart)
 		return
 	}
 	if d.Duration > 0 {
-		n.nav.Set(sim.Time(d.Duration) * sim.Microsecond)
-		n.dcf.ChannelBusy()
+		n.Reserve(d.Duration)
 	}
 }
-
-func (n *Node) deliver(d *frame.Data, reliable bool, rxStart sim.Time) {
-	p := n.peers[d.Transmitter]
-	if p == nil {
-		p = &peerDedup{}
-		n.peers[d.Transmitter] = p
-	}
-	if p.deliverOK && p.delivered == d.Seq {
-		return
-	}
-	p.deliverOK = true
-	p.delivered = d.Seq
-	if n.upper != nil {
-		n.upper.OnDeliver(d.Payload, mac.RxInfo{
-			From:     d.Transmitter,
-			Reliable: reliable,
-			Seq:      uint32(d.Seq),
-			RxStart:  rxStart,
-			RxEnd:    n.eng.Now(),
-		})
-	}
-}
-
-func subDuration(d uint16, sub sim.Time) uint16 {
-	s := int64(sub / sim.Microsecond)
-	if int64(d) <= s {
-		return 0
-	}
-	return d - uint16(s)
-}
-
-// respond transmits an acquired CTS or ACK one SIFS after the soliciting
-// frame (via the tagResp tagged event); the frame is released in Call if
-// the response cannot be sent.
-func (n *Node) respond(f frame.Frame) {
-	if n.pendingResp != nil {
-		// A second solicitation within one SIFS cannot happen on a
-		// collision-free channel; drop the new one.
-		frame.Release(f)
-		return
-	}
-	n.deferred++
-	n.pendingResp = f
-	n.eng.AfterCall(phy.SIFS, n, tagResp)
-}
-
-// OnCarrierChange implements phy.Handler.
-func (n *Node) OnCarrierChange(busy bool) {
-	if busy {
-		n.dcf.ChannelBusy()
-	} else {
-		n.dcf.ChannelMaybeIdle()
-	}
-}
-
-// OnToneChange implements phy.Handler; 802.11 has no busy-tone hardware.
-func (n *Node) OnToneChange(phy.Tone, bool) {}

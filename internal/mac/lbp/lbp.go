@@ -20,6 +20,12 @@
 // A successful exchange therefore only proves the leader received the
 // data; TxResult.Delivered reports the sender's *belief* (all receivers)
 // and the application-level delivery ratio exposes the true gap.
+//
+// It embeds the DCF station of package csma. The node declares its
+// DCF-won initiations to the auditor but no ReliableOutcome: a clean
+// leader ACK proves only the leader's reception, so the sender's "all
+// delivered" belief is protocol semantics, not an ACK-complete contract
+// the auditor could hold it to.
 package lbp
 
 import (
@@ -33,24 +39,16 @@ import (
 	"rmac/internal/sim"
 )
 
-const respSlack = 2*phy.Tau + 2*sim.Microsecond
-
-type state int
-
 const (
-	stIdle state = iota
-	stTxRTS
+	stTxRTS = csma.FirstState + iota
 	stWfCTS
 	stTxData
 	stWfACK
 	stTxUData
-	stTxResp
 	stGap
 )
 
-var stateNames = [...]string{"IDLE", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_UDATA", "TX_RESP", "GAP"}
-
-func (s state) String() string { return stateNames[s] }
+var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_UDATA", "GAP"}
 
 type txContext struct {
 	req     *mac.SendRequest
@@ -66,137 +64,65 @@ type peerState struct {
 	expecting  bool
 	armedUntil sim.Time
 	leader     bool
-	delivered  uint16
-	deliverOK  bool
-	haveSeq    uint16
-	have       bool
 }
 
 // Node is one LBP instance bound to a radio.
 type Node struct {
-	eng    *sim.Engine
-	radio  *phy.Radio
-	cfg    phy.Config
-	addr   frame.Addr
-	limits mac.Limits
-	upper  mac.UpperLayer
-
-	st     state
-	queue  *mac.Queue
-	dcf    *csma.DCF
-	nav    *csma.NAV
-	stats  mac.Stats
-	frames *frame.Pool
-	aud    *audit.Auditor
+	csma.Station
 
 	cur   *txContext
 	timer *sim.Timer
 	peers map[frame.Addr]*peerState
 	seq   uint16
 
-	// ctxBuf backs cur (one packet in flight at a time); pendingResp is
-	// an acquired CTS/ACK/NAK awaiting its SIFS-deferred transmission.
-	ctxBuf      txContext
-	pendingResp frame.Frame
-
-	// deferred counts scheduled exchange steps (SIFS gaps, pending
-	// responses) not yet fired, so the liveness audit sees them.
-	deferred int
+	// ctxBuf backs cur (one packet in flight at a time).
+	ctxBuf txContext
 }
 
-var _ mac.MAC = (*Node)(nil)
-var _ phy.Handler = (*Node)(nil)
+var (
+	_ mac.MAC                                 = (*Node)(nil)
+	_ phy.Handler                             = (*Node)(nil)
+	_ mac.LivenessReporter                    = (*Node)(nil)
+	_ audit.ContentionReporter                = (*Node)(nil)
+	_ audit.NAVReporter                       = (*Node)(nil)
+	_ audit.PendingReporter                   = (*Node)(nil)
+	_ interface{ SetAuditor(*audit.Auditor) } = (*Node)(nil)
+)
 
 // New creates an LBP node on the given radio and installs itself as the
 // radio's PHY handler.
 func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *Node {
-	n := &Node{
-		eng:    eng,
-		radio:  radio,
-		cfg:    cfg,
-		addr:   frame.AddrFromID(radio.ID()),
-		limits: limits,
-		queue:  mac.NewQueue(limits.QueueCap),
-		peers:  make(map[frame.Addr]*peerState),
-		frames: radio.Frames(),
-	}
-	n.nav = csma.NewNAV(eng, func() { n.dcf.ChannelMaybeIdle() })
-	n.dcf = csma.NewDCF(eng, eng.Rand(), n.mediumIdle, n.onWin)
+	n := &Node{peers: make(map[frame.Addr]*peerState)}
+	n.Init(n, radio, cfg, eng, limits, n.onWin)
 	n.timer = sim.NewTimer(eng, n.onTimeout)
-	radio.SetHandler(n)
 	return n
 }
 
-// Addr implements mac.MAC.
-func (n *Node) Addr() frame.Addr { return n.addr }
-
-// Stats implements mac.MAC.
-func (n *Node) Stats() *mac.Stats { return &n.stats }
-
-// SetUpper implements mac.MAC.
-func (n *Node) SetUpper(u mac.UpperLayer) { n.upper = u }
-
-// SetAuditor attaches the protocol-invariant auditor. LBP declares no
-// ReliableOutcome: a clean leader ACK proves only the leader's reception,
-// so the sender's "all delivered" belief is protocol semantics, not an
-// ACK-complete contract the auditor could hold it to.
-func (n *Node) SetAuditor(a *audit.Auditor) { n.aud = a }
-
-// AuditContention implements audit.ContentionReporter.
-func (n *Node) AuditContention() (wants, counting, gated, idle bool) {
-	armed, counting, difsPending := n.dcf.AuditState()
-	return armed, counting, difsPending, n.mediumIdle()
-}
-
-// AuditNAVBusy implements audit.NAVReporter.
-func (n *Node) AuditNAVBusy() bool { return n.nav.Busy() }
-
 // AuditPending implements audit.PendingReporter.
 func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.queue.Len(), n.cur != nil
+	return n.Queue.Len(), n.cur != nil
 }
 
 // Liveness implements mac.LivenessReporter.
 func (n *Node) Liveness() mac.Liveness {
-	return mac.Liveness{
-		State: n.st.String(),
-		Idle:  n.st == stIdle && n.cur == nil && n.queue.Len() == 0,
-		Pending: n.timer.Pending() || n.radio.Transmitting() ||
-			n.radio.CarrierSensed() || n.dcf.Armed() || n.deferred > 0,
-	}
+	return n.Progress(stateNames[n.St], n.cur != nil, n.timer)
 }
 
 // Send implements mac.MAC.
 func (n *Node) Send(req *mac.SendRequest) bool {
-	if req.Service == mac.Reliable && len(req.Dests) == 0 {
-		panic("lbp: Reliable Send needs at least one destination")
-	}
-	req.EnqueuedAt = n.eng.Now()
-	var pushed bool
-	if req.Urgent {
-		pushed = n.queue.PushFront(req)
-	} else {
-		pushed = n.queue.Push(req)
-	}
-	if !pushed {
-		n.stats.QueueDrops++
+	if !n.Queue.Admit(req, n.Eng.Now(), n.Stats()) {
 		return false
 	}
-	n.stats.Enqueued++
 	n.trySend()
 	return true
 }
 
-func (n *Node) mediumIdle() bool {
-	return !n.radio.DataChannelBusy() && !n.nav.Busy()
-}
-
 func (n *Node) trySend() {
-	if n.st != stIdle || n.dcf.Armed() {
+	if n.St != csma.Idle || n.DCF.Armed() {
 		return
 	}
 	if n.cur == nil {
-		req := n.queue.Pop()
+		req := n.Queue.Pop()
 		if req == nil {
 			return
 		}
@@ -204,181 +130,113 @@ func (n *Node) trySend() {
 		n.ctxBuf = txContext{req: req, seq: n.seq}
 		n.cur = &n.ctxBuf
 		if req.Service == mac.Reliable {
-			n.stats.ReliableToTransmit++
+			n.Stats().ReliableToTransmit++
 		}
 	}
-	n.dcf.Arm()
-}
-
-func (n *Node) startTx(f frame.Frame) sim.Time {
-	n.dcf.ChannelBusy()
-	return n.radio.StartTx(f)
+	n.DCF.Arm()
 }
 
 func (n *Node) leader() frame.Addr { return n.cur.req.Dests[0] }
 
 func (n *Node) onWin() {
-	if n.cur == nil || n.st != stIdle {
+	if n.cur == nil || n.St != csma.Idle {
 		return
 	}
-	n.aud.Initiation(n.radio.ID())
+	n.Aud.Initiation(n.Radio.ID())
 	if n.cur.req.Service == mac.Unreliable {
-		dest := frame.Broadcast
-		if len(n.cur.req.Dests) > 0 {
-			dest = n.cur.req.Dests[0]
-		}
-		n.st = stTxUData
-		f := n.frames.Data()
-		f.Receiver, f.Transmitter, f.Seq = dest, n.addr, n.cur.seq
-		f.Payload = append(f.Payload, n.cur.req.Payload...)
-		n.startTx(f)
+		n.St = stTxUData
+		n.StartUnreliable(n.cur.req, n.cur.seq)
 		return
 	}
-	n.st = stTxRTS
-	c := n.cfg
+	n.St = stTxRTS
+	c := n.Cfg
 	tail := phy.SIFS + c.TxDuration(frame.CTSLen) +
 		phy.SIFS + c.TxDuration(frame.Data80211Overhead+len(n.cur.req.Payload)) +
 		phy.SIFS + c.TxDuration(frame.ACKLen)
-	f := n.frames.RTS()
-	f.Duration = durationMicros(tail)
+	f := n.Frames.RTS()
+	f.Duration = csma.Micros(tail)
 	f.Receiver = n.leader()
-	f.Transmitter = n.addr
-	dur := n.startTx(f)
-	n.stats.CtrlTxTime += dur
-}
-
-func durationMicros(d sim.Time) uint16 {
-	us := int64(d / sim.Microsecond)
-	if us > 65535 {
-		us = 65535
-	}
-	return uint16(us)
+	f.Transmitter = n.Addr()
+	n.SendCtrl(f)
 }
 
 // OnTxDone implements phy.Handler.
 func (n *Node) OnTxDone(f frame.Frame) {
-	n.dcf.ChannelMaybeIdle()
-	switch n.st {
+	n.DCF.ChannelMaybeIdle()
+	switch n.St {
 	case stTxRTS:
-		n.st = stWfCTS
-		n.timer.Start(phy.SIFS + n.cfg.TxDuration(frame.CTSLen) + respSlack)
+		n.St = stWfCTS
+		n.timer.Start(n.RespWait(frame.CTSLen))
 	case stTxData:
-		n.st = stWfACK
-		n.timer.Start(phy.SIFS + n.cfg.TxDuration(frame.ACKLen) + respSlack)
+		n.St = stWfACK
+		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxUData:
-		n.stats.UnreliableSent++
-		req := n.cur.req
-		n.cur = nil
-		n.st = stIdle
-		n.dcf.Backoff().Reset()
-		n.dcf.Backoff().Draw()
-		if n.upper != nil {
-			n.upper.OnSendComplete(mac.TxResult{Req: req})
-		}
-		n.trySend()
-	case stTxResp:
-		n.st = stIdle
+		n.finish(mac.TxResult{Req: n.cur.req})
+	case csma.Responding:
+		n.St = csma.Idle
 		n.trySend()
 	default:
-		panic(fmt.Sprintf("lbp: node %v OnTxDone in state %v", n.addr, n.st))
+		panic(fmt.Sprintf("lbp: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
 }
 
 func (n *Node) onTimeout() {
-	switch n.st {
+	switch n.St {
 	case stWfCTS, stWfACK:
 		// Missing CTS (or NCTS in real LBP), or ACK garbled by NAKs /
 		// lost: retransmission round.
-		n.roundFailed()
+		n.St = csma.Idle
+		if !n.Retry(&n.cur.retries) {
+			n.completeReliable(true)
+			return
+		}
+		n.trySend()
 	}
 }
 
 func (n *Node) sendData() {
-	n.st = stTxData
-	tail := phy.SIFS + n.cfg.TxDuration(frame.ACKLen)
-	f := n.frames.Data()
-	f.Duration = durationMicros(tail)
-	f.Receiver = frame.Broadcast
-	f.Transmitter = n.addr
-	f.Seq = n.cur.seq
-	f.Payload = append(f.Payload, n.cur.req.Payload...)
-	dur := n.startTx(f)
-	n.stats.DataTxTime += dur
+	n.St = stTxData
+	f := n.Data(frame.Broadcast, n.cur.seq, n.cur.req.Payload)
+	f.Duration = csma.Micros(phy.SIFS + n.Cfg.TxDuration(frame.ACKLen))
+	n.SendData(f)
 }
 
-// Tags for the node's sim.Caller dispatch.
-const (
-	tagData int32 = iota // SIFS-deferred data transmission (after CTS)
-	tagResp              // SIFS-deferred CTS/ACK/NAK response
-)
-
-// Call implements sim.Caller: the SIFS-deferred continuations, scheduled
-// closure-free through the engine's tagged-event path.
-func (n *Node) Call(tag int32) {
-	switch tag {
-	case tagData:
-		n.deferred--
-		if n.cur == nil || n.radio.Transmitting() {
-			return
-		}
-		n.sendData()
-	case tagResp:
-		n.deferred--
-		f := n.pendingResp
-		n.pendingResp = nil
-		if f == nil {
-			return
-		}
-		if n.st != stIdle || n.radio.Transmitting() {
-			frame.Release(f) // busy with our own exchange; solicitation lost
-			return
-		}
-		n.st = stTxResp
-		dur := n.startTx(f)
-		n.stats.CtrlTxTime += dur
+// Call implements sim.Caller: the SIFS-deferred data transmission after
+// a CTS, scheduled closure-free through the engine's tagged-event path.
+func (n *Node) Call(int32) {
+	n.Deferred--
+	if n.cur == nil || n.Radio.Transmitting() {
+		return
 	}
+	n.sendData()
 }
 
 func (n *Node) afterSIFS() {
-	n.st = stGap
-	n.deferred++
-	n.eng.AfterCall(phy.SIFS, n, tagData)
+	n.St = stGap
+	n.Deferred++
+	n.Eng.AfterCall(phy.SIFS, n, 0)
 }
 
-func (n *Node) roundFailed() {
-	n.st = stIdle
-	n.cur.retries++
-	if n.cur.retries > n.limits.RetryLimit {
-		n.completeReliable(true)
-		return
-	}
-	n.stats.Retransmissions++
-	n.dcf.Backoff().Fail()
-	n.dcf.Backoff().Draw()
-	n.trySend()
-}
-
+// completeReliable reports the sender's belief; no ReliableOutcome is
+// declared (see the package doc).
 func (n *Node) completeReliable(dropped bool) {
-	n.st = stIdle
-	ctx := n.cur
-	n.cur = nil
-	res := mac.TxResult{Req: ctx.req, Retries: ctx.retries}
+	res := mac.TxResult{Req: n.cur.req, Retries: n.cur.retries, Dropped: dropped}
 	if dropped {
-		n.stats.Drops++
-		res.Dropped = true
-		res.Failed = ctx.req.Dests // loaned; see mac.TxResult
+		res.Failed = n.cur.req.Dests // loaned; see mac.TxResult
 	} else {
-		n.stats.ReliableDelivered++
 		// The sender's belief: a clean leader ACK means everyone got it.
 		// Receivers that missed the RTS never complained — the
 		// reliability gap of leader/negative-feedback schemes.
-		res.Delivered = ctx.req.Dests // loaned; see mac.TxResult
+		res.Delivered = n.cur.req.Dests // loaned; see mac.TxResult
 	}
-	n.dcf.Backoff().Reset()
-	n.dcf.Backoff().Draw()
-	if n.upper != nil {
-		n.upper.OnSendComplete(res)
-	}
+	n.finish(res)
+}
+
+// finish ends the packet in flight with res and moves on to the next.
+func (n *Node) finish(res mac.TxResult) {
+	n.St = csma.Idle
+	n.cur = nil
+	n.Complete(res)
 	n.trySend()
 }
 
@@ -400,8 +258,8 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 		// A corrupted reception shorter than any data frame is a control
 		// frame or fragment from someone else's exchange; NAKing those
 		// would garble unrelated ACKs across the neighbourhood.
-		if n.eng.Now()-rxStart >= n.cfg.TxDuration(frame.Data80211Overhead) {
-			n.onCorrupt(rxStart)
+		if n.Eng.Now()-rxStart >= n.Cfg.TxDuration(frame.Data80211Overhead) {
+			n.onCorrupt()
 		}
 		return
 	}
@@ -409,29 +267,23 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 	case *frame.RTS:
 		n.onRTS(g)
 	case *frame.CTS:
-		if n.st == stWfCTS && g.Receiver == n.addr {
-			n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
+		if n.St == stWfCTS && g.Receiver == n.Addr() {
+			n.CountCtrlRx(g)
 			n.timer.Stop()
 			n.afterSIFS()
 			return
 		}
-		if g.Receiver != n.addr {
-			n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-			n.dcf.ChannelBusy()
-		}
+		n.Overhear(g.Receiver, g.Duration)
 	case *frame.Data:
 		n.onData(g, rxStart)
 	case *frame.ACK:
-		if n.st == stWfACK && g.Receiver == n.addr {
-			n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
+		if n.St == stWfACK && g.Receiver == n.Addr() {
+			n.CountCtrlRx(g)
 			n.timer.Stop()
 			n.completeReliable(false)
 			return
 		}
-		if g.Receiver != n.addr {
-			n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-			n.dcf.ChannelBusy()
-		}
+		n.Overhear(g.Receiver, g.Duration)
 	}
 }
 
@@ -443,46 +295,34 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 func (n *Node) onRTS(g *frame.RTS) {
 	p := n.peer(g.Transmitter)
 	p.expecting = true
-	p.armedUntil = n.eng.Now() + sim.Time(g.Duration)*sim.Microsecond + sim.Millisecond
-	p.leader = g.Receiver == n.addr
+	p.armedUntil = n.Eng.Now() + sim.Time(g.Duration)*sim.Microsecond + sim.Millisecond
+	p.leader = g.Receiver == n.Addr()
 	if p.leader {
-		n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
-		cts := n.frames.CTS()
-		cts.Duration = subDuration(g.Duration, phy.SIFS+n.cfg.TxDuration(frame.CTSLen))
-		cts.Receiver = g.Transmitter
-		cts.Transmitter = n.addr
-		n.respond(cts)
+		n.CountCtrlRx(g)
+		n.Respond(n.CTS(g))
 		return
 	}
-	if g.Receiver != n.addr {
-		// Third parties still honour the NAV; group members do too while
-		// the exchange lasts.
-		n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-		n.dcf.ChannelBusy()
-	}
+	// Third parties still honour the NAV; group members do too while the
+	// exchange lasts.
+	n.Reserve(g.Duration)
 }
 
 // onData delivers reliable data to expecting receivers; the leader ACKs.
 func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
 	if d.Duration > 0 {
 		p := n.peer(d.Transmitter)
-		if p.expecting && n.eng.Now() < p.armedUntil && (d.Receiver == n.addr || d.Receiver.IsBroadcast()) {
-			p.have = true
-			p.haveSeq = d.Seq
-			n.deliver(d, true, rxStart)
+		if p.expecting && n.Eng.Now() < p.armedUntil && (d.Receiver == n.Addr() || d.Receiver.IsBroadcast()) {
+			n.Deliver(d, true, true, rxStart)
 			if p.leader {
-				ack := n.frames.ACK()
-				ack.Receiver, ack.Transmitter = d.Transmitter, n.addr
-				n.respond(ack)
+				n.Respond(n.ACK(d.Transmitter))
 			}
 			return
 		}
-		n.nav.Set(sim.Time(d.Duration) * sim.Microsecond)
-		n.dcf.ChannelBusy()
+		n.Reserve(d.Duration)
 		return
 	}
-	if d.Receiver == n.addr || d.Receiver.IsBroadcast() {
-		n.deliver(d, false, rxStart)
+	if d.Receiver == n.Addr() || d.Receiver.IsBroadcast() {
+		n.Deliver(d, false, false, rxStart)
 	}
 }
 
@@ -492,75 +332,19 @@ func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
 // sender and forcing a retransmission. (We cannot know the corrupted
 // frame's sender; LBP receivers can't either — they NAK on any CRC
 // failure while armed.)
-func (n *Node) onCorrupt(sim.Time) {
+func (n *Node) onCorrupt() {
 	armed := false
-	now := n.eng.Now()
+	now := n.Eng.Now()
 	for _, p := range n.peers {
 		if p.expecting && !p.leader && now < p.armedUntil {
 			armed = true
 			break
 		}
 	}
-	if !armed || n.st != stIdle {
+	if !armed || n.St != csma.Idle {
 		return
 	}
-	// NAK is an ACK-sized control frame (the paper sizes NAK like ACK).
-	nak := n.frames.ACK()
-	nak.Receiver, nak.Transmitter = frame.Broadcast, n.addr
-	n.respond(nak)
+	// NAK is an ACK-sized control frame (the paper sizes NAK like ACK),
+	// broadcast so it garbles the leader's ACK at the sender.
+	n.Respond(n.ACK(frame.Broadcast))
 }
-
-func (n *Node) deliver(d *frame.Data, reliable bool, rxStart sim.Time) {
-	p := n.peer(d.Transmitter)
-	if reliable {
-		if p.deliverOK && p.delivered == d.Seq {
-			return
-		}
-		p.deliverOK = true
-		p.delivered = d.Seq
-	}
-	if n.upper != nil {
-		n.upper.OnDeliver(d.Payload, mac.RxInfo{
-			From:     d.Transmitter,
-			Reliable: reliable,
-			Seq:      uint32(d.Seq),
-			RxStart:  rxStart,
-			RxEnd:    n.eng.Now(),
-		})
-	}
-}
-
-func subDuration(d uint16, sub sim.Time) uint16 {
-	s := int64(sub / sim.Microsecond)
-	if int64(d) <= s {
-		return 0
-	}
-	return d - uint16(s)
-}
-
-// respond transmits an acquired CTS/ACK/NAK one SIFS after the soliciting
-// frame (via the tagResp tagged event); the frame is released in Call if
-// the response cannot be sent.
-func (n *Node) respond(f frame.Frame) {
-	if n.pendingResp != nil {
-		// Two solicitations within one SIFS (e.g. a NAK trigger racing a
-		// leader duty): keep the first, drop the newcomer.
-		frame.Release(f)
-		return
-	}
-	n.deferred++
-	n.pendingResp = f
-	n.eng.AfterCall(phy.SIFS, n, tagResp)
-}
-
-// OnCarrierChange implements phy.Handler.
-func (n *Node) OnCarrierChange(busy bool) {
-	if busy {
-		n.dcf.ChannelBusy()
-	} else {
-		n.dcf.ChannelMaybeIdle()
-	}
-}
-
-// OnToneChange implements phy.Handler; LBP has no busy-tone hardware.
-func (n *Node) OnToneChange(phy.Tone, bool) {}

@@ -1,8 +1,9 @@
 // Package mac defines the interface between upper layers (routing, the
-// multicast application) and the MAC protocol implementations (RMAC, BMMM,
-// BMW), plus the machinery all of them share: the transmission queue, the
-// contention backoff procedure (§3.3.1), and per-node statistics feeding
-// the paper's evaluation metrics (§4.2, §4.3).
+// multicast application) and the six MAC protocol implementations (RMAC,
+// BMMM, BMW, LBP, 802.11MX and plain 802.11), plus the machinery all of
+// them share: the transmission queue with Send's admission
+// (Queue.Admit), the contention backoff procedure (§3.3.1), and per-node
+// statistics feeding the paper's evaluation metrics (§4.2, §4.3).
 package mac
 
 import (

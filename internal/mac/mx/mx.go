@@ -23,6 +23,11 @@
 // group (the real 802.11MX stays closer to stock 802.11); the NAK tone
 // reuses the simulator's second tone channel; timing constants follow the
 // RMAC paper's tone-detection arithmetic (λ, τ).
+//
+// It embeds the DCF station of package csma. The node declares its
+// DCF-won initiations and its NAK tone windows to the auditor, but no
+// ReliableOutcome: silence-is-success is the sender's belief (§2), not an
+// ACK-complete contract.
 package mx
 
 import (
@@ -44,20 +49,15 @@ const NAKWindow = phy.ToneWaitTimeout
 // missing-data deadline guard.
 const windowSlack = 5 * sim.Microsecond
 
-type state int
-
 const (
-	stIdle state = iota
-	stTxAnn
+	stTxAnn = csma.FirstState + iota
 	stTxData
 	stWfNAK
 	stTxUData
 	stGap
 )
 
-var stateNames = [...]string{"IDLE", "TX_ANN", "TX_DATA", "WF_NAK", "TX_UDATA", "GAP"}
-
-func (s state) String() string { return stateNames[s] }
+var stateNames = [...]string{"IDLE", "TX_RESP", "TX_ANN", "TX_DATA", "WF_NAK", "TX_UDATA", "GAP"}
 
 type txContext struct {
 	req     *mac.SendRequest
@@ -77,20 +77,7 @@ type rxArm struct {
 
 // Node is one MX instance bound to a radio.
 type Node struct {
-	eng    *sim.Engine
-	radio  *phy.Radio
-	cfg    phy.Config
-	addr   frame.Addr
-	limits mac.Limits
-	upper  mac.UpperLayer
-
-	st     state
-	queue  *mac.Queue
-	dcf    *csma.DCF
-	nav    *csma.NAV
-	stats  mac.Stats
-	frames *frame.Pool
-	aud    *audit.Auditor
+	csma.Station
 
 	cur     *txContext
 	ctxBuf  txContext // backs cur; one packet in flight at a time
@@ -101,113 +88,54 @@ type Node struct {
 	armed  bool
 	armTmr *sim.Timer
 	nakOn  bool
-	peers  map[frame.Addr]*peerDedup
 	seq    uint16
-
-	// deferred counts scheduled exchange steps (SIFS gaps) not yet
-	// fired, so the liveness audit sees them.
-	deferred int
 }
 
-type peerDedup struct {
-	delivered uint16
-	deliverOK bool
-}
-
-var _ mac.MAC = (*Node)(nil)
-var _ phy.Handler = (*Node)(nil)
+var (
+	_ mac.MAC                                 = (*Node)(nil)
+	_ phy.Handler                             = (*Node)(nil)
+	_ mac.LivenessReporter                    = (*Node)(nil)
+	_ audit.ContentionReporter                = (*Node)(nil)
+	_ audit.NAVReporter                       = (*Node)(nil)
+	_ audit.PendingReporter                   = (*Node)(nil)
+	_ interface{ SetAuditor(*audit.Auditor) } = (*Node)(nil)
+)
 
 // New creates an MX node on the given radio and installs itself as the
 // radio's PHY handler.
 func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *Node {
-	n := &Node{
-		eng:    eng,
-		radio:  radio,
-		cfg:    cfg,
-		addr:   frame.AddrFromID(radio.ID()),
-		limits: limits,
-		queue:  mac.NewQueue(limits.QueueCap),
-		peers:  make(map[frame.Addr]*peerDedup),
-		frames: radio.Frames(),
-	}
-	n.nav = csma.NewNAV(eng, func() { n.dcf.ChannelMaybeIdle() })
-	n.dcf = csma.NewDCF(eng, eng.Rand(), n.mediumIdle, n.onWin)
+	n := &Node{}
+	n.Init(n, radio, cfg, eng, limits, n.onWin)
 	n.nakTmr = sim.NewTimer(eng, n.onNAKWindowEnd)
 	n.armTmr = sim.NewTimer(eng, n.onArmDeadline)
-	radio.SetHandler(n)
 	return n
 }
 
-// Addr implements mac.MAC.
-func (n *Node) Addr() frame.Addr { return n.addr }
-
-// Stats implements mac.MAC.
-func (n *Node) Stats() *mac.Stats { return &n.stats }
-
-// SetUpper implements mac.MAC.
-func (n *Node) SetUpper(u mac.UpperLayer) { n.upper = u }
-
-// SetAuditor attaches the protocol-invariant auditor; the node declares
-// DCF-won initiations and its NAK tone windows to it. MX declares no
-// ReliableOutcome: silence-is-success is the sender's belief (§2), not an
-// ACK-complete contract.
-func (n *Node) SetAuditor(a *audit.Auditor) { n.aud = a }
-
-// AuditContention implements audit.ContentionReporter.
-func (n *Node) AuditContention() (wants, counting, gated, idle bool) {
-	armed, counting, difsPending := n.dcf.AuditState()
-	return armed, counting, difsPending, n.mediumIdle()
-}
-
-// AuditNAVBusy implements audit.NAVReporter.
-func (n *Node) AuditNAVBusy() bool { return n.nav.Busy() }
-
 // AuditPending implements audit.PendingReporter.
 func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.queue.Len(), n.cur != nil
+	return n.Queue.Len(), n.cur != nil
 }
 
 // Liveness implements mac.LivenessReporter.
 func (n *Node) Liveness() mac.Liveness {
-	return mac.Liveness{
-		State: n.st.String(),
-		Idle:  n.st == stIdle && n.cur == nil && n.queue.Len() == 0,
-		Pending: n.nakTmr.Pending() || n.radio.Transmitting() ||
-			n.radio.CarrierSensed() || n.dcf.Armed() || n.deferred > 0,
-	}
+	return n.Progress(stateNames[n.St], n.cur != nil, n.nakTmr)
 }
 
 // Send implements mac.MAC.
 func (n *Node) Send(req *mac.SendRequest) bool {
-	if req.Service == mac.Reliable && len(req.Dests) == 0 {
-		panic("mx: Reliable Send needs at least one destination")
-	}
-	req.EnqueuedAt = n.eng.Now()
-	var pushed bool
-	if req.Urgent {
-		pushed = n.queue.PushFront(req)
-	} else {
-		pushed = n.queue.Push(req)
-	}
-	if !pushed {
-		n.stats.QueueDrops++
+	if !n.Queue.Admit(req, n.Eng.Now(), n.Stats()) {
 		return false
 	}
-	n.stats.Enqueued++
 	n.trySend()
 	return true
 }
 
-func (n *Node) mediumIdle() bool {
-	return !n.radio.DataChannelBusy() && !n.nav.Busy()
-}
-
 func (n *Node) trySend() {
-	if n.st != stIdle || n.dcf.Armed() {
+	if n.St != csma.Idle || n.DCF.Armed() {
 		return
 	}
 	if n.cur == nil {
-		req := n.queue.Pop()
+		req := n.Queue.Pop()
 		if req == nil {
 			return
 		}
@@ -215,92 +143,56 @@ func (n *Node) trySend() {
 		n.ctxBuf = txContext{req: req, seq: n.seq}
 		n.cur = &n.ctxBuf
 		if req.Service == mac.Reliable {
-			n.stats.ReliableToTransmit++
+			n.Stats().ReliableToTransmit++
 		}
 	}
-	n.dcf.Arm()
-}
-
-func (n *Node) startTx(f frame.Frame) sim.Time {
-	n.dcf.ChannelBusy()
-	return n.radio.StartTx(f)
+	n.DCF.Arm()
 }
 
 func (n *Node) onWin() {
-	if n.cur == nil || n.st != stIdle {
+	if n.cur == nil || n.St != csma.Idle {
 		return
 	}
-	n.aud.Initiation(n.radio.ID())
+	n.Aud.Initiation(n.Radio.ID())
 	if n.cur.req.Service == mac.Unreliable {
-		dest := frame.Broadcast
-		if len(n.cur.req.Dests) > 0 {
-			dest = n.cur.req.Dests[0]
-		}
-		n.st = stTxUData
-		f := n.frames.Data()
-		f.Receiver, f.Transmitter, f.Seq = dest, n.addr, n.cur.seq
-		f.Payload = append(f.Payload, n.cur.req.Payload...)
-		n.startTx(f)
+		n.St = stTxUData
+		n.StartUnreliable(n.cur.req, n.cur.seq)
 		return
 	}
 	// Announce: an RTS-sized frame broadcast to the group; Duration
 	// covers SIFS + DATA + NAK window, letting armed receivers compute
 	// the data deadline.
-	n.st = stTxAnn
-	dataDur := n.cfg.TxDuration(frame.Data80211Overhead + len(n.cur.req.Payload))
-	tail := phy.SIFS + dataDur + NAKWindow
-	f := n.frames.RTS()
-	f.Duration = durationMicros(tail)
+	n.St = stTxAnn
+	dataDur := n.Cfg.TxDuration(frame.Data80211Overhead + len(n.cur.req.Payload))
+	f := n.Frames.RTS()
+	f.Duration = csma.Micros(phy.SIFS + dataDur + NAKWindow)
 	f.Receiver = frame.Broadcast
-	f.Transmitter = n.addr
-	dur := n.startTx(f)
-	n.stats.CtrlTxTime += dur
-}
-
-func durationMicros(d sim.Time) uint16 {
-	us := int64(d / sim.Microsecond)
-	if us > 65535 {
-		us = 65535
-	}
-	return uint16(us)
+	f.Transmitter = n.Addr()
+	n.SendCtrl(f)
 }
 
 // OnTxDone implements phy.Handler.
 func (n *Node) OnTxDone(f frame.Frame) {
-	n.dcf.ChannelMaybeIdle()
-	switch n.st {
+	n.DCF.ChannelMaybeIdle()
+	switch n.St {
 	case stTxAnn:
 		n.afterSIFS()
 	case stTxData:
-		n.st = stWfNAK
-		n.nakMark = n.radio.ToneTime(phy.ToneABT)
+		n.St = stWfNAK
+		n.nakMark = n.Radio.ToneTime(phy.ToneABT)
 		n.nakTmr.Start(NAKWindow + windowSlack)
 	case stTxUData:
-		n.stats.UnreliableSent++
-		req := n.cur.req
-		n.cur = nil
-		n.st = stIdle
-		n.dcf.Backoff().Reset()
-		n.dcf.Backoff().Draw()
-		if n.upper != nil {
-			n.upper.OnSendComplete(mac.TxResult{Req: req})
-		}
-		n.trySend()
+		n.finish(mac.TxResult{Req: n.cur.req})
 	default:
-		panic(fmt.Sprintf("mx: node %v OnTxDone in state %v", n.addr, n.st))
+		panic(fmt.Sprintf("mx: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
 }
 
 func (n *Node) sendData() {
-	n.st = stTxData
-	f := n.frames.Data()
-	f.Duration = durationMicros(NAKWindow)
-	f.Receiver = frame.Broadcast
-	f.Transmitter = n.addr
-	f.Seq = n.cur.seq
-	f.Payload = append(f.Payload, n.cur.req.Payload...)
-	dur := n.startTx(f)
-	n.stats.DataTxTime += dur
+	n.St = stTxData
+	f := n.Data(frame.Broadcast, n.cur.seq, n.cur.req.Payload)
+	f.Duration = csma.Micros(NAKWindow)
+	n.SendData(f)
 }
 
 // Tags for the node's sim.Caller dispatch.
@@ -314,63 +206,58 @@ const (
 func (n *Node) Call(tag int32) {
 	switch tag {
 	case tagData:
-		n.deferred--
-		if n.cur == nil || n.radio.Transmitting() {
+		n.Deferred--
+		if n.cur == nil || n.Radio.Transmitting() {
 			return
 		}
 		n.sendData()
 	case tagNAKOff:
 		n.nakOn = false
-		n.radio.SetTone(phy.ToneABT, false)
+		n.Radio.SetTone(phy.ToneABT, false)
 	}
 }
 
 func (n *Node) afterSIFS() {
-	n.st = stGap
-	n.deferred++
-	n.eng.AfterCall(phy.SIFS, n, tagData)
+	n.St = stGap
+	n.Deferred++
+	n.Eng.AfterCall(phy.SIFS, n, tagData)
 }
 
 // onNAKWindowEnd scores the window: tone sensed for λ means at least one
 // receiver complained.
 func (n *Node) onNAKWindowEnd() {
-	n.stats.ABTCheckTime += NAKWindow + windowSlack
-	naked := n.radio.ToneTime(phy.ToneABT)-n.nakMark >= phy.Lambda
+	n.Stats().ABTCheckTime += NAKWindow + windowSlack
+	naked := n.Radio.ToneTime(phy.ToneABT)-n.nakMark >= phy.Lambda
 	if !naked {
 		n.completeReliable(false)
 		return
 	}
-	n.st = stIdle
-	n.cur.retries++
-	if n.cur.retries > n.limits.RetryLimit {
+	n.St = csma.Idle
+	if !n.Retry(&n.cur.retries) {
 		n.completeReliable(true)
 		return
 	}
-	n.stats.Retransmissions++
-	n.dcf.Backoff().Fail()
-	n.dcf.Backoff().Draw()
 	n.trySend()
 }
 
+// completeReliable reports the sender's belief; no ReliableOutcome is
+// declared (see the package doc).
 func (n *Node) completeReliable(dropped bool) {
-	n.st = stIdle
-	ctx := n.cur
-	n.cur = nil
-	res := mac.TxResult{Req: ctx.req, Retries: ctx.retries}
+	res := mac.TxResult{Req: n.cur.req, Retries: n.cur.retries, Dropped: dropped}
 	if dropped {
-		n.stats.Drops++
-		res.Dropped = true
-		res.Failed = ctx.req.Dests // loaned; see mac.TxResult
+		res.Failed = n.cur.req.Dests // loaned; see mac.TxResult
 	} else {
-		n.stats.ReliableDelivered++
 		// Silence is success — the sender's belief, not a guarantee.
-		res.Delivered = ctx.req.Dests // loaned; see mac.TxResult
+		res.Delivered = n.cur.req.Dests // loaned; see mac.TxResult
 	}
-	n.dcf.Backoff().Reset()
-	n.dcf.Backoff().Draw()
-	if n.upper != nil {
-		n.upper.OnSendComplete(res)
-	}
+	n.finish(res)
+}
+
+// finish ends the packet in flight with res and moves on to the next.
+func (n *Node) finish(res mac.TxResult) {
+	n.St = csma.Idle
+	n.cur = nil
+	n.Complete(res)
 	n.trySend()
 }
 
@@ -382,7 +269,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 		// A corrupted frame while armed: complain right away if the
 		// deadline has not passed (the corrupted frame was plausibly our
 		// data).
-		if n.armed && n.eng.Now() <= n.arm.deadline && !n.arm.got {
+		if n.armed && n.Eng.Now() <= n.arm.deadline && !n.arm.got {
 			n.raiseNAK()
 		}
 		return
@@ -399,17 +286,16 @@ func (n *Node) onAnnounce(g *frame.RTS) {
 	if !g.Receiver.IsBroadcast() {
 		return
 	}
-	n.stats.CtrlRxTime += n.cfg.TxDuration(g.WireSize())
+	n.CountCtrlRx(g)
 	n.armTmr.Stop()
 	n.arm = rxArm{
 		sender:   g.Transmitter,
-		deadline: n.eng.Now() + sim.Time(g.Duration)*sim.Microsecond - NAKWindow + 2*sim.Microsecond,
+		deadline: n.Eng.Now() + sim.Time(g.Duration)*sim.Microsecond - NAKWindow + 2*sim.Microsecond,
 	}
 	n.armed = true
 	n.armTmr.StartAt(n.arm.deadline)
 	// Group members also defer for the exchange duration.
-	n.nav.Set(sim.Time(g.Duration) * sim.Microsecond)
-	n.dcf.ChannelBusy()
+	n.Reserve(g.Duration)
 }
 
 func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
@@ -421,16 +307,15 @@ func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
 			n.armTmr.Stop()
 			n.armed = false
 		}
-		n.deliver(d, true, rxStart)
+		n.Deliver(d, true, true, rxStart)
 		return
 	}
 	if d.Duration > 0 {
-		n.nav.Set(sim.Time(d.Duration) * sim.Microsecond)
-		n.dcf.ChannelBusy()
+		n.Reserve(d.Duration)
 		return
 	}
-	if d.Receiver == n.addr || d.Receiver.IsBroadcast() {
-		n.deliver(d, false, rxStart)
+	if d.Receiver == n.Addr() || d.Receiver.IsBroadcast() {
+		n.Deliver(d, false, false, rxStart)
 	}
 }
 
@@ -440,10 +325,10 @@ func (n *Node) raiseNAK() {
 		return
 	}
 	n.nakOn = true
-	n.stats.ABTSent++ // NAK tone emissions share the tone counter
-	n.aud.ExpectTone(n.radio.ID(), phy.ToneABT, n.eng.Now(), NAKWindow)
-	n.radio.SetTone(phy.ToneABT, true)
-	n.eng.AfterCall(NAKWindow, n, tagNAKOff)
+	n.Stats().ABTSent++ // NAK tone emissions share the tone counter
+	n.Aud.ExpectTone(n.Radio.ID(), phy.ToneABT, n.Eng.Now(), NAKWindow)
+	n.Radio.SetTone(phy.ToneABT, true)
+	n.Eng.AfterCall(NAKWindow, n, tagNAKOff)
 }
 
 // onArmDeadline fires at the armed exchange's data deadline: if the data
@@ -454,40 +339,3 @@ func (n *Node) onArmDeadline() {
 	}
 	n.armed = false
 }
-
-func (n *Node) deliver(d *frame.Data, reliable bool, rxStart sim.Time) {
-	p := n.peers[d.Transmitter]
-	if p == nil {
-		p = &peerDedup{}
-		n.peers[d.Transmitter] = p
-	}
-	if reliable {
-		if p.deliverOK && p.delivered == d.Seq {
-			return
-		}
-		p.deliverOK = true
-		p.delivered = d.Seq
-	}
-	if n.upper != nil {
-		n.upper.OnDeliver(d.Payload, mac.RxInfo{
-			From:     d.Transmitter,
-			Reliable: reliable,
-			Seq:      uint32(d.Seq),
-			RxStart:  rxStart,
-			RxEnd:    n.eng.Now(),
-		})
-	}
-}
-
-// OnCarrierChange implements phy.Handler.
-func (n *Node) OnCarrierChange(busy bool) {
-	if busy {
-		n.dcf.ChannelBusy()
-	} else {
-		n.dcf.ChannelMaybeIdle()
-	}
-}
-
-// OnToneChange implements phy.Handler; the sender evaluates the NAK
-// channel with windowed queries, so level transitions need no action.
-func (n *Node) OnToneChange(phy.Tone, bool) {}

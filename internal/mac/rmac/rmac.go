@@ -232,21 +232,9 @@ func (n *Node) Liveness() mac.Liveness {
 
 // Send implements mac.MAC: it enqueues the request and kicks the pipeline.
 func (n *Node) Send(req *mac.SendRequest) bool {
-	if req.Service == mac.Reliable && len(req.Dests) == 0 {
-		panic("rmac: Reliable Send needs at least one destination")
-	}
-	req.EnqueuedAt = n.eng.Now()
-	var pushed bool
-	if req.Urgent {
-		pushed = n.queue.PushFront(req)
-	} else {
-		pushed = n.queue.Push(req)
-	}
-	if !pushed {
-		n.stats.QueueDrops++
+	if !n.queue.Admit(req, n.eng.Now(), &n.stats) {
 		return false
 	}
-	n.stats.Enqueued++
 	n.trySend()
 	return true
 }
