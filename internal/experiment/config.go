@@ -302,6 +302,12 @@ func (c Config) Validate() error {
 	if c.Field.W <= 0 || c.Field.H <= 0 {
 		return fmt.Errorf("experiment: field must have positive area, have %gx%g", c.Field.W, c.Field.H)
 	}
+	if p := c.Phy; p.CommRange <= 0 || p.BitRate <= 0 || p.PropSpeed <= 0 {
+		return fmt.Errorf("experiment: radio range, bit rate and propagation speed must be positive, have %gm, %d b/s, %g m/s", p.CommRange, p.BitRate, p.PropSpeed)
+	}
+	if c.Limits.QueueCap <= 0 {
+		return fmt.Errorf("experiment: MAC queue capacity must be positive, have %d", c.Limits.QueueCap)
+	}
 	if b := c.Fault.Burst; b.Enabled {
 		if b.MeanGood <= 0 || b.MeanBad <= 0 {
 			return errors.New("experiment: burst model needs positive mean sojourn times")

@@ -66,6 +66,24 @@ func goldenFaultConfig() Config {
 	return cfg
 }
 
+// goldenSplitConfig is the golden run with a §3.4 receiver limit of 2:
+// RMAC splits every longer destination list into Reliable Send batches,
+// separated by backoff, that share one sequence number.
+func goldenSplitConfig() Config {
+	cfg := goldenConfig()
+	cfg.Limits.MaxReceivers = 2
+	return cfg
+}
+
+// goldenNoRBTConfig is the golden run with RMAC's hidden-node protection
+// ablated (rmac.Options.DisableRBTProtection): no deference to, and no
+// abort on, a foreign RBT.
+func goldenNoRBTConfig() Config {
+	cfg := goldenConfig()
+	cfg.RMACOptions.DisableRBTProtection = true
+	return cfg
+}
+
 // goldenFaultString extends goldenString with the impairment counters.
 func goldenFaultString(r RunResult) string {
 	return fmt.Sprintf("%s bursterr=%d badentries=%d crashes=%d recoveries=%d deadlocks=%d",
@@ -115,6 +133,11 @@ const (
 	goldenFaultLBP   = "events=1613103 gen=200 rx=3323 dup=3270 deliv=0.57293103448275862 delay=2.2260021270000001 drop=0.33642413965897472 retx=3.7883251631146764 ovh=0.33599002142369089 nonleaf=11 mrts_n=0 abort_n=11 reach=30 bursterr=5596 badentries=14944 crashes=294 recoveries=293 deadlocks=0"
 	goldenFaultMX    = "events=523136 gen=200 rx=2535 dup=1860 deliv=0.43706896551724139 delay=0.181949154 drop=0.057317806094249815 retx=1.8729592406984528 ovh=0.24936074194442084 nonleaf=11 mrts_n=0 abort_n=11 reach=30 bursterr=3211 badentries=14836 crashes=292 recoveries=289 deadlocks=0"
 	goldenFaultDOT11 = "events=150824 gen=200 rx=2810 dup=1551 deliv=0.48448275862068968 delay=0.0075762370000000004 drop=0.032131329903272596 retx=0.41584755146943825 ovh=0.11269260477672577 nonleaf=11 mrts_n=0 abort_n=11 reach=30 bursterr=1679 badentries=14818 crashes=294 recoveries=288 deadlocks=0"
+	// goldenSplit and goldenNoRBT pin RMAC's §3.4 batching and its
+	// RBT-protection ablation; both were recorded before RMAC moved onto
+	// the shared MAC node.
+	goldenSplit      = "events=409019 gen=200 rx=5084 dup=0 deliv=0.87655172413793103 delay=0.099591937000000005 drop=0.00053418803418803413 retx=0.32608250620347395 ovh=0.16332549827802886 nonleaf=12 mrts_n=4010 abort_n=12 reach=30"
+	goldenNoRBT      = "events=395703 gen=200 rx=5800 dup=0 deliv=1 delay=0.0094678379999999993 drop=0 retx=0.47833333333333333 ovh=0.20454351336781296 nonleaf=12 mrts_n=3548 abort_n=12 reach=30"
 	goldenGridMobile = "events=1615119 gen=60 rx=3947 dup=0 deliv=0.55280112044817931 delay=1.0257260399999999 drop=0.27601985152372743 retx=2.0473391782331825 ovh=1.0088576259248709 nonleaf=45 mrts_n=4757 abort_n=45 reach=120"
 )
 
@@ -141,12 +164,19 @@ func TestGoldenDeterminism(t *testing.T) {
 		{"fault-30-lbp", goldenUnder(goldenFaultConfig(), LBP), goldenFaultLBP},
 		{"fault-30-mx", goldenUnder(goldenFaultConfig(), MX), goldenFaultMX},
 		{"fault-30-dot11", goldenUnder(goldenFaultConfig(), DOT11), goldenFaultDOT11},
+		{"split-30", goldenSplitConfig(), goldenSplit},
+		{"norbt-30", goldenNoRBTConfig(), goldenNoRBT},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := Run(tc.cfg)
 			got := goldenString(r)
 			if tc.cfg.Fault.Enabled() {
 				got = goldenFaultString(r)
+			}
+			// A split row pins batching only if some node forwards to
+			// more children than the receiver limit.
+			if lim := tc.cfg.Limits.MaxReceivers; lim < DefaultConfig().Limits.MaxReceivers && r.Tree.Children.Max <= float64(lim) {
+				t.Errorf("no node has more than %d children: no packet splits into batches", lim)
 			}
 			if got != tc.want {
 				t.Errorf("fixed-seed run drifted from seed kernel\n got: %s\nwant: %s", got, tc.want)

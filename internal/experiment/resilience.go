@@ -110,7 +110,7 @@ func RunResilienceSweepCtx(ctx context.Context, s ResilienceSweep) []ResilienceP
 				cfg.Protocol = p
 				cfg.Fault = lv.Fault
 				// Same placement across compared protocols, as in RunSweep.
-				cfg.Seed = int64(seed)*7919 + int64(cfg.Scenario) + 1
+				cfg.Seed = sweepSeed(cfg.Scenario, seed)
 				jobs = append(jobs, sweepJob{cell, cfg})
 			}
 		}

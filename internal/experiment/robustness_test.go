@@ -88,6 +88,12 @@ func TestInvalidConfigFails(t *testing.T) {
 		{func(c *Config) { c.Protocol = -1 }, "unknown protocol Protocol(-1)"},
 		{func(c *Config) { c.Scenario = 9 }, "unknown scenario Scenario(9)"},
 		{func(c *Config) { c.Topo = 9 }, "unknown topology TopoKind(9)"},
+		// Values the PHY medium and the MAC queue constructors would
+		// panic on are rejected by Validate too.
+		{func(c *Config) { c.Phy.CommRange = 0 }, "radio range, bit rate and propagation speed must be positive"},
+		{func(c *Config) { c.Phy.BitRate = -1 }, "radio range, bit rate and propagation speed must be positive"},
+		{func(c *Config) { c.Phy.PropSpeed = 0 }, "radio range, bit rate and propagation speed must be positive"},
+		{func(c *Config) { c.Limits.QueueCap = 0 }, "MAC queue capacity must be positive"},
 	} {
 		cfg := smallConfig()
 		tc.set(&cfg)

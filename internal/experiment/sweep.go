@@ -80,6 +80,28 @@ func RunSweep(s Sweep) []Point { return RunSweepCtx(context.Background(), s) }
 // as Aborted), and the points aggregate whatever completed. A sweep whose
 // context is never canceled is bit-identical to RunSweep.
 func RunSweepCtx(ctx context.Context, s Sweep) []Point {
+	cells, jobs := s.expand()
+	runs := runJobs(ctx, jobs, len(cells), s.Parallelism, s.Progress)
+	for i := range cells {
+		cells[i].Runs = runs[i]
+		cells[i].aggregate()
+	}
+	return cells
+}
+
+// Configs expands the grid into one Config per run, in the order RunSweep
+// runs and aggregates them: protocol-major, then scenario, rate and seed.
+func (s Sweep) Configs() []Config {
+	_, jobs := s.expand()
+	cfgs := make([]Config, len(jobs))
+	for i, j := range jobs {
+		cfgs[i] = j.cfg
+	}
+	return cfgs
+}
+
+// expand lays out the grid's cells and their runs.
+func (s Sweep) expand() ([]Point, []sweepJob) {
 	var jobs []sweepJob
 	cells := make([]Point, 0, s.Cells())
 	for _, p := range s.Protocols {
@@ -92,22 +114,19 @@ func RunSweepCtx(ctx context.Context, s Sweep) []Point {
 					cfg.Protocol = p
 					cfg.Scenario = sc
 					cfg.Rate = r
-					// The paper uses identical placements across the
-					// compared protocols; seeding by (scenario, seed)
-					// only achieves that.
-					cfg.Seed = int64(seed)*7919 + int64(sc) + 1
+					cfg.Seed = sweepSeed(sc, seed)
 					jobs = append(jobs, sweepJob{cell, cfg})
 				}
 			}
 		}
 	}
-	runs := runJobs(ctx, jobs, len(cells), s.Parallelism, s.Progress)
-	for i := range cells {
-		cells[i].Runs = runs[i]
-		cells[i].aggregate()
-	}
-	return cells
+	return cells, jobs
 }
+
+// sweepSeed is the placement seed of a sweep's seed-th run in scenario sc.
+// The paper uses identical placements across the compared protocols;
+// seeding by (scenario, seed) only achieves that.
+func sweepSeed(sc Scenario, seed int) int64 { return int64(seed)*7919 + int64(sc) + 1 }
 
 // sweepJob is one run of a sweep: its config and the cell it folds into.
 type sweepJob struct {

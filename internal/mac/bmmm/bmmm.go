@@ -41,27 +41,6 @@ const (
 
 var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "TX_RAK", "WF_ACK", "TX_UDATA", "GAP"}
 
-// txContext tracks one reliable packet across retransmission rounds.
-type txContext struct {
-	req       *mac.SendRequest
-	remaining []frame.Addr // receivers still unacknowledged
-	delivered []frame.Addr
-	retries   int
-	seq       uint16
-
-	// Per-round state.
-	ctsOK []bool
-	ackOK []bool
-	idx   int // receiver index within the current phase
-}
-
-// peerState is per-sender receiver bookkeeping.
-type peerState struct {
-	solicited bool   // an RTS from this sender addressed us
-	haveSeq   uint16 // last data seq correctly received
-	have      bool
-}
-
 // step identifies the deferred exchange step scheduled by afterSIFS,
 // replacing the per-step closure with a tagged event on the node.
 type step int8
@@ -77,16 +56,24 @@ const (
 type Node struct {
 	csma.Station
 
-	cur   *txContext
 	timer *sim.Timer // CTS/ACK response timeout
-	peers map[frame.Addr]*peerState
-	seq   uint16
+	// solicited marks the senders whose RTS has addressed this node.
+	solicited map[frame.Addr]bool
 
-	// ctxBuf backs cur (one exchange at a time); stillBuf/failedBuf are
-	// scratch receiver lists reused across rounds.
-	ctxBuf    txContext
+	// The reliable packet in flight, across retransmission rounds:
+	// receivers still unacknowledged and those acknowledged so far.
+	// stillBuf and failedBuf are scratch receiver lists reused across
+	// rounds.
+	remaining []frame.Addr
+	delivered []frame.Addr
 	stillBuf  []frame.Addr
 	failedBuf []frame.Addr
+
+	// Per-round state: CTS and ACK outcomes per remaining receiver, and
+	// the receiver index within the current phase.
+	ctsOK []bool
+	ackOK []bool
+	idx   int
 
 	// pendingStep carries the argument of the next tagged event: the
 	// deferred sender-side step (exchange steps are strictly sequential).
@@ -106,77 +93,41 @@ var (
 // New creates a BMMM node on the given radio and installs itself as the
 // radio's PHY handler.
 func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *Node {
-	n := &Node{peers: make(map[frame.Addr]*peerState)}
+	n := &Node{solicited: make(map[frame.Addr]bool)}
 	n.Init(n, radio, cfg, eng, limits, n.onWin)
 	n.timer = sim.NewTimer(eng, n.onRespTimeout)
 	return n
 }
 
-// AuditPending implements audit.PendingReporter.
-func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.Queue.Len(), n.cur != nil
-}
-
 // Liveness implements mac.LivenessReporter.
 func (n *Node) Liveness() mac.Liveness {
-	return n.Progress(stateNames[n.St], n.cur != nil, n.timer)
-}
-
-// Send implements mac.MAC.
-func (n *Node) Send(req *mac.SendRequest) bool {
-	if !n.Queue.Admit(req, n.Eng.Now(), n.Stats()) {
-		return false
-	}
-	n.trySend()
-	return true
-}
-
-func (n *Node) trySend() {
-	if n.St != csma.Idle || n.DCF.Armed() {
-		return
-	}
-	if n.cur == nil {
-		req := n.Queue.Pop()
-		if req == nil {
-			return
-		}
-		n.seq++
-		ctx := &n.ctxBuf
-		*ctx = txContext{
-			req: req, seq: n.seq,
-			remaining: ctx.remaining[:0],
-			delivered: ctx.delivered[:0],
-			ctsOK:     ctx.ctsOK[:0],
-			ackOK:     ctx.ackOK[:0],
-		}
-		n.cur = ctx
-		if req.Service == mac.Reliable {
-			ctx.remaining = append(ctx.remaining, req.Dests...)
-			n.Stats().ReliableToTransmit++
-		}
-	}
-	n.DCF.Arm()
+	return n.Progress(stateNames[n.St], n.timer)
 }
 
 // onWin: the DCF granted a transmission opportunity.
 func (n *Node) onWin() {
-	if n.cur == nil || n.St != csma.Idle {
+	if n.Req == nil || n.St != csma.Idle {
 		return
 	}
 	n.Aud.Initiation(n.Radio.ID())
-	if n.cur.req.Service == mac.Unreliable {
+	if n.Req.Service == mac.Unreliable {
 		n.St = stTxUData
-		n.StartUnreliable(n.cur.req, n.cur.seq)
+		n.StartUnreliable()
 		return
 	}
-	// New round: solicit every remaining receiver.
-	n.cur.ctsOK = n.cur.ctsOK[:0]
-	n.cur.ackOK = n.cur.ackOK[:0]
-	for range n.cur.remaining {
-		n.cur.ctsOK = append(n.cur.ctsOK, false)
-		n.cur.ackOK = append(n.cur.ackOK, false)
+	if n.Retries == 0 {
+		// The packet's first round: every destination is outstanding.
+		n.remaining = append(n.remaining[:0], n.Req.Dests...)
+		n.delivered = n.delivered[:0]
 	}
-	n.cur.idx = 0
+	// New round: solicit every remaining receiver.
+	n.ctsOK = n.ctsOK[:0]
+	n.ackOK = n.ackOK[:0]
+	for range n.remaining {
+		n.ctsOK = append(n.ctsOK, false)
+		n.ackOK = append(n.ackOK, false)
+	}
+	n.idx = 0
 	n.sendRTS()
 }
 
@@ -189,19 +140,19 @@ func (n *Node) exchangeRemaining(phase csma.State) uint16 {
 	cts := c.TxDuration(frame.CTSLen)
 	rak := c.TxDuration(frame.RAKLen)
 	ack := c.TxDuration(frame.ACKLen)
-	data := c.TxDuration(frame.Data80211Overhead + len(n.cur.req.Payload))
+	data := c.TxDuration(frame.Data80211Overhead + len(n.Req.Payload))
 	var d sim.Time
 	switch phase {
 	case stTxRTS:
-		pairsLeft := len(n.cur.remaining) - n.cur.idx - 1
+		pairsLeft := len(n.remaining) - n.idx - 1
 		d = phy.SIFS + cts
 		d += sim.Time(pairsLeft) * (phy.SIFS + rts + phy.SIFS + cts)
 		d += phy.SIFS + data
-		d += sim.Time(len(n.cur.remaining)) * (phy.SIFS + rak + phy.SIFS + ack)
+		d += sim.Time(len(n.remaining)) * (phy.SIFS + rak + phy.SIFS + ack)
 	case stTxData:
-		d = sim.Time(len(n.cur.remaining)) * (phy.SIFS + rak + phy.SIFS + ack)
+		d = sim.Time(len(n.remaining)) * (phy.SIFS + rak + phy.SIFS + ack)
 	case stTxRAK:
-		raksLeft := countTrue(n.cur.ctsOK[n.cur.idx+1:])
+		raksLeft := countTrue(n.ctsOK[n.idx+1:])
 		d = phy.SIFS + ack
 		d += sim.Time(raksLeft) * (phy.SIFS + rak + phy.SIFS + ack)
 	}
@@ -222,14 +173,14 @@ func (n *Node) sendRTS() {
 	n.St = stTxRTS
 	f := n.Frames.RTS()
 	f.Duration = n.exchangeRemaining(stTxRTS)
-	f.Receiver = n.cur.remaining[n.cur.idx]
+	f.Receiver = n.remaining[n.idx]
 	f.Transmitter = n.Addr()
 	n.SendCtrl(f)
 }
 
 func (n *Node) sendData() {
 	n.St = stTxData
-	f := n.Data(frame.Broadcast, n.cur.seq, n.cur.req.Payload)
+	f := n.Data(frame.Broadcast)
 	f.Duration = n.exchangeRemaining(stTxData)
 	n.SendData(f)
 }
@@ -238,9 +189,9 @@ func (n *Node) sendRAK() {
 	n.St = stTxRAK
 	f := n.Frames.RAK()
 	f.Duration = n.exchangeRemaining(stTxRAK)
-	f.Receiver = n.cur.remaining[n.cur.idx]
+	f.Receiver = n.remaining[n.idx]
 	f.Transmitter = n.Addr()
-	f.Seq = n.cur.seq
+	f.Seq = uint16(n.Seq)
 	n.SendCtrl(f)
 }
 
@@ -252,16 +203,16 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		n.St = stWfCTS
 		n.timer.Start(n.RespWait(frame.CTSLen))
 	case stTxData:
-		n.cur.idx = -1
+		n.idx = -1
 		n.advanceRAK()
 	case stTxRAK:
 		n.St = stWfACK
 		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxUData:
-		n.finish(mac.TxResult{Req: n.cur.req})
+		n.Finish(nil, nil, false)
 	case csma.Responding:
 		n.St = csma.Idle
-		n.trySend()
+		n.TrySend()
 	default:
 		panic(fmt.Sprintf("bmmm: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
@@ -281,13 +232,13 @@ func (n *Node) onRespTimeout() {
 // RTS/CTS pair, the DATA frame, or a failed round.
 func (n *Node) advanceCTS(ok bool) {
 	n.timer.Stop()
-	n.cur.ctsOK[n.cur.idx] = ok
-	n.cur.idx++
-	if n.cur.idx < len(n.cur.remaining) {
+	n.ctsOK[n.idx] = ok
+	n.idx++
+	if n.idx < len(n.remaining) {
 		n.afterSIFS(stepRTS)
 		return
 	}
-	if countTrue(n.cur.ctsOK) == 0 {
+	if countTrue(n.ctsOK) == 0 {
 		n.roundFailed()
 		return
 	}
@@ -297,12 +248,12 @@ func (n *Node) advanceCTS(ok bool) {
 // advanceRAK advances idx to the next receiver that returned a CTS and
 // sends its RAK; when exhausted the round is scored.
 func (n *Node) advanceRAK() {
-	i := n.cur.idx + 1
-	for i < len(n.cur.remaining) && !n.cur.ctsOK[i] {
+	i := n.idx + 1
+	for i < len(n.remaining) && !n.ctsOK[i] {
 		i++
 	}
-	n.cur.idx = i
-	if i >= len(n.cur.remaining) {
+	n.idx = i
+	if i >= len(n.remaining) {
 		n.scoreRound()
 		return
 	}
@@ -311,7 +262,7 @@ func (n *Node) advanceRAK() {
 
 func (n *Node) advanceACK(ok bool) {
 	n.timer.Stop()
-	n.cur.ackOK[n.cur.idx] = ok
+	n.ackOK[n.idx] = ok
 	n.advanceRAK()
 }
 
@@ -322,7 +273,7 @@ func (n *Node) Call(int32) {
 	n.Deferred--
 	s := n.pendingStep
 	n.pendingStep = stepNone
-	if n.cur == nil || n.Radio.Transmitting() {
+	if n.Req == nil || n.Radio.Transmitting() {
 		return
 	}
 	switch s {
@@ -346,12 +297,12 @@ func (n *Node) afterSIFS(s step) {
 }
 
 // scoreRound splits the remaining receivers by ACK outcome. still reuses
-// the node's scratch buffer, swapping roles with cur.remaining.
+// the node's scratch buffer, swapping roles with remaining.
 func (n *Node) scoreRound() {
 	still := n.stillBuf[:0]
-	for i, a := range n.cur.remaining {
-		if n.cur.ackOK[i] {
-			n.cur.delivered = append(n.cur.delivered, a)
+	for i, a := range n.remaining {
+		if n.ackOK[i] {
+			n.delivered = append(n.delivered, a)
 		} else {
 			still = append(still, a)
 		}
@@ -361,52 +312,32 @@ func (n *Node) scoreRound() {
 		n.completeReliable(false)
 		return
 	}
-	n.stillBuf = n.cur.remaining
-	n.cur.remaining = still
+	n.stillBuf = n.remaining
+	n.remaining = still
 	n.roundFailed()
 }
 
 func (n *Node) roundFailed() {
 	n.St = csma.Idle
-	if !n.Retry(&n.cur.retries) {
+	if !n.Retry() {
 		n.completeReliable(true)
-		return
 	}
-	n.trySend()
 }
 
 func (n *Node) completeReliable(dropped bool) {
-	ctx := n.cur
-	res := mac.TxResult{Req: ctx.req, Delivered: ctx.delivered, Retries: ctx.retries, Dropped: dropped}
+	var failed []frame.Addr
 	if dropped {
-		res.Failed = append(n.failedBuf[:0], ctx.remaining...)
-		n.failedBuf = res.Failed
+		failed = append(n.failedBuf[:0], n.remaining...)
+		n.failedBuf = failed
 	}
-	n.Aud.ReliableOutcome(n.Radio.ID(), len(ctx.delivered), len(ctx.req.Dests), dropped)
-	n.finish(res)
-}
-
-// finish ends the packet in flight with res and moves on to the next.
-func (n *Node) finish(res mac.TxResult) {
-	n.St = csma.Idle
-	n.cur = nil
-	n.Complete(res)
-	n.trySend()
+	n.Aud.ReliableOutcome(n.Radio.ID(), len(n.delivered), len(n.Req.Dests), dropped)
+	n.Finish(n.delivered, failed, dropped)
 }
 
 // --- Reception ---------------------------------------------------------------
 
-func (n *Node) peer(a frame.Addr) *peerState {
-	p := n.peers[a]
-	if p == nil {
-		p = &peerState{}
-		n.peers[a] = p
-	}
-	return p
-}
-
 // OnFrameReceived implements phy.Handler.
-func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
+func (n *Node) OnFrameReceived(f frame.Frame, ok bool, _ sim.Time) {
 	if !ok {
 		return
 	}
@@ -414,7 +345,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 	case *frame.RTS:
 		if g.Receiver == n.Addr() {
 			n.CountCtrlRx(g)
-			n.peer(g.Transmitter).solicited = true
+			n.solicited[g.Transmitter] = true
 			n.Respond(n.CTS(g))
 			return
 		}
@@ -427,12 +358,13 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 		}
 		n.Overhear(g.Receiver, g.Duration)
 	case *frame.Data:
-		n.onData(g, rxStart)
+		n.onData(g)
 	case *frame.RAK:
 		if g.Receiver == n.Addr() {
 			n.CountCtrlRx(g)
-			p := n.peer(g.Transmitter)
-			if p.have && p.haveSeq == g.Seq {
+			// ACK only the data frame this node holds: the last one
+			// delivered (or deduplicated) from the sender.
+			if seq, ok := n.LastSeq(g.Transmitter); ok && seq == uint32(g.Seq) {
 				ack := n.ACK(g.Transmitter)
 				ack.Duration = csma.SubDuration(g.Duration, phy.SIFS+n.Cfg.TxDuration(frame.ACKLen))
 				n.Respond(ack)
@@ -454,19 +386,16 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 // carries a Duration reserving its RAK/ACK tail; an unreliable frame has
 // Duration zero. Solicited receivers accept reliable data; addressees
 // accept unreliable data.
-func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
+func (n *Node) onData(d *frame.Data) {
 	if d.Duration > 0 { // reliable multicast data
-		p := n.peer(d.Transmitter)
-		if p.solicited && (d.Receiver == n.Addr() || d.Receiver.IsBroadcast()) {
-			p.have = true
-			p.haveSeq = d.Seq
-			n.Deliver(d, true, true, rxStart)
+		if n.solicited[d.Transmitter] && (d.Receiver == n.Addr() || d.Receiver.IsBroadcast()) {
+			n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, true, true)
 			return
 		}
 		n.Reserve(d.Duration)
 		return
 	}
 	if d.Receiver == n.Addr() || d.Receiver.IsBroadcast() {
-		n.Deliver(d, false, false, rxStart)
+		n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, false, false)
 	}
 }

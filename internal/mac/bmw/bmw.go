@@ -37,31 +37,14 @@ const (
 
 var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_UDATA", "GAP"}
 
-type txContext struct {
-	req       *mac.SendRequest
-	remaining []frame.Addr
-	delivered []frame.Addr
-	idx       int // cursor into remaining: [idx:] is still outstanding
-	retries   int
-	seq       uint16
-}
-
-type peerState struct {
-	lastSeq uint16 // highest data seq seen from this sender
-	haveAny bool
-}
-
 // Node is one BMW instance bound to a radio.
 type Node struct {
 	csma.Station
 
-	cur   *txContext
 	timer *sim.Timer
-	peers map[frame.Addr]*peerState
-	seq   uint16
-
-	// ctxBuf backs cur (one packet in flight at a time).
-	ctxBuf txContext
+	// idx is the round-robin's cursor into the packet's destinations:
+	// Dests[:idx] have confirmed, Dests[idx] is the one being visited.
+	idx int
 }
 
 var (
@@ -77,75 +60,36 @@ var (
 // New creates a BMW node on the given radio and installs itself as the
 // radio's PHY handler.
 func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *Node {
-	n := &Node{peers: make(map[frame.Addr]*peerState)}
+	n := &Node{}
 	n.Init(n, radio, cfg, eng, limits, n.onWin)
 	n.timer = sim.NewTimer(eng, n.onRespTimeout)
 	return n
 }
 
-// AuditPending implements audit.PendingReporter.
-func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.Queue.Len(), n.cur != nil
-}
-
 // Liveness implements mac.LivenessReporter.
 func (n *Node) Liveness() mac.Liveness {
-	return n.Progress(stateNames[n.St], n.cur != nil, n.timer)
-}
-
-// Send implements mac.MAC.
-func (n *Node) Send(req *mac.SendRequest) bool {
-	if !n.Queue.Admit(req, n.Eng.Now(), n.Stats()) {
-		return false
-	}
-	n.trySend()
-	return true
-}
-
-func (n *Node) trySend() {
-	if n.St != csma.Idle || n.DCF.Armed() {
-		return
-	}
-	if n.cur == nil {
-		req := n.Queue.Pop()
-		if req == nil {
-			return
-		}
-		n.seq++
-		ctx := &n.ctxBuf
-		*ctx = txContext{
-			req: req, seq: n.seq,
-			remaining: ctx.remaining[:0],
-			delivered: ctx.delivered[:0],
-		}
-		n.cur = ctx
-		if req.Service == mac.Reliable {
-			ctx.remaining = append(ctx.remaining, req.Dests...)
-			n.Stats().ReliableToTransmit++
-		}
-	}
-	n.DCF.Arm()
+	return n.Progress(stateNames[n.St], n.timer)
 }
 
 // onWin: one contention phase won — visit the head receiver.
 func (n *Node) onWin() {
-	if n.cur == nil || n.St != csma.Idle {
+	if n.Req == nil || n.St != csma.Idle {
 		return
 	}
 	n.Aud.Initiation(n.Radio.ID())
-	if n.cur.req.Service == mac.Unreliable {
+	if n.Req.Service == mac.Unreliable {
 		n.St = stTxUData
-		n.StartUnreliable(n.cur.req, n.cur.seq)
+		n.StartUnreliable()
 		return
 	}
 	n.St = stTxRTS
 	// NAV covers the worst case: CTS + DATA + ACK.
 	tail := phy.SIFS + n.Cfg.TxDuration(frame.CTSLen) +
-		phy.SIFS + n.Cfg.TxDuration(frame.Data80211Overhead+len(n.cur.req.Payload)) +
+		phy.SIFS + n.Cfg.TxDuration(frame.Data80211Overhead+len(n.Req.Payload)) +
 		phy.SIFS + n.Cfg.TxDuration(frame.ACKLen)
 	f := n.Frames.RTS()
 	f.Duration = csma.Micros(tail)
-	f.Receiver = n.cur.remaining[n.cur.idx]
+	f.Receiver = n.Req.Dests[n.idx]
 	f.Transmitter = n.Addr()
 	n.SendCtrl(f)
 }
@@ -161,10 +105,10 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		n.St = stWfACK
 		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxUData:
-		n.finish(mac.TxResult{Req: n.cur.req})
+		n.Finish(nil, nil, false)
 	case csma.Responding:
 		n.St = csma.Idle
-		n.trySend()
+		n.TrySend()
 	default:
 		panic(fmt.Sprintf("bmw: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
@@ -181,60 +125,41 @@ func (n *Node) onRespTimeout() {
 // it (round-robin stalls on the failing receiver, as BMW does).
 func (n *Node) visitFailed() {
 	n.St = csma.Idle
-	if !n.Retry(&n.cur.retries) {
+	if !n.Retry() {
 		n.completeReliable(true)
-		return
 	}
-	n.trySend()
 }
 
 // visitDelivered: head receiver confirmed (by ACK or by an
 // already-past-this-seq CTS); move to the next receiver with a fresh
 // contention phase.
 func (n *Node) visitDelivered() {
-	n.cur.delivered = append(n.cur.delivered, n.cur.remaining[n.cur.idx])
-	n.cur.idx++
+	n.idx++
 	n.St = csma.Idle
-	if n.cur.idx >= len(n.cur.remaining) {
+	if n.idx >= len(n.Req.Dests) {
 		n.completeReliable(false)
 		return
 	}
-	n.DCF.Backoff().Reset()
-	n.DCF.Backoff().Draw()
-	n.trySend()
+	n.Backoff.Reset()
+	n.Backoff.Draw()
+	n.TrySend()
 }
 
 func (n *Node) completeReliable(dropped bool) {
-	ctx := n.cur
-	res := mac.TxResult{Req: ctx.req, Delivered: ctx.delivered, Retries: ctx.retries, Dropped: dropped}
+	dests, idx := n.Req.Dests, n.idx
+	var failed []frame.Addr
 	if dropped {
-		res.Failed = ctx.remaining[ctx.idx:] // loaned; see mac.TxResult
+		failed = dests[idx:] // loaned; see mac.TxResult
 	}
-	n.Aud.ReliableOutcome(n.Radio.ID(), len(ctx.delivered), len(ctx.req.Dests), dropped)
-	n.finish(res)
-}
-
-// finish ends the packet in flight with res and moves on to the next.
-func (n *Node) finish(res mac.TxResult) {
-	n.St = csma.Idle
-	n.cur = nil
-	n.Complete(res)
-	n.trySend()
+	n.Aud.ReliableOutcome(n.Radio.ID(), idx, len(dests), dropped)
+	n.idx = 0
+	n.Finish(dests[:idx], failed, dropped)
 }
 
 // --- Reception ---------------------------------------------------------------
 
-func (n *Node) peer(a frame.Addr) *peerState {
-	p := n.peers[a]
-	if p == nil {
-		p = &peerState{}
-		n.peers[a] = p
-	}
-	return p
-}
-
 // OnFrameReceived implements phy.Handler.
-func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
+func (n *Node) OnFrameReceived(f frame.Frame, ok bool, _ sim.Time) {
 	if !ok {
 		return
 	}
@@ -242,10 +167,10 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 	case *frame.RTS:
 		if g.Receiver == n.Addr() {
 			n.CountCtrlRx(g)
-			p := n.peer(g.Transmitter)
 			cts := n.CTS(g)
-			if p.haveAny {
-				cts.Expect = p.lastSeq + 1
+			if seq, ok := n.LastSeq(g.Transmitter); ok {
+				// Past the newest frame cached from this sender.
+				cts.Expect = uint16(seq) + 1
 			}
 			n.Respond(cts)
 			return
@@ -255,7 +180,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 		if n.St == stWfCTS && g.Receiver == n.Addr() {
 			n.CountCtrlRx(g)
 			n.timer.Stop()
-			if g.Expect > n.cur.seq {
+			if g.Expect > uint16(n.Seq) {
 				// Receiver already overheard this frame: skip DATA.
 				n.visitDelivered()
 				return
@@ -265,7 +190,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 		}
 		n.Overhear(g.Receiver, g.Duration)
 	case *frame.Data:
-		n.onData(g, rxStart)
+		n.onData(g)
 	case *frame.ACK:
 		if n.St == stWfACK && g.Receiver == n.Addr() {
 			n.CountCtrlRx(g)
@@ -279,7 +204,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 
 func (n *Node) sendData() {
 	n.St = stTxData
-	f := n.Data(n.cur.remaining[n.cur.idx], n.cur.seq, n.cur.req.Payload)
+	f := n.Data(n.Req.Dests[n.idx])
 	f.Duration = csma.Micros(phy.SIFS + n.Cfg.TxDuration(frame.ACKLen))
 	n.SendData(f)
 }
@@ -288,7 +213,7 @@ func (n *Node) sendData() {
 // a CTS, scheduled closure-free through the engine's tagged-event path.
 func (n *Node) Call(int32) {
 	n.Deferred--
-	if n.cur == nil || n.Radio.Transmitting() {
+	if n.Req == nil || n.Radio.Transmitting() {
 		return
 	}
 	n.sendData()
@@ -303,14 +228,9 @@ func (n *Node) afterSIFS() {
 // onData: reliable (Duration > 0) data frames are cached and delivered by
 // the addressee and by overhearers (BMW's gain); unreliable frames go to
 // their addressees.
-func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
+func (n *Node) onData(d *frame.Data) {
 	if d.Duration > 0 {
-		p := n.peer(d.Transmitter)
-		if !p.haveAny || seqNewer(d.Seq, p.lastSeq) {
-			p.haveAny = true
-			p.lastSeq = d.Seq
-		}
-		n.Deliver(d, true, true, rxStart)
+		n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, true, true)
 		if d.Receiver == n.Addr() {
 			n.Respond(n.ACK(d.Transmitter))
 			return
@@ -319,9 +239,6 @@ func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
 		return
 	}
 	if d.Receiver == n.Addr() || d.Receiver.IsBroadcast() {
-		n.Deliver(d, false, false, rxStart)
+		n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, false, false)
 	}
 }
-
-// seqNewer compares 16-bit sequence numbers with wraparound.
-func seqNewer(a, b uint16) bool { return int16(a-b) > 0 }

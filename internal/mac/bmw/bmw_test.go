@@ -168,18 +168,6 @@ func TestHiddenTerminalRecovery(t *testing.T) {
 	}
 }
 
-func TestSeqNewerWraparound(t *testing.T) {
-	if !seqNewer(1, 0) || seqNewer(0, 1) {
-		t.Fatal("basic ordering")
-	}
-	if !seqNewer(2, 65535) {
-		t.Fatal("wraparound ordering")
-	}
-	if seqNewer(5, 5) {
-		t.Fatal("equal is not newer")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() (int, uint64) {
 		w := newWorld(9, []geom.Point{{X: 0, Y: 0}, {X: 60, Y: 0}, {X: 120, Y: 0}})

@@ -1,10 +1,10 @@
 // Package csma is the IEEE 802.11 DCF the baselines are built on: NAV
 // virtual carrier sense, a DIFS-gated contention process wrapping the
-// common backoff entity, and Station, the protocol-independent half of a
-// DCF node that BMMM, BMW, LBP, 802.11MX and plain 802.11 embed. Each of
-// them keeps only its own exchange. RMAC deliberately does not use this
-// package — it discards virtual carrier sense in favour of busy tones
-// (§2).
+// common backoff entity, and Station, the DCF half of a node that BMMM,
+// BMW, LBP, 802.11MX and plain 802.11 embed on top of mac.Node. Each of
+// them keeps only its own exchange. RMAC embeds mac.Node too but does not
+// use the DCF half — it discards virtual carrier sense in favour of busy
+// tones (§2).
 package csma
 
 import (

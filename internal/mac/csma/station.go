@@ -24,23 +24,19 @@ const (
 	FirstState              // the first value free for a protocol's states
 )
 
-// Station is the protocol-independent half of an 802.11-family node:
-// queue, DCF contention, NAV, statistics, the one-slot SIFS response and
-// upper-layer delivery. A protocol embeds it, calls Init from its
-// constructor, and keeps only its own exchange: states, frames, timers
-// and per-sender receiver state. The embedding type supplies
-// OnFrameReceived, OnTxDone, Send (admission, then its own trySend) and
-// Liveness; the station supplies the rest of mac.MAC, phy.Handler and
-// the auditor's reporters. The station is the sim.Caller of its own
-// deferred response, so a protocol's Call sees only its own events.
+// Station is the DCF half of an 802.11-family node, on top of the
+// protocol-independent mac.Node: DCF contention, NAV, the one-slot SIFS
+// response and the frame builders. A protocol embeds it, calls Init from
+// its constructor, and keeps only its own exchange: states, frames,
+// timers and per-sender receiver state. The embedding type supplies
+// OnFrameReceived, OnTxDone and Liveness; the station and its mac.Node
+// supply the rest of mac.MAC, phy.Handler and the auditor's reporters.
+// The station is the sim.Caller of its own deferred response, so a
+// protocol's Call sees only its own events.
 type Station struct {
-	Eng    *sim.Engine
-	Radio  *phy.Radio
-	Cfg    phy.Config
-	Frames *frame.Pool
-	Aud    *audit.Auditor
-	Queue  *mac.Queue
-	DCF    *DCF
+	mac.Node
+	Aud *audit.Auditor
+	DCF *DCF
 
 	// St is the exchange state; see State.
 	St State
@@ -49,39 +45,51 @@ type Station struct {
 	// response) not yet fired, so the liveness audit sees them.
 	Deferred int
 
-	limits mac.Limits
-	upper  mac.UpperLayer
-	nav    *NAV
-	addr   frame.Addr
-	stats  mac.Stats
+	nav *NAV
 	// resp is the acquired response awaiting its SIFS-deferred
 	// transmission (Respond, Call).
 	resp frame.Frame
-	// lastSeq is the receiver-side dedup: the last data seq delivered
-	// upward per sender (Deliver), made on first use.
-	lastSeq map[frame.Addr]uint16
 }
 
-// Init wires the station of node h, which becomes radio's PHY handler;
-// win runs when the DCF grants a transmission opportunity.
-func (s *Station) Init(h phy.Handler, radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits, win func()) {
-	s.Eng, s.Radio, s.Cfg, s.limits = eng, radio, cfg, limits
-	s.Frames = radio.Frames()
-	s.Queue = mac.NewQueue(limits.QueueCap)
-	s.addr = frame.AddrFromID(radio.ID())
+// Init wires the station of node p, which becomes radio's PHY handler
+// (p's TrySend is the station's); win runs when the DCF grants a
+// transmission opportunity.
+func (s *Station) Init(p mac.Protocol, radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits, win func()) {
 	s.nav = NewNAV(eng, func() { s.DCF.ChannelMaybeIdle() })
 	s.DCF = NewDCF(eng, eng.Rand(), s.mediumIdle, win)
-	radio.SetHandler(h)
+	s.Node.Init(p, radio, cfg, eng, limits, s.DCF.Backoff())
 }
 
-// Addr implements mac.MAC.
-func (s *Station) Addr() frame.Addr { return s.addr }
+// TrySend implements mac.Protocol: it arms the DCF for the packet in
+// flight, taking the head of the queue when the node holds none, unless
+// the node is inside an exchange or already contending.
+func (s *Station) TrySend() {
+	if s.St != Idle || s.DCF.Armed() {
+		return
+	}
+	if s.Req == nil && !s.Next() {
+		return
+	}
+	s.DCF.Arm()
+}
 
-// Stats implements mac.MAC.
-func (s *Station) Stats() *mac.Stats { return &s.stats }
+// Finish returns the node to Idle and completes the packet in flight
+// (mac.Node.Complete).
+func (s *Station) Finish(delivered, failed []frame.Addr, dropped bool) {
+	s.St = Idle
+	s.Complete(delivered, failed, dropped)
+}
 
-// SetUpper implements mac.MAC.
-func (s *Station) SetUpper(u mac.UpperLayer) { s.upper = u }
+// FinishAll finishes the packet in flight with every destination
+// delivered, or, when dropped, every destination failed; either list is
+// the request's own Dests, loaned as mac.TxResult says.
+func (s *Station) FinishAll(dropped bool) {
+	if dropped {
+		s.Finish(nil, s.Req.Dests, true)
+		return
+	}
+	s.Finish(s.Req.Dests, nil, false)
+}
 
 // SetAuditor attaches the protocol-invariant auditor; the node declares
 // its DCF-won initiations to it, and whatever else its package doc says.
@@ -97,12 +105,11 @@ func (s *Station) AuditContention() (wants, counting, gated, idle bool) {
 func (s *Station) AuditNAVBusy() bool { return s.nav.Busy() }
 
 // Progress is the Liveness the DCF protocols share: state names the
-// exchange state, inFlight reports a packet the node owns, and timer is
-// the protocol timer that advances its exchange.
-func (s *Station) Progress(state string, inFlight bool, timer *sim.Timer) mac.Liveness {
+// exchange state and timer is the protocol timer that advances it.
+func (s *Station) Progress(state string, timer *sim.Timer) mac.Liveness {
 	return mac.Liveness{
 		State: state,
-		Idle:  s.St == Idle && !inFlight && s.Queue.Len() == 0,
+		Idle:  s.St == Idle && s.Req == nil && s.Queue.Len() == 0,
 		Pending: timer.Pending() || s.Radio.Transmitting() ||
 			s.Radio.CarrierSensed() || s.DCF.Armed() || s.Deferred > 0,
 	}
@@ -133,14 +140,14 @@ func (s *Station) startTx(f frame.Frame) sim.Time {
 }
 
 // SendCtrl transmits a control frame, counting its airtime.
-func (s *Station) SendCtrl(f frame.Frame) { s.stats.CtrlTxTime += s.startTx(f) }
+func (s *Station) SendCtrl(f frame.Frame) { s.Stats().CtrlTxTime += s.startTx(f) }
 
 // SendData transmits a reliable data frame, counting its airtime.
-func (s *Station) SendData(f *frame.Data) { s.stats.DataTxTime += s.startTx(f) }
+func (s *Station) SendData(f *frame.Data) { s.Stats().DataTxTime += s.startTx(f) }
 
 // CountCtrlRx counts the airtime of a control frame addressed to us.
 func (s *Station) CountCtrlRx(f frame.Frame) {
-	s.stats.CtrlRxTime += s.Cfg.TxDuration(f.WireSize())
+	s.Stats().CtrlRxTime += s.Cfg.TxDuration(f.WireSize())
 }
 
 // RespWait is how long a sender waits for a solicited control response
@@ -158,27 +165,28 @@ func (s *Station) Reserve(d uint16) {
 
 // Overhear honours the reservation of a frame addressed to someone else.
 func (s *Station) Overhear(to frame.Addr, d uint16) {
-	if to != s.addr {
+	if to != s.Addr() {
 		s.Reserve(d)
 	}
 }
 
-// Data acquires a data frame from this node to dest.
-func (s *Station) Data(dest frame.Addr, seq uint16, payload []byte) *frame.Data {
+// Data acquires the data frame of the packet in flight, addressed to
+// dest; its 802.11 sequence control holds the packet's Seq.
+func (s *Station) Data(dest frame.Addr) *frame.Data {
 	f := s.Frames.Data()
-	f.Receiver, f.Transmitter, f.Seq = dest, s.addr, seq
-	f.Payload = append(f.Payload, payload...)
+	f.Receiver, f.Transmitter, f.Seq = dest, s.Addr(), uint16(s.Seq)
+	f.Payload = append(f.Payload, s.Req.Payload...)
 	return f
 }
 
-// StartUnreliable transmits req's one-shot data frame under seq: to its
-// one destination, or broadcast when it names none.
-func (s *Station) StartUnreliable(req *mac.SendRequest, seq uint16) {
+// StartUnreliable transmits the one-shot data frame of the packet in
+// flight: to its one destination, or broadcast when it names none.
+func (s *Station) StartUnreliable() {
 	dest := frame.Broadcast
-	if len(req.Dests) > 0 {
-		dest = req.Dests[0]
+	if len(s.Req.Dests) > 0 {
+		dest = s.Req.Dests[0]
 	}
-	s.startTx(s.Data(dest, seq, req.Payload))
+	s.startTx(s.Data(dest))
 }
 
 // CTS acquires the CTS answering rts; its Duration carries what remains
@@ -186,14 +194,14 @@ func (s *Station) StartUnreliable(req *mac.SendRequest, seq uint16) {
 func (s *Station) CTS(rts *frame.RTS) *frame.CTS {
 	f := s.Frames.CTS()
 	f.Duration = SubDuration(rts.Duration, phy.SIFS+s.Cfg.TxDuration(frame.CTSLen))
-	f.Receiver, f.Transmitter = rts.Transmitter, s.addr
+	f.Receiver, f.Transmitter = rts.Transmitter, s.Addr()
 	return f
 }
 
 // ACK acquires an ACK-sized frame from this node to dest.
 func (s *Station) ACK(dest frame.Addr) *frame.ACK {
 	f := s.Frames.ACK()
-	f.Receiver, f.Transmitter = dest, s.addr
+	f.Receiver, f.Transmitter = dest, s.Addr()
 	return f
 }
 
@@ -225,66 +233,6 @@ func (s *Station) Call(int32) {
 	}
 	s.St = Responding
 	s.SendCtrl(f)
-}
-
-// Retry counts a failed attempt of the packet in flight. Within the retry
-// limit it counts a retransmission, doubles the contention window, draws
-// a backoff and returns true: the caller then runs its trySend. Past the
-// limit it returns false: the caller completes the packet as dropped.
-func (s *Station) Retry(retries *int) bool {
-	*retries++
-	if *retries > s.limits.RetryLimit {
-		return false
-	}
-	s.stats.Retransmissions++
-	s.DCF.Backoff().Fail()
-	s.DCF.Backoff().Draw()
-	return true
-}
-
-// Complete ends the packet in flight: it counts res as sent, delivered or
-// dropped, resets the contention window, draws the post-transmission
-// backoff and hands res to the upper layer. The caller is back in Idle
-// and runs its trySend afterwards: an upper-layer Send inside
-// OnSendComplete may already have armed the DCF.
-func (s *Station) Complete(res mac.TxResult) {
-	switch {
-	case res.Req.Service == mac.Unreliable:
-		s.stats.UnreliableSent++
-	case res.Dropped:
-		s.stats.Drops++
-	default:
-		s.stats.ReliableDelivered++
-	}
-	s.DCF.Backoff().Reset()
-	s.DCF.Backoff().Draw()
-	if s.upper != nil {
-		s.upper.OnSendComplete(res)
-	}
-}
-
-// Deliver hands d's payload to the upper layer. With dedup set, a frame
-// whose seq equals the last one deduplicated from the same sender is a
-// retransmission (the sender missed our acknowledgement) and is dropped.
-func (s *Station) Deliver(d *frame.Data, reliable, dedup bool, rxStart sim.Time) {
-	if dedup {
-		if last, ok := s.lastSeq[d.Transmitter]; ok && last == d.Seq {
-			return
-		}
-		if s.lastSeq == nil {
-			s.lastSeq = make(map[frame.Addr]uint16)
-		}
-		s.lastSeq[d.Transmitter] = d.Seq
-	}
-	if s.upper != nil {
-		s.upper.OnDeliver(d.Payload, mac.RxInfo{
-			From:     d.Transmitter,
-			Reliable: reliable,
-			Seq:      uint32(d.Seq),
-			RxStart:  rxStart,
-			RxEnd:    s.Eng.Now(),
-		})
-	}
 }
 
 // Micros converts d to a Duration field value in µs, saturating at the

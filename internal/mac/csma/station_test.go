@@ -95,7 +95,9 @@ func TestRespondReleasedWhenTransmitting(t *testing.T) {
 	eng, n, m := newStub(t)
 	n.Respond(n.CTS(n.rts()))
 	// A data frame outlasting SIFS is on the air when the response is due.
-	n.startTx(n.Data(frame.Broadcast, 1, make([]byte, 100)))
+	f := n.Frames.Data()
+	f.Receiver, f.Payload = frame.Broadcast, append(f.Payload, make([]byte, 100)...)
+	n.startTx(f)
 	eng.RunAll()
 	if len(n.sent) != 1 || n.sent[0] != frame.KindData {
 		t.Fatalf("sent %v, want only the data frame", n.sent)

@@ -40,23 +40,11 @@ const (
 
 var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_BCAST", "GAP"}
 
-type txContext struct {
-	req     *mac.SendRequest
-	retries int
-	seq     uint16
-	unicast bool
-}
-
 // Node is one 802.11 DCF instance bound to a radio.
 type Node struct {
 	csma.Station
 
-	cur   *txContext
 	timer *sim.Timer
-	seq   uint16
-
-	// ctxBuf backs cur (one packet in flight at a time).
-	ctxBuf txContext
 }
 
 var (
@@ -78,52 +66,18 @@ func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *
 	return n
 }
 
-// AuditPending implements audit.PendingReporter.
-func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.Queue.Len(), n.cur != nil
-}
-
 // Liveness implements mac.LivenessReporter.
 func (n *Node) Liveness() mac.Liveness {
-	return n.Progress(stateNames[n.St], n.cur != nil, n.timer)
-}
-
-// Send implements mac.MAC.
-func (n *Node) Send(req *mac.SendRequest) bool {
-	if !n.Queue.Admit(req, n.Eng.Now(), n.Stats()) {
-		return false
-	}
-	n.trySend()
-	return true
-}
-
-func (n *Node) trySend() {
-	if n.St != csma.Idle || n.DCF.Armed() {
-		return
-	}
-	if n.cur == nil {
-		req := n.Queue.Pop()
-		if req == nil {
-			return
-		}
-		n.seq++
-		n.ctxBuf = txContext{req: req, seq: n.seq}
-		n.cur = &n.ctxBuf
-		if req.Service == mac.Reliable {
-			n.cur.unicast = len(req.Dests) == 1 && !req.Dests[0].IsBroadcast()
-			n.Stats().ReliableToTransmit++
-		}
-	}
-	n.DCF.Arm()
+	return n.Progress(stateNames[n.St], n.timer)
 }
 
 func (n *Node) onWin() {
-	if n.cur == nil || n.St != csma.Idle {
+	req := n.Req
+	if req == nil || n.St != csma.Idle {
 		return
 	}
 	n.Aud.Initiation(n.Radio.ID())
-	req := n.cur.req
-	if req.Service == mac.Reliable && n.cur.unicast {
+	if req.Service == mac.Reliable && len(req.Dests) == 1 && !req.Dests[0].IsBroadcast() {
 		n.St = stTxRTS
 		tail := phy.SIFS + n.Cfg.TxDuration(frame.CTSLen) +
 			phy.SIFS + n.Cfg.TxDuration(frame.Data80211Overhead+len(req.Payload)) +
@@ -139,10 +93,10 @@ func (n *Node) onWin() {
 	// no recovery — the 802.11 behaviour §1 describes.
 	n.St = stTxBcast
 	if req.Service == mac.Unreliable {
-		n.StartUnreliable(req, n.cur.seq)
+		n.StartUnreliable()
 		return
 	}
-	n.SendData(n.Data(frame.Broadcast, n.cur.seq, req.Payload))
+	n.SendData(n.Data(frame.Broadcast))
 }
 
 // OnTxDone implements phy.Handler.
@@ -156,16 +110,12 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		n.St = stWfACK
 		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxBcast:
-		res := mac.TxResult{Req: n.cur.req}
-		if res.Req.Service == mac.Reliable {
-			// Best effort: the sender has no way to learn the outcome;
-			// report the attempt.
-			res.Delivered = res.Req.Dests // loaned; see mac.TxResult
-		}
-		n.finish(res)
+		// Best effort: the sender has no way to learn the outcome of a
+		// reliable multicast; report the attempt.
+		n.FinishAll(false)
 	case csma.Responding:
 		n.St = csma.Idle
-		n.trySend()
+		n.TrySend()
 	default:
 		panic(fmt.Sprintf("dot11: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
@@ -175,17 +125,15 @@ func (n *Node) onTimeout() {
 	switch n.St {
 	case stWfCTS, stWfACK:
 		n.St = csma.Idle
-		if !n.Retry(&n.cur.retries) {
+		if !n.Retry() {
 			n.completeUnicast(true)
-			return
 		}
-		n.trySend()
 	}
 }
 
 func (n *Node) sendData() {
 	n.St = stTxData
-	f := n.Data(n.cur.req.Dests[0], n.cur.seq, n.cur.req.Payload)
+	f := n.Data(n.Req.Dests[0])
 	f.Duration = csma.Micros(phy.SIFS + n.Cfg.TxDuration(frame.ACKLen))
 	n.SendData(f)
 }
@@ -194,7 +142,7 @@ func (n *Node) sendData() {
 // a CTS, scheduled closure-free through the engine's tagged-event path.
 func (n *Node) Call(int32) {
 	n.Deferred--
-	if n.cur == nil || n.Radio.Transmitting() {
+	if n.Req == nil || n.Radio.Transmitting() {
 		return
 	}
 	n.sendData()
@@ -207,28 +155,18 @@ func (n *Node) afterSIFS() {
 }
 
 func (n *Node) completeUnicast(dropped bool) {
-	res := mac.TxResult{Req: n.cur.req, Retries: n.cur.retries, Dropped: dropped}
+	acked := 1
 	if dropped {
-		res.Failed = n.cur.req.Dests // loaned; see mac.TxResult
-	} else {
-		res.Delivered = n.cur.req.Dests // loaned; see mac.TxResult
+		acked = 0
 	}
-	n.Aud.ReliableOutcome(n.Radio.ID(), len(res.Delivered), 1, dropped)
-	n.finish(res)
-}
-
-// finish ends the packet in flight with res and moves on to the next.
-func (n *Node) finish(res mac.TxResult) {
-	n.St = csma.Idle
-	n.cur = nil
-	n.Complete(res)
-	n.trySend()
+	n.Aud.ReliableOutcome(n.Radio.ID(), acked, 1, dropped)
+	n.FinishAll(dropped)
 }
 
 // --- Reception ---------------------------------------------------------------
 
 // OnFrameReceived implements phy.Handler.
-func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
+func (n *Node) OnFrameReceived(f frame.Frame, ok bool, _ sim.Time) {
 	if !ok {
 		return
 	}
@@ -249,7 +187,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 		}
 		n.Overhear(g.Receiver, g.Duration)
 	case *frame.Data:
-		n.onData(g, rxStart)
+		n.onData(g)
 	case *frame.ACK:
 		if n.St == stWfACK && g.Receiver == n.Addr() {
 			n.CountCtrlRx(g)
@@ -264,17 +202,17 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 // onData delivers every data frame addressed to us or broadcast, once per
 // (sender, seq): unlike the multicast baselines, 802.11 deduplicates its
 // one-shot frames too.
-func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
+func (n *Node) onData(d *frame.Data) {
 	if d.Receiver == n.Addr() && d.Duration > 0 {
 		// Unicast data under reservation: deliver and ACK.
-		n.Deliver(d, true, true, rxStart)
+		n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, true, true)
 		n.Respond(n.ACK(d.Transmitter))
 		return
 	}
 	if d.Receiver == n.Addr() || d.Receiver.IsBroadcast() {
 		// One-shot multicast/broadcast data (no reservation tail): the
 		// upper layer treats it as best-effort.
-		n.Deliver(d, false, true, rxStart)
+		n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, false, true)
 		return
 	}
 	if d.Duration > 0 {

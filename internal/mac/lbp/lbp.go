@@ -50,12 +50,6 @@ const (
 
 var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_UDATA", "GAP"}
 
-type txContext struct {
-	req     *mac.SendRequest
-	retries int
-	seq     uint16
-}
-
 // peerState tracks this node's receiver-side relationship with a sender.
 type peerState struct {
 	// expecting is set when we overhear an RTS from the sender whose
@@ -70,13 +64,8 @@ type peerState struct {
 type Node struct {
 	csma.Station
 
-	cur   *txContext
 	timer *sim.Timer
 	peers map[frame.Addr]*peerState
-	seq   uint16
-
-	// ctxBuf backs cur (one packet in flight at a time).
-	ctxBuf txContext
 }
 
 var (
@@ -98,60 +87,27 @@ func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *
 	return n
 }
 
-// AuditPending implements audit.PendingReporter.
-func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.Queue.Len(), n.cur != nil
-}
-
 // Liveness implements mac.LivenessReporter.
 func (n *Node) Liveness() mac.Liveness {
-	return n.Progress(stateNames[n.St], n.cur != nil, n.timer)
+	return n.Progress(stateNames[n.St], n.timer)
 }
 
-// Send implements mac.MAC.
-func (n *Node) Send(req *mac.SendRequest) bool {
-	if !n.Queue.Admit(req, n.Eng.Now(), n.Stats()) {
-		return false
-	}
-	n.trySend()
-	return true
-}
-
-func (n *Node) trySend() {
-	if n.St != csma.Idle || n.DCF.Armed() {
-		return
-	}
-	if n.cur == nil {
-		req := n.Queue.Pop()
-		if req == nil {
-			return
-		}
-		n.seq++
-		n.ctxBuf = txContext{req: req, seq: n.seq}
-		n.cur = &n.ctxBuf
-		if req.Service == mac.Reliable {
-			n.Stats().ReliableToTransmit++
-		}
-	}
-	n.DCF.Arm()
-}
-
-func (n *Node) leader() frame.Addr { return n.cur.req.Dests[0] }
+func (n *Node) leader() frame.Addr { return n.Req.Dests[0] }
 
 func (n *Node) onWin() {
-	if n.cur == nil || n.St != csma.Idle {
+	if n.Req == nil || n.St != csma.Idle {
 		return
 	}
 	n.Aud.Initiation(n.Radio.ID())
-	if n.cur.req.Service == mac.Unreliable {
+	if n.Req.Service == mac.Unreliable {
 		n.St = stTxUData
-		n.StartUnreliable(n.cur.req, n.cur.seq)
+		n.StartUnreliable()
 		return
 	}
 	n.St = stTxRTS
 	c := n.Cfg
 	tail := phy.SIFS + c.TxDuration(frame.CTSLen) +
-		phy.SIFS + c.TxDuration(frame.Data80211Overhead+len(n.cur.req.Payload)) +
+		phy.SIFS + c.TxDuration(frame.Data80211Overhead+len(n.Req.Payload)) +
 		phy.SIFS + c.TxDuration(frame.ACKLen)
 	f := n.Frames.RTS()
 	f.Duration = csma.Micros(tail)
@@ -171,10 +127,10 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		n.St = stWfACK
 		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxUData:
-		n.finish(mac.TxResult{Req: n.cur.req})
+		n.Finish(nil, nil, false)
 	case csma.Responding:
 		n.St = csma.Idle
-		n.trySend()
+		n.TrySend()
 	default:
 		panic(fmt.Sprintf("lbp: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
@@ -186,17 +142,15 @@ func (n *Node) onTimeout() {
 		// Missing CTS (or NCTS in real LBP), or ACK garbled by NAKs /
 		// lost: retransmission round.
 		n.St = csma.Idle
-		if !n.Retry(&n.cur.retries) {
-			n.completeReliable(true)
-			return
+		if !n.Retry() {
+			n.FinishAll(true)
 		}
-		n.trySend()
 	}
 }
 
 func (n *Node) sendData() {
 	n.St = stTxData
-	f := n.Data(frame.Broadcast, n.cur.seq, n.cur.req.Payload)
+	f := n.Data(frame.Broadcast)
 	f.Duration = csma.Micros(phy.SIFS + n.Cfg.TxDuration(frame.ACKLen))
 	n.SendData(f)
 }
@@ -205,7 +159,7 @@ func (n *Node) sendData() {
 // a CTS, scheduled closure-free through the engine's tagged-event path.
 func (n *Node) Call(int32) {
 	n.Deferred--
-	if n.cur == nil || n.Radio.Transmitting() {
+	if n.Req == nil || n.Radio.Transmitting() {
 		return
 	}
 	n.sendData()
@@ -215,29 +169,6 @@ func (n *Node) afterSIFS() {
 	n.St = stGap
 	n.Deferred++
 	n.Eng.AfterCall(phy.SIFS, n, 0)
-}
-
-// completeReliable reports the sender's belief; no ReliableOutcome is
-// declared (see the package doc).
-func (n *Node) completeReliable(dropped bool) {
-	res := mac.TxResult{Req: n.cur.req, Retries: n.cur.retries, Dropped: dropped}
-	if dropped {
-		res.Failed = n.cur.req.Dests // loaned; see mac.TxResult
-	} else {
-		// The sender's belief: a clean leader ACK means everyone got it.
-		// Receivers that missed the RTS never complained — the
-		// reliability gap of leader/negative-feedback schemes.
-		res.Delivered = n.cur.req.Dests // loaned; see mac.TxResult
-	}
-	n.finish(res)
-}
-
-// finish ends the packet in flight with res and moves on to the next.
-func (n *Node) finish(res mac.TxResult) {
-	n.St = csma.Idle
-	n.cur = nil
-	n.Complete(res)
-	n.trySend()
 }
 
 // --- Reception ---------------------------------------------------------------
@@ -275,12 +206,16 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 		}
 		n.Overhear(g.Receiver, g.Duration)
 	case *frame.Data:
-		n.onData(g, rxStart)
+		n.onData(g)
 	case *frame.ACK:
 		if n.St == stWfACK && g.Receiver == n.Addr() {
 			n.CountCtrlRx(g)
 			n.timer.Stop()
-			n.completeReliable(false)
+			// The sender's belief: a clean leader ACK means everyone
+			// got it. Receivers that missed the RTS never complained —
+			// the reliability gap of leader/negative-feedback schemes.
+			// No ReliableOutcome is declared (see the package doc).
+			n.FinishAll(false)
 			return
 		}
 		n.Overhear(g.Receiver, g.Duration)
@@ -308,11 +243,11 @@ func (n *Node) onRTS(g *frame.RTS) {
 }
 
 // onData delivers reliable data to expecting receivers; the leader ACKs.
-func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
+func (n *Node) onData(d *frame.Data) {
 	if d.Duration > 0 {
 		p := n.peer(d.Transmitter)
 		if p.expecting && n.Eng.Now() < p.armedUntil && (d.Receiver == n.Addr() || d.Receiver.IsBroadcast()) {
-			n.Deliver(d, true, true, rxStart)
+			n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, true, true)
 			if p.leader {
 				n.Respond(n.ACK(d.Transmitter))
 			}
@@ -322,7 +257,7 @@ func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
 		return
 	}
 	if d.Receiver == n.Addr() || d.Receiver.IsBroadcast() {
-		n.Deliver(d, false, false, rxStart)
+		n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, false, false)
 	}
 }
 

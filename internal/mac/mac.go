@@ -1,9 +1,11 @@
 // Package mac defines the interface between upper layers (routing, the
 // multicast application) and the six MAC protocol implementations (RMAC,
 // BMMM, BMW, LBP, 802.11MX and plain 802.11), plus the machinery all of
-// them share: the transmission queue with Send's admission
-// (Queue.Admit), the contention backoff procedure (§3.3.1), and per-node
-// statistics feeding the paper's evaluation metrics (§4.2, §4.3).
+// them share: Node, the protocol-independent half of a MAC node that all
+// six embed (Send's admission into the transmission queue, the packet in
+// flight, retry-or-drop, completion and deduplicated delivery), the
+// contention backoff procedure (§3.3.1), and per-node statistics feeding
+// the paper's evaluation metrics (§4.2, §4.3).
 package mac
 
 import (
@@ -80,8 +82,6 @@ type RxInfo struct {
 	From     frame.Addr
 	Reliable bool
 	Seq      uint32
-	RxStart  sim.Time
-	RxEnd    sim.Time
 }
 
 // UpperLayer receives MAC indications. Implemented by routing and the

@@ -59,12 +59,6 @@ const (
 
 var stateNames = [...]string{"IDLE", "TX_RESP", "TX_ANN", "TX_DATA", "WF_NAK", "TX_UDATA", "GAP"}
 
-type txContext struct {
-	req     *mac.SendRequest
-	retries int
-	seq     uint16
-}
-
 // rxArm is the receiver-side armed expectation for one exchange. A node
 // holds a single arm slot (a later announce supersedes an earlier one, as
 // before), so arming allocates nothing: the slot and its deadline timer
@@ -79,8 +73,6 @@ type rxArm struct {
 type Node struct {
 	csma.Station
 
-	cur     *txContext
-	ctxBuf  txContext // backs cur; one packet in flight at a time
 	nakTmr  *sim.Timer
 	nakMark sim.Time // ToneTime(ABT) when the NAK window opened
 
@@ -88,7 +80,6 @@ type Node struct {
 	armed  bool
 	armTmr *sim.Timer
 	nakOn  bool
-	seq    uint16
 }
 
 var (
@@ -111,59 +102,26 @@ func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *
 	return n
 }
 
-// AuditPending implements audit.PendingReporter.
-func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.Queue.Len(), n.cur != nil
-}
-
 // Liveness implements mac.LivenessReporter.
 func (n *Node) Liveness() mac.Liveness {
-	return n.Progress(stateNames[n.St], n.cur != nil, n.nakTmr)
-}
-
-// Send implements mac.MAC.
-func (n *Node) Send(req *mac.SendRequest) bool {
-	if !n.Queue.Admit(req, n.Eng.Now(), n.Stats()) {
-		return false
-	}
-	n.trySend()
-	return true
-}
-
-func (n *Node) trySend() {
-	if n.St != csma.Idle || n.DCF.Armed() {
-		return
-	}
-	if n.cur == nil {
-		req := n.Queue.Pop()
-		if req == nil {
-			return
-		}
-		n.seq++
-		n.ctxBuf = txContext{req: req, seq: n.seq}
-		n.cur = &n.ctxBuf
-		if req.Service == mac.Reliable {
-			n.Stats().ReliableToTransmit++
-		}
-	}
-	n.DCF.Arm()
+	return n.Progress(stateNames[n.St], n.nakTmr)
 }
 
 func (n *Node) onWin() {
-	if n.cur == nil || n.St != csma.Idle {
+	if n.Req == nil || n.St != csma.Idle {
 		return
 	}
 	n.Aud.Initiation(n.Radio.ID())
-	if n.cur.req.Service == mac.Unreliable {
+	if n.Req.Service == mac.Unreliable {
 		n.St = stTxUData
-		n.StartUnreliable(n.cur.req, n.cur.seq)
+		n.StartUnreliable()
 		return
 	}
 	// Announce: an RTS-sized frame broadcast to the group; Duration
 	// covers SIFS + DATA + NAK window, letting armed receivers compute
 	// the data deadline.
 	n.St = stTxAnn
-	dataDur := n.Cfg.TxDuration(frame.Data80211Overhead + len(n.cur.req.Payload))
+	dataDur := n.Cfg.TxDuration(frame.Data80211Overhead + len(n.Req.Payload))
 	f := n.Frames.RTS()
 	f.Duration = csma.Micros(phy.SIFS + dataDur + NAKWindow)
 	f.Receiver = frame.Broadcast
@@ -182,7 +140,7 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		n.nakMark = n.Radio.ToneTime(phy.ToneABT)
 		n.nakTmr.Start(NAKWindow + windowSlack)
 	case stTxUData:
-		n.finish(mac.TxResult{Req: n.cur.req})
+		n.Finish(nil, nil, false)
 	default:
 		panic(fmt.Sprintf("mx: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
@@ -190,7 +148,7 @@ func (n *Node) OnTxDone(f frame.Frame) {
 
 func (n *Node) sendData() {
 	n.St = stTxData
-	f := n.Data(frame.Broadcast, n.cur.seq, n.cur.req.Payload)
+	f := n.Data(frame.Broadcast)
 	f.Duration = csma.Micros(NAKWindow)
 	n.SendData(f)
 }
@@ -207,7 +165,7 @@ func (n *Node) Call(tag int32) {
 	switch tag {
 	case tagData:
 		n.Deferred--
-		if n.cur == nil || n.Radio.Transmitting() {
+		if n.Req == nil || n.Radio.Transmitting() {
 			return
 		}
 		n.sendData()
@@ -224,47 +182,25 @@ func (n *Node) afterSIFS() {
 }
 
 // onNAKWindowEnd scores the window: tone sensed for λ means at least one
-// receiver complained.
+// receiver complained. Silence is success — the sender's belief, not a
+// guarantee, so no ReliableOutcome is declared (see the package doc).
 func (n *Node) onNAKWindowEnd() {
 	n.Stats().ABTCheckTime += NAKWindow + windowSlack
 	naked := n.Radio.ToneTime(phy.ToneABT)-n.nakMark >= phy.Lambda
 	if !naked {
-		n.completeReliable(false)
+		n.FinishAll(false)
 		return
 	}
 	n.St = csma.Idle
-	if !n.Retry(&n.cur.retries) {
-		n.completeReliable(true)
-		return
+	if !n.Retry() {
+		n.FinishAll(true)
 	}
-	n.trySend()
-}
-
-// completeReliable reports the sender's belief; no ReliableOutcome is
-// declared (see the package doc).
-func (n *Node) completeReliable(dropped bool) {
-	res := mac.TxResult{Req: n.cur.req, Retries: n.cur.retries, Dropped: dropped}
-	if dropped {
-		res.Failed = n.cur.req.Dests // loaned; see mac.TxResult
-	} else {
-		// Silence is success — the sender's belief, not a guarantee.
-		res.Delivered = n.cur.req.Dests // loaned; see mac.TxResult
-	}
-	n.finish(res)
-}
-
-// finish ends the packet in flight with res and moves on to the next.
-func (n *Node) finish(res mac.TxResult) {
-	n.St = csma.Idle
-	n.cur = nil
-	n.Complete(res)
-	n.trySend()
 }
 
 // --- Reception ---------------------------------------------------------------
 
 // OnFrameReceived implements phy.Handler.
-func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
+func (n *Node) OnFrameReceived(f frame.Frame, ok bool, _ sim.Time) {
 	if !ok {
 		// A corrupted frame while armed: complain right away if the
 		// deadline has not passed (the corrupted frame was plausibly our
@@ -278,7 +214,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 	case *frame.RTS: // group announce
 		n.onAnnounce(g)
 	case *frame.Data:
-		n.onData(g, rxStart)
+		n.onData(g)
 	}
 }
 
@@ -298,7 +234,7 @@ func (n *Node) onAnnounce(g *frame.RTS) {
 	n.Reserve(g.Duration)
 }
 
-func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
+func (n *Node) onData(d *frame.Data) {
 	if d.Duration > 0 && d.Receiver.IsBroadcast() {
 		// Reliable group data: group members always accept a correctly
 		// decoded copy, armed or not (membership is by group address in
@@ -307,7 +243,7 @@ func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
 			n.armTmr.Stop()
 			n.armed = false
 		}
-		n.Deliver(d, true, true, rxStart)
+		n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, true, true)
 		return
 	}
 	if d.Duration > 0 {
@@ -315,7 +251,7 @@ func (n *Node) onData(d *frame.Data, rxStart sim.Time) {
 		return
 	}
 	if d.Receiver == n.Addr() || d.Receiver.IsBroadcast() {
-		n.Deliver(d, false, false, rxStart)
+		n.Deliver(d.Transmitter, uint32(d.Seq), d.Payload, false, false)
 	}
 }
 

@@ -1,7 +1,5 @@
 package mac
 
-import "rmac/internal/sim"
-
 // Queue is the bounded FIFO transmission queue in front of a MAC state
 // machine. A full queue rejects new packets (counted by the caller as
 // queue drops).
@@ -17,31 +15,6 @@ func NewQueue(capacity int) *Queue {
 		panic("mac: queue capacity must be positive")
 	}
 	return &Queue{cap: capacity}
-}
-
-// Admit is the protocol-independent half of MAC.Send, the one every MAC
-// admits through: it checks that a Reliable request names a destination,
-// stamps EnqueuedAt with now and queues req, urgent requests at the
-// front. It counts the request in st as enqueued and returns true, or,
-// when the queue is full, counts a queue drop and returns false. Only
-// after true does the caller kick its transmission pipeline.
-func (q *Queue) Admit(req *SendRequest, now sim.Time, st *Stats) bool {
-	if req.Service == Reliable && len(req.Dests) == 0 {
-		panic("mac: Reliable Send needs at least one destination")
-	}
-	req.EnqueuedAt = now
-	var pushed bool
-	if req.Urgent {
-		pushed = q.PushFront(req)
-	} else {
-		pushed = q.Push(req)
-	}
-	if !pushed {
-		st.QueueDrops++
-		return false
-	}
-	st.Enqueued++
-	return true
 }
 
 // Len returns the number of queued packets.

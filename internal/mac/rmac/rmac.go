@@ -63,24 +63,6 @@ func (s State) String() string {
 // models.
 const GuardTime = 2 * sim.Microsecond
 
-// txContext tracks one reliable packet through (possibly split) Reliable
-// Send invocations.
-type txContext struct {
-	req *mac.SendRequest
-	// seq is the packet's MAC sequence number, assigned once per packet so
-	// every retransmission (and every §3.4 batch) carries the same value —
-	// receivers dedup retransmitted data on (sender, seq).
-	seq uint32
-	// batches are the §3.4 splits of the destination list; batchIdx
-	// cursors through them (a [1:] reslice would bleed capacity off the
-	// reused backing array and defeat the per-packet buffer reuse).
-	batches   [][]frame.Addr
-	batchIdx  int
-	remaining []frame.Addr // unacked receivers of the active batch
-	delivered []frame.Addr
-	retries   int // failed attempts of the active batch
-}
-
 // rxContext tracks the receiver role (WF_RDATA).
 type rxContext struct {
 	sender      frame.Addr
@@ -99,40 +81,29 @@ type Options struct {
 	DisableRBTProtection bool
 }
 
-// Node is one RMAC instance bound to a radio.
+// Node is one RMAC instance bound to a radio. The packet in flight, its
+// sequence number and retry count live in the embedded mac.Node; the
+// RetryLimit bounds the attempts of each §3.4 batch.
 type Node struct {
-	eng    *sim.Engine
-	radio  *phy.Radio
-	cfg    phy.Config
-	addr   frame.Addr
-	limits mac.Limits
-	opts   Options
-	upper  mac.UpperLayer
-	frames *frame.Pool
+	mac.Node
+	opts  Options
+	state State
+	aud   *audit.Auditor
 
-	state   State
-	queue   *mac.Queue
-	backoff *mac.Backoff
-	stats   mac.Stats
-	aud     *audit.Auditor
+	// The reliable packet in flight: batches are the §3.4 splits of its
+	// destination list and batchIdx cursors through them (a [1:] reslice
+	// would bleed capacity off the reused backing array and defeat the
+	// per-packet buffer reuse); remaining holds the unacked receivers of
+	// the active batch and delivered the receivers acknowledged so far.
+	batches   [][]frame.Addr
+	batchIdx  int
+	remaining []frame.Addr
+	delivered []frame.Addr
 
-	cur *txContext
-	rx  *rxContext
-
-	// ctxBuf and rxBuf back cur and rx: a node runs at most one sender
-	// and one receiver context at a time, so both are reused across
-	// packets instead of allocated per packet.
-	ctxBuf txContext
-	rxBuf  rxContext
-
-	seq uint32
-
-	// lastSeq dedups the receiver role: the last (sender, seq) delivered
-	// upward. A retransmitted data frame (the sender missed our ABT) is
-	// re-acknowledged but not re-delivered. Last-value tracking suffices:
-	// a sender transmits packets strictly one at a time, so a receiver
-	// sees each sender's sequence numbers in non-decreasing order.
-	lastSeq map[frame.Addr]uint32
+	// rx is the receiver role (WF_RDATA), backed by rxBuf: a node runs
+	// at most one receiver context at a time.
+	rx    *rxContext
+	rxBuf rxContext
 
 	// Sender-side timers. rbtMark and abtMark are the radio's tone meter
 	// readings (phy.Radio.ToneTime) when the open RBT or ABT window began.
@@ -144,7 +115,7 @@ type Node struct {
 	abtAcked []bool
 
 	// stillBuf/failedBuf are scratch receiver lists reused across
-	// attempts (stillBuf swaps with cur.remaining after each ABT round).
+	// attempts (stillBuf swaps with remaining after each ABT round).
 	stillBuf  []frame.Addr
 	failedBuf []frame.Addr
 
@@ -163,33 +134,13 @@ func New(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits) *
 
 // NewWithOptions is New with ablation options.
 func NewWithOptions(radio *phy.Radio, cfg phy.Config, eng *sim.Engine, limits mac.Limits, opts Options) *Node {
-	n := &Node{
-		eng:     eng,
-		radio:   radio,
-		cfg:     cfg,
-		addr:    frame.AddrFromID(radio.ID()),
-		limits:  limits,
-		opts:    opts,
-		queue:   mac.NewQueue(limits.QueueCap),
-		frames:  radio.Frames(),
-		lastSeq: make(map[frame.Addr]uint32),
-	}
-	n.backoff = mac.NewBackoff(eng, eng.Rand(), phy.SlotTime, n.channelsIdle, n.onBackoffFire)
+	n := &Node{opts: opts}
+	n.Init(n, radio, cfg, eng, limits, mac.NewBackoff(eng, eng.Rand(), phy.SlotTime, n.channelsIdle, n.TrySend))
 	n.wfRBT = sim.NewTimer(eng, n.onWfRBTExpire)
 	n.wfABT = sim.NewTimer(eng, n.onABTWindow)
 	n.wfRData = sim.NewTimer(eng, n.onWfRDataExpire)
-	radio.SetHandler(n)
 	return n
 }
-
-// Addr implements mac.MAC.
-func (n *Node) Addr() frame.Addr { return n.addr }
-
-// Stats implements mac.MAC.
-func (n *Node) Stats() *mac.Stats { return &n.stats }
-
-// SetUpper implements mac.MAC.
-func (n *Node) SetUpper(u mac.UpperLayer) { n.upper = u }
 
 // SetAuditor attaches the protocol-invariant auditor; the node declares
 // its legal tone windows and reliable-send outcomes to it. A nil auditor
@@ -201,12 +152,7 @@ func (n *Node) SetAuditor(a *audit.Auditor) { n.aud = a }
 // advance the node regardless of the countdown.
 func (n *Node) AuditContention() (wants, counting, gated, idle bool) {
 	gated = n.state != StateIdle || n.wfRBT.Pending() || n.wfABT.Pending() || n.wfRData.Pending()
-	return n.backoff.Active(), n.backoff.Counting(), gated, n.channelsIdle()
-}
-
-// AuditPending implements audit.PendingReporter.
-func (n *Node) AuditPending() (queued int, inFlight bool) {
-	return n.queue.Len(), n.cur != nil
+	return n.Backoff.Active(), n.Backoff.Counting(), gated, n.channelsIdle()
 }
 
 // State returns the node's current protocol state (for tests/tracing).
@@ -220,95 +166,76 @@ func (n *Node) State() State { return n.state }
 func (n *Node) Liveness() mac.Liveness {
 	return mac.Liveness{
 		State: n.state.String(),
-		Idle:  n.state == StateIdle && n.cur == nil && n.queue.Len() == 0,
-		Pending: n.radio.Transmitting() || n.radio.CarrierSensed() ||
+		Idle:  n.state == StateIdle && n.Req == nil && n.Queue.Len() == 0,
+		Pending: n.Radio.Transmitting() || n.Radio.CarrierSensed() ||
 			n.wfRBT.Pending() || n.wfABT.Pending() || n.wfRData.Pending() ||
-			n.backoff.Counting() ||
+			n.Backoff.Counting() ||
 			// A sensed foreign RBT suspends our backoff; its falling edge
 			// is what resumes us, so it counts as a pending wake-up.
-			n.radio.ToneSensed(phy.ToneRBT),
+			n.Radio.ToneSensed(phy.ToneRBT),
 	}
-}
-
-// Send implements mac.MAC: it enqueues the request and kicks the pipeline.
-func (n *Node) Send(req *mac.SendRequest) bool {
-	if !n.queue.Admit(req, n.eng.Now(), &n.stats) {
-		return false
-	}
-	n.trySend()
-	return true
 }
 
 // channelsIdle is the §3.3.1 countdown condition: both the data channel
 // and the RBT channel idle.
 func (n *Node) channelsIdle() bool {
 	if n.opts.DisableRBTProtection {
-		return !n.radio.DataChannelBusy()
+		return !n.Radio.DataChannelBusy()
 	}
-	return !n.radio.DataChannelBusy() && !n.radio.ToneSensed(phy.ToneRBT)
+	return !n.Radio.DataChannelBusy() && !n.Radio.ToneSensed(phy.ToneRBT)
 }
 
-// trySend advances the transmission pipeline when the node is idle.
-func (n *Node) trySend() {
+// TrySend implements mac.Protocol: it advances the transmission pipeline
+// when the node is idle. It is also the backoff's fire callback.
+func (n *Node) TrySend() {
 	if n.state != StateIdle {
 		return
 	}
-	if n.backoff.Active() {
-		n.backoff.Resume()
+	if n.Backoff.Active() {
+		n.Backoff.Resume()
 		return
 	}
-	if n.cur == nil {
-		req := n.queue.Pop()
-		if req == nil {
+	if n.Req == nil {
+		if !n.Next() {
 			return
 		}
-		n.cur = n.newContext(req)
+		n.split()
 	}
 	if !n.channelsIdle() {
 		// Condition (1) of §3.3.1: packet pending, channel busy.
-		n.backoff.Draw()
+		n.Backoff.Draw()
 		return
 	}
 	n.startAttempt()
 }
 
-func (n *Node) onBackoffFire() { n.trySend() }
-
-func (n *Node) newContext(req *mac.SendRequest) *txContext {
-	ctx := &n.ctxBuf
-	n.seq++
-	*ctx = txContext{
-		req:       req,
-		seq:       n.seq,
-		batches:   ctx.batches[:0],
-		remaining: ctx.remaining[:0],
-		delivered: ctx.delivered[:0],
+// split lays out the batches of a new packet in flight: the §3.4
+// refinement splits a destination list longer than the receiver limit
+// into several Reliable Send invocations.
+func (n *Node) split() {
+	n.batches, n.batchIdx = n.batches[:0], 0
+	n.remaining, n.delivered = n.remaining[:0], n.delivered[:0]
+	if n.Req.Service == mac.Unreliable {
+		return
 	}
-	if req.Service == mac.Unreliable {
-		return ctx
-	}
-	// §3.4 refinement: split destination lists longer than the limit
-	// into multiple Reliable Send invocations.
-	dests := req.Dests
-	limit := n.limits.MaxReceivers
+	dests := n.Req.Dests
+	limit := n.Limits.MaxReceivers
 	if limit <= 0 {
 		limit = frame.MaxReceivers
 	}
 	for len(dests) > limit {
-		ctx.batches = append(ctx.batches, dests[:limit])
+		n.batches = append(n.batches, dests[:limit])
 		dests = dests[limit:]
 	}
-	ctx.batches = append(ctx.batches, dests)
-	ctx.remaining = append(ctx.remaining, ctx.batches[0]...)
-	ctx.batchIdx = 1
-	n.stats.ReliableToTransmit++
-	return ctx
+	n.batches = append(n.batches, dests)
+	n.remaining = append(n.remaining, n.batches[0]...)
+	n.batchIdx = 1
 }
 
 // startAttempt begins one transmission attempt for the head packet:
 // C1/C6 (unreliable) or C10/C14 (reliable).
 func (n *Node) startAttempt() {
-	if n.cur.req.Service == mac.Unreliable {
+	if n.Req.Service == mac.Unreliable {
 		n.startUnreliable()
 		return
 	}
@@ -316,29 +243,28 @@ func (n *Node) startAttempt() {
 }
 
 func (n *Node) startUnreliable() {
-	req := n.cur.req
 	dest := frame.Broadcast
-	if len(req.Dests) > 0 {
-		dest = req.Dests[0]
+	if len(n.Req.Dests) > 0 {
+		dest = n.Req.Dests[0]
 	}
-	f := n.frames.UData()
-	f.Transmitter = n.addr
+	f := n.Frames.UData()
+	f.Transmitter = n.Addr()
 	f.Receiver = dest
-	f.Seq = n.cur.seq
-	f.Payload = append(f.Payload, req.Payload...)
+	f.Seq = n.Seq
+	f.Payload = append(f.Payload, n.Req.Payload...)
 	n.state = StateTxUnrData
-	n.radio.StartTx(f)
+	n.Radio.StartTx(f)
 }
 
 func (n *Node) startMRTS() {
-	m := n.frames.MRTS()
-	m.Transmitter = n.addr
-	m.Receivers = append(m.Receivers, n.cur.remaining...)
-	n.stats.MRTSSent++
-	n.stats.MRTSLens = append(n.stats.MRTSLens, m.WireSize())
+	m := n.Frames.MRTS()
+	m.Transmitter = n.Addr()
+	m.Receivers = append(m.Receivers, n.remaining...)
+	st := n.Stats()
+	st.MRTSSent++
+	st.MRTSLens = append(st.MRTSLens, m.WireSize())
 	n.state = StateTxMRTS
-	dur := n.radio.StartTx(m)
-	n.stats.CtrlTxTime += dur
+	st.CtrlTxTime += n.Radio.StartTx(m)
 }
 
 // OnTxDone implements phy.Handler (natural completion only; aborts are
@@ -348,59 +274,46 @@ func (n *Node) OnTxDone(f frame.Frame) {
 	case StateTxMRTS:
 		// C17: MRTS complete -> WF_RBT, timer 2τ+λ.
 		n.state = StateWfRBT
-		n.rbtMark = n.radio.ToneTime(phy.ToneRBT)
+		n.rbtMark = n.Radio.ToneTime(phy.ToneRBT)
 		n.wfRBT.Start(phy.ToneWaitTimeout)
 	case StateTxRData:
 		// C19: data complete -> WF_ABT, n cycles of 2τ+λ.
 		n.state = StateWfABT
-		n.abtMark = n.radio.ToneTime(phy.ToneABT)
+		n.abtMark = n.Radio.ToneTime(phy.ToneABT)
 		n.abtSlot = 0
 		n.abtAcked = n.abtAcked[:0]
-		for range n.cur.remaining {
+		for range n.remaining {
 			n.abtAcked = append(n.abtAcked, false)
 		}
 		n.wfABT.Start(phy.ABTDuration)
 	case StateTxUnrData:
 		// C5/C2: unreliable transmission done.
-		n.stats.UnreliableSent++
-		n.completeUnreliable()
+		n.state = StateIdle
+		n.Complete(nil, nil, false)
 	default:
-		panic(fmt.Sprintf("rmac: node %v OnTxDone in state %v", n.addr, n.state))
+		panic(fmt.Sprintf("rmac: node %v OnTxDone in state %v", n.Addr(), n.state))
 	}
-}
-
-func (n *Node) completeUnreliable() {
-	req := n.cur.req
-	n.cur = nil
-	n.state = StateIdle
-	n.postTxBackoff(true)
-	if n.upper != nil {
-		n.upper.OnSendComplete(mac.TxResult{Req: req})
-	}
-	n.trySend()
 }
 
 // onWfRBTExpire: step 4 of §3.3.2 — at T_wf_rbt expiry, transmit data if
 // an RBT was detected during the timer period, otherwise back off and
 // retry.
 func (n *Node) onWfRBTExpire() {
-	detected := n.radio.ToneTime(phy.ToneRBT)-n.rbtMark >= phy.Lambda
+	detected := n.Radio.ToneTime(phy.ToneRBT)-n.rbtMark >= phy.Lambda
 	if !detected {
 		n.attemptFailed()
 		return
 	}
-	// The packet's sequence number was fixed at newContext time:
-	// retransmissions and later §3.4 batches repeat it, so receivers can
-	// recognise (and re-acknowledge without re-delivering) a data frame
-	// whose ABT the sender missed.
-	f := n.frames.RData()
-	f.Transmitter = n.addr
+	// Retransmissions and later §3.4 batches repeat the packet's Seq, so
+	// receivers can recognise (and re-acknowledge without re-delivering)
+	// a data frame whose ABT the sender missed.
+	f := n.Frames.RData()
+	f.Transmitter = n.Addr()
 	f.Receiver = frame.Broadcast // delivery set governed by the MRTS
-	f.Seq = n.cur.seq
-	f.Payload = append(f.Payload, n.cur.req.Payload...)
+	f.Seq = n.Seq
+	f.Payload = append(f.Payload, n.Req.Payload...)
 	n.state = StateTxRData
-	dur := n.radio.StartTx(f)
-	n.stats.DataTxTime += dur
+	n.Stats().DataTxTime += n.Radio.StartTx(f)
 }
 
 // onABTWindow closes one ABT sensing window (step 6 of §3.3.2): window i
@@ -409,23 +322,23 @@ func (n *Node) onWfRBTExpire() {
 // now, and window i+1 opens now.
 func (n *Node) onABTWindow() {
 	i := n.abtSlot
-	n.stats.ABTCheckTime += phy.ABTDuration
-	mark := n.radio.ToneTime(phy.ToneABT)
+	n.Stats().ABTCheckTime += phy.ABTDuration
+	mark := n.Radio.ToneTime(phy.ToneABT)
 	if mark-n.abtMark >= phy.Lambda {
 		n.abtAcked[i] = true
 	}
 	n.abtMark = mark
 	n.abtSlot++
-	if n.abtSlot < len(n.cur.remaining) {
+	if n.abtSlot < len(n.remaining) {
 		n.wfABT.Start(phy.ABTDuration)
 		return
 	}
 	// All windows sensed: split acked / unacked. still reuses the node's
-	// scratch buffer, which swaps roles with cur.remaining below.
+	// scratch buffer, which swaps roles with remaining below.
 	still := n.stillBuf[:0]
-	for j, a := range n.cur.remaining {
+	for j, a := range n.remaining {
 		if n.abtAcked[j] {
-			n.cur.delivered = append(n.cur.delivered, a)
+			n.delivered = append(n.delivered, a)
 		} else {
 			still = append(still, a)
 		}
@@ -435,93 +348,50 @@ func (n *Node) onABTWindow() {
 		n.batchDone()
 		return
 	}
-	n.stillBuf = n.cur.remaining
-	n.cur.remaining = still
+	n.stillBuf = n.remaining
+	n.remaining = still
 	n.attemptFailed()
 }
 
 // attemptFailed handles a failed attempt (no RBT, missing ABTs, or MRTS
-// abortion): exponential backoff and retransmission, or drop past the
-// retry limit.
+// abortion): exponential backoff and retransmission, or, past the retry
+// limit, the packet is dropped with every receiver not yet acknowledged.
 func (n *Node) attemptFailed() {
 	n.state = StateIdle
-	n.cur.retries++
-	if n.cur.retries > n.limits.RetryLimit {
-		n.dropCurrent()
+	if n.Retry() {
 		return
 	}
-	n.stats.Retransmissions++
-	n.backoff.Fail()
-	n.backoff.Draw()
-	n.trySend()
-}
-
-// dropCurrent abandons the head packet at the retry limit (§3.3.2 note 1).
-func (n *Node) dropCurrent() {
-	ctx := n.cur
-	n.cur = nil
-	n.stats.Drops++
-	failed := append(n.failedBuf[:0], ctx.remaining...)
-	for _, b := range ctx.batches[ctx.batchIdx:] {
+	failed := append(n.failedBuf[:0], n.remaining...)
+	for _, b := range n.batches[n.batchIdx:] {
 		failed = append(failed, b...)
 	}
 	n.failedBuf = failed
-	n.postTxBackoff(true)
-	n.aud.ReliableOutcome(n.radio.ID(), len(ctx.delivered), len(ctx.req.Dests), true)
-	if n.upper != nil {
-		n.upper.OnSendComplete(mac.TxResult{
-			Req:       ctx.req,
-			Delivered: ctx.delivered,
-			Failed:    failed,
-			Dropped:   true,
-			Retries:   ctx.retries,
-		})
-	}
-	n.trySend()
+	n.aud.ReliableOutcome(n.Radio.ID(), len(n.delivered), len(n.Req.Dests), true)
+	n.Complete(n.delivered, failed, true)
 }
 
 // batchDone advances past a fully-acknowledged batch: next §3.4 batch
-// (separated by a backoff procedure) or packet completion.
+// (separated by a backoff procedure, with a fresh retry count) or packet
+// completion.
 func (n *Node) batchDone() {
 	n.state = StateIdle
-	ctx := n.cur
-	if ctx.batchIdx < len(ctx.batches) {
-		ctx.remaining = append(ctx.remaining[:0], ctx.batches[ctx.batchIdx]...)
-		ctx.batchIdx++
-		ctx.retries = 0
-		n.backoff.Reset()
-		n.backoff.Draw()
-		n.trySend()
+	if n.batchIdx < len(n.batches) {
+		n.remaining = append(n.remaining[:0], n.batches[n.batchIdx]...)
+		n.batchIdx++
+		n.Retries = 0
+		n.Backoff.Reset()
+		n.Backoff.Draw()
+		n.TrySend()
 		return
 	}
-	n.cur = nil
-	n.stats.ReliableDelivered++
-	n.postTxBackoff(true)
-	n.aud.ReliableOutcome(n.radio.ID(), len(ctx.delivered), len(ctx.req.Dests), false)
-	if n.upper != nil {
-		n.upper.OnSendComplete(mac.TxResult{
-			Req:       ctx.req,
-			Delivered: ctx.delivered,
-			Retries:   ctx.retries,
-		})
-	}
-	n.trySend()
-}
-
-// postTxBackoff implements §3.3.1 condition (3): a backoff procedure after
-// every completed transmission or drop, so successive transmissions are
-// separated by contention. reset selects CW restoration (success/drop).
-func (n *Node) postTxBackoff(reset bool) {
-	if reset {
-		n.backoff.Reset()
-	}
-	n.backoff.Draw()
+	n.aud.ReliableOutcome(n.Radio.ID(), len(n.delivered), len(n.Req.Dests), false)
+	n.Complete(n.delivered, nil, false)
 }
 
 // --- Receiver role ----------------------------------------------------------
 
 // OnFrameReceived implements phy.Handler.
-func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
+func (n *Node) OnFrameReceived(f frame.Frame, ok bool, _ sim.Time) {
 	switch n.state {
 	case StateIdle:
 		if !ok {
@@ -531,7 +401,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 		case *frame.MRTS:
 			n.onMRTS(g)
 		case *frame.UData:
-			n.onUData(g, rxStart)
+			n.onUData(g)
 		case *frame.RData:
 			// Stray reliable data (e.g. our receiver role ended early
 			// after a nearby abort): no RBT was held, so it arrived
@@ -550,22 +420,22 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 // onMRTS: step 2 of §3.3.2 — a node finding its address in the MRTS
 // memorizes its index and turns on the RBT.
 func (n *Node) onMRTS(m *frame.MRTS) {
-	idx := m.IndexOf(n.addr)
+	idx := m.IndexOf(n.Addr())
 	if idx < 0 {
 		return
 	}
-	n.stats.CtrlRxTime += n.cfg.TxDuration(m.WireSize())
+	n.Stats().CtrlRxTime += n.Cfg.TxDuration(m.WireSize())
 	n.rxBuf = rxContext{
 		sender:   m.Transmitter,
 		index:    idx,
-		deadline: n.eng.Now() + phy.ToneWaitTimeout + GuardTime,
+		deadline: n.Eng.Now() + phy.ToneWaitTimeout + GuardTime,
 	}
 	n.rx = &n.rxBuf
 	n.state = StateWfRData
-	n.backoff.Suspend()
-	n.aud.ExpectTone(n.radio.ID(), phy.ToneRBT, n.eng.Now(), 0)
-	n.radio.SetTone(phy.ToneRBT, true)
-	if n.radio.CarrierSensed() {
+	n.Backoff.Suspend()
+	n.aud.ExpectTone(n.Radio.ID(), phy.ToneRBT, n.Eng.Now(), 0)
+	n.Radio.SetTone(phy.ToneRBT, true)
+	if n.Radio.CarrierSensed() {
 		// A signal is already arriving; treat it as the data candidate.
 		n.rx.dataStarted = true
 	} else {
@@ -591,24 +461,14 @@ func (n *Node) receiverFrameEnd(f frame.Frame, ok bool) {
 			n.scheduleABT(idx)
 			// Retransmission of an already-delivered packet (the sender
 			// missed this receiver's ABT): acknowledge again, deliver once.
-			last, seen := n.lastSeq[d.Transmitter]
-			dup := seen && last == d.Seq
-			n.lastSeq[d.Transmitter] = d.Seq
-			if !dup && n.upper != nil {
-				n.upper.OnDeliver(d.Payload, mac.RxInfo{
-					From:     d.Transmitter,
-					Reliable: true,
-					Seq:      d.Seq,
-					RxEnd:    n.eng.Now(),
-				})
-			}
+			n.Deliver(d.Transmitter, d.Seq, d.Payload, true, true)
 			return
 		}
 	}
 	// Not our data (a truncated foreign MRTS fragment, a collision, or an
 	// unrelated frame). If the arrival deadline has not passed, keep the
 	// RBT up and keep waiting — the protected data frame may still come.
-	if n.eng.Now() < n.rx.deadline {
+	if n.Eng.Now() < n.rx.deadline {
 		n.rx.dataStarted = false
 		n.wfRData.StartAt(n.rx.deadline)
 		return
@@ -622,10 +482,10 @@ func (n *Node) endReceiverRole() {
 }
 
 func (n *Node) endReceiverRoleKeepingTimerStopped() {
-	n.radio.SetTone(phy.ToneRBT, false)
+	n.Radio.SetTone(phy.ToneRBT, false)
 	n.rx = nil
 	n.state = StateIdle
-	n.trySend()
+	n.TrySend()
 }
 
 // Tags for the node's sim.Caller dispatch (ABT emission). The transitions
@@ -641,37 +501,29 @@ const (
 func (n *Node) Call(tag int32) {
 	switch tag {
 	case tagABTOn:
-		n.stats.ABTSent++
-		n.radio.SetTone(phy.ToneABT, true)
-		n.eng.AfterCall(phy.ABTDuration, n, tagABTOff)
+		n.Stats().ABTSent++
+		n.Radio.SetTone(phy.ToneABT, true)
+		n.Eng.AfterCall(phy.ABTDuration, n, tagABTOff)
 	case tagABTOff:
-		n.radio.SetTone(phy.ToneABT, false)
+		n.Radio.SetTone(phy.ToneABT, false)
 	}
 }
 
 // scheduleABT emits the acknowledgment busy tone for l_abt after waiting
 // index·l_abt (T_tx_abt, §3.3.2).
 func (n *Node) scheduleABT(index int) {
-	n.aud.ExpectTone(n.radio.ID(), phy.ToneABT,
-		n.eng.Now()+sim.Time(index)*phy.ABTDuration, phy.ABTDuration)
-	n.eng.AfterCall(sim.Time(index)*phy.ABTDuration, n, tagABTOn)
+	n.aud.ExpectTone(n.Radio.ID(), phy.ToneABT,
+		n.Eng.Now()+sim.Time(index)*phy.ABTDuration, phy.ABTDuration)
+	n.Eng.AfterCall(sim.Time(index)*phy.ABTDuration, n, tagABTOn)
 }
 
 // onUData: §3.3.3 step 3 — accept unreliable frames destined to this node
 // (unicast or broadcast).
-func (n *Node) onUData(d *frame.UData, rxStart sim.Time) {
-	if d.Receiver != n.addr && !d.Receiver.IsBroadcast() {
+func (n *Node) onUData(d *frame.UData) {
+	if d.Receiver != n.Addr() && !d.Receiver.IsBroadcast() {
 		return
 	}
-	if n.upper != nil {
-		n.upper.OnDeliver(d.Payload, mac.RxInfo{
-			From:     d.Transmitter,
-			Reliable: false,
-			Seq:      d.Seq,
-			RxStart:  rxStart,
-			RxEnd:    n.eng.Now(),
-		})
-	}
+	n.Deliver(d.Transmitter, d.Seq, d.Payload, false, false)
 }
 
 // --- Channel state callbacks -------------------------------------------------
@@ -681,9 +533,9 @@ func (n *Node) OnCarrierChange(busy bool) {
 	switch n.state {
 	case StateIdle:
 		if busy {
-			n.backoff.Suspend()
+			n.Backoff.Suspend()
 		} else {
-			n.backoff.Resume()
+			n.Backoff.Resume()
 		}
 	case StateWfRData:
 		if busy && !n.rx.dataStarted {
@@ -708,22 +560,22 @@ func (n *Node) OnToneChange(t phy.Tone, sensed bool) {
 		if sensed {
 			// Step 3 of §3.3.2 / C11: abort the MRTS so the node that
 			// set up the RBT suffers no collision.
-			n.radio.AbortTx()
-			n.stats.MRTSAborted++
+			n.Radio.AbortTx()
+			n.Stats().MRTSAborted++
 			n.attemptFailed()
 		}
 	case StateTxUnrData:
 		if sensed {
 			// §3.3.3 step 2: abort; unreliable frames are not retried.
-			n.radio.AbortTx()
-			n.stats.UnreliableSent++
-			n.completeUnreliable()
+			n.Radio.AbortTx()
+			n.state = StateIdle
+			n.Complete(nil, nil, false)
 		}
 	case StateIdle:
 		if sensed {
-			n.backoff.Suspend()
+			n.Backoff.Suspend()
 		} else {
-			n.backoff.Resume()
+			n.Backoff.Resume()
 		}
 	}
 }

@@ -453,3 +453,49 @@ func TestRealSweepMatchesBatch(t *testing.T) {
 		t.Fatalf("delivery: served %v, batch %v", st.Results[0].Delivery, oracle.Delivery)
 	}
 }
+
+// TestExpandMatchesBatchSweep checks that a request's grid is the batch
+// sweep's grid: expand yields, point for point and in order, the cache
+// keys of the runs experiment.RunSweep performs for the same base and
+// axes, so served and batch results of one cell share a cache entry.
+func TestExpandMatchesBatchSweep(t *testing.T) {
+	req := SweepRequest{
+		Protocols: []string{"rmac", "bmmm"},
+		Scenarios: []string{"stationary", "speed2"},
+		Rates:     []float64{10, 20},
+		Seeds:     2,
+		Nodes:     6,
+		FieldW:    120,
+		FieldH:    80,
+		Packets:   2,
+		WarmupS:   0.5,
+		DrainS:    0.5,
+	}
+	cfgs, err := req.expand()
+	if err != nil {
+		t.Fatalf("expand: %v", err)
+	}
+	points := experiment.RunSweep(experiment.Sweep{
+		Base:        cfgs[0],
+		Protocols:   []experiment.Protocol{experiment.RMAC, experiment.BMMM},
+		Scenarios:   []experiment.Scenario{experiment.Stationary, experiment.Speed2},
+		Rates:       req.Rates,
+		Seeds:       req.Seeds,
+		Parallelism: 1,
+	})
+	var batch []string
+	for _, pt := range points {
+		for _, r := range pt.Runs {
+			batch = append(batch, r.Config.CacheKey())
+		}
+	}
+	if len(batch) != len(cfgs) {
+		t.Fatalf("expand yields %d grid points, the batch sweep ran %d", len(cfgs), len(batch))
+	}
+	for i, cfg := range cfgs {
+		if got := cfg.CacheKey(); got != batch[i] {
+			t.Errorf("grid point %d (%v/%v/%g seed %d): cache key %s, batch run %s",
+				i, cfg.Protocol, cfg.Scenario, cfg.Rate, cfg.Seed, got, batch[i])
+		}
+	}
+}

@@ -50,8 +50,9 @@ type SweepRequest struct {
 }
 
 // expand materializes the request's grid as one experiment.Config per
-// point, validating every cell up front so a malformed request is
-// rejected with 400 before anything is queued.
+// point through the batch sweep's own expansion (experiment.Sweep.Configs),
+// validating every cell up front so a malformed request is rejected with
+// 400 before anything is queued.
 func (r *SweepRequest) expand() ([]experiment.Config, error) {
 	if len(r.Protocols) == 0 {
 		return nil, errors.New("request needs at least one protocol")
@@ -116,24 +117,11 @@ func (r *SweepRequest) expand() ([]experiment.Config, error) {
 		base.Audit = *r.Audit
 	}
 
-	var cfgs []experiment.Config
-	for _, p := range protocols {
-		for _, sc := range scenarios {
-			for _, rate := range rates {
-				for seed := 0; seed < seeds; seed++ {
-					cfg := base
-					cfg.Protocol = p
-					cfg.Scenario = sc
-					cfg.Rate = rate
-					// Identical placements across compared protocols,
-					// exactly as experiment.RunSweep derives them.
-					cfg.Seed = int64(seed)*7919 + int64(sc) + 1
-					if err := cfg.Validate(); err != nil {
-						return nil, fmt.Errorf("grid point %v/%v/%g: %w", p, sc, rate, err)
-					}
-					cfgs = append(cfgs, cfg)
-				}
-			}
+	sweep := experiment.Sweep{Base: base, Protocols: protocols, Scenarios: scenarios, Rates: rates, Seeds: seeds}
+	cfgs := sweep.Configs()
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("grid point %v/%v/%g: %w", cfg.Protocol, cfg.Scenario, cfg.Rate, err)
 		}
 	}
 	return cfgs, nil
