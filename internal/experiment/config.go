@@ -239,9 +239,9 @@ type Config struct {
 	// benchmarking the bare hot path.
 	Audit bool
 
-	// TimerStats attaches the engine's per-horizon timer census
-	// (sim.TimerStats) and reports it in RunResult.TimerStats. Purely
-	// observational: event order is unchanged.
+	// TimerStats attaches the per-horizon timer census (sim.TimerStats)
+	// to every engine and reports their sum in RunResult.TimerStats.
+	// Purely observational: event order is unchanged.
 	TimerStats bool
 }
 
@@ -338,9 +338,6 @@ func (c Config) Validate() error {
 		}
 		if c.TraceCap > 0 {
 			return errors.New("experiment: TraceCap is not supported with Shards > 1")
-		}
-		if c.TimerStats {
-			return errors.New("experiment: TimerStats is not supported with Shards > 1")
 		}
 	}
 	if c.Sources < 0 || c.Sources > c.Nodes {

@@ -56,8 +56,8 @@ type RunResult struct {
 
 	// Simulator instrumentation.
 	Events uint64
-	// TimerStats is the engine's per-horizon timer census when
-	// Config.TimerStats is set (nil otherwise).
+	// TimerStats is the per-horizon timer census when Config.TimerStats
+	// is set (nil otherwise): a sharded run's is the sum of its engines'.
 	TimerStats *sim.TimerStats
 	// Trace holds the PHY event timeline when Config.TraceCap > 0.
 	Trace *trace.Trace
@@ -393,9 +393,11 @@ func (n *network) collect() RunResult {
 		Metrics:     app.Metrics{Nodes: cfg.Nodes},
 		MRTSLens:    &stats.Sample{},
 		AbortRatios: &stats.Sample{},
-		// Validate admits tracing and the timer census on one engine only.
-		TimerStats: n.stacks[0].tstats,
-		Trace:      n.stacks[0].medium.Tracer,
+		// Validate admits tracing on one engine only.
+		Trace: n.stacks[0].medium.Tracer,
+	}
+	if cfg.TimerStats {
+		res.TimerStats = &sim.TimerStats{}
 	}
 	tot := &res.Totals
 	for s, st := range n.stacks {
@@ -414,6 +416,9 @@ func (n *network) collect() RunResult {
 			}
 		}
 		res.Events += st.eng.Processed
+		if st.tstats != nil {
+			res.TimerStats.Add(st.tstats)
+		}
 		m := &res.Metrics
 		m.Generated += st.metrics.Generated
 		m.Receptions += st.metrics.Receptions

@@ -61,6 +61,28 @@ func TestShardedDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardedTimerStats runs a 2-shard run with the timer census on: the
+// census stays passive (the run fingerprints like the same run without
+// it) and sums every shard's engine, so it counts at least one schedule
+// per event run on any shard, which shard 0's census alone falls short of.
+func TestShardedTimerStats(t *testing.T) {
+	cfg := shardConfig(2)
+	plain := Run(cfg)
+	requireRan(t, "run", plain)
+	cfg.TimerStats = true
+	res := Run(cfg)
+	requireRan(t, "run with TimerStats", res)
+	if fa, fb := plain.Fingerprint(), res.Fingerprint(); fa != fb {
+		t.Errorf("TimerStats changed the run:\n%s\n%s", fa, fb)
+	}
+	if res.TimerStats == nil {
+		t.Fatal("no timer census with TimerStats set")
+	}
+	if got := res.TimerStats.TotalScheduled(); got < res.Events {
+		t.Errorf("census counts %d schedules for %d events run", got, res.Events)
+	}
+}
+
 // TestShardedDelivers checks the sharded engine produces a working network:
 // traffic flows, the protocol audits stay clean on every shard, and the
 // per-shard scheduler stats are populated and consistent.

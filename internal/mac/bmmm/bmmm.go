@@ -36,18 +36,14 @@ const (
 	stTxRAK
 	stWfACK
 	stTxUData
-	stGap // inside a SIFS gap of an ongoing exchange
 )
 
-var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "TX_RAK", "WF_ACK", "TX_UDATA", "GAP"}
+var stateNames = [...]string{"IDLE", "TX_RESP", "GAP", "TX_RTS", "WF_CTS", "TX_DATA", "TX_RAK", "WF_ACK", "TX_UDATA"}
 
-// step identifies the deferred exchange step scheduled by afterSIFS,
-// replacing the per-step closure with a tagged event on the node.
-type step int8
-
+// The sender's SIFS-deferred exchange steps: the tags of the node's
+// sim.Caller dispatch, scheduled by the station's AfterSIFS.
 const (
-	stepNone step = iota
-	stepRTS
+	stepRTS int32 = iota
 	stepData
 	stepRAK
 )
@@ -74,10 +70,6 @@ type Node struct {
 	ctsOK []bool
 	ackOK []bool
 	idx   int
-
-	// pendingStep carries the argument of the next tagged event: the
-	// deferred sender-side step (exchange steps are strictly sequential).
-	pendingStep step
 }
 
 var (
@@ -197,7 +189,9 @@ func (n *Node) sendRAK() {
 
 // OnTxDone implements phy.Handler.
 func (n *Node) OnTxDone(f frame.Frame) {
-	n.DCF.ChannelMaybeIdle()
+	if n.TxDone() {
+		return
+	}
 	switch n.St {
 	case stTxRTS:
 		n.St = stWfCTS
@@ -210,9 +204,6 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxUData:
 		n.Finish(nil, nil, false)
-	case csma.Responding:
-		n.St = csma.Idle
-		n.TrySend()
 	default:
 		panic(fmt.Sprintf("bmmm: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
@@ -235,14 +226,14 @@ func (n *Node) advanceCTS(ok bool) {
 	n.ctsOK[n.idx] = ok
 	n.idx++
 	if n.idx < len(n.remaining) {
-		n.afterSIFS(stepRTS)
+		n.AfterSIFS(n, stepRTS)
 		return
 	}
 	if countTrue(n.ctsOK) == 0 {
 		n.roundFailed()
 		return
 	}
-	n.afterSIFS(stepData)
+	n.AfterSIFS(n, stepData)
 }
 
 // advanceRAK advances idx to the next receiver that returned a CTS and
@@ -257,7 +248,7 @@ func (n *Node) advanceRAK() {
 		n.scoreRound()
 		return
 	}
-	n.afterSIFS(stepRAK)
+	n.AfterSIFS(n, stepRAK)
 }
 
 func (n *Node) advanceACK(ok bool) {
@@ -266,17 +257,12 @@ func (n *Node) advanceACK(ok bool) {
 	n.advanceRAK()
 }
 
-// Call implements sim.Caller: the SIFS-deferred sender-side step,
-// scheduled closure-free through the engine's tagged-event path, with
-// its argument in pendingStep.
-func (n *Node) Call(int32) {
-	n.Deferred--
-	s := n.pendingStep
-	n.pendingStep = stepNone
-	if n.Req == nil || n.Radio.Transmitting() {
+// Call implements sim.Caller: the exchange step AfterSIFS deferred.
+func (n *Node) Call(step int32) {
+	if !n.StepDue() {
 		return
 	}
-	switch s {
+	switch step {
 	case stepRTS:
 		n.sendRTS()
 	case stepData:
@@ -284,16 +270,6 @@ func (n *Node) Call(int32) {
 	case stepRAK:
 		n.sendRAK()
 	}
-}
-
-// afterSIFS schedules the next exchange step one SIFS later. The node
-// stays in stGap so it neither responds to solicitations nor starts a new
-// contention meanwhile.
-func (n *Node) afterSIFS(s step) {
-	n.St = stGap
-	n.Deferred++
-	n.pendingStep = s
-	n.Eng.AfterCall(phy.SIFS, n, 0)
 }
 
 // scoreRound splits the remaining receivers by ACK outcome. still reuses

@@ -32,10 +32,9 @@ const (
 	stTxData
 	stWfACK
 	stTxUData
-	stGap
 )
 
-var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_UDATA", "GAP"}
+var stateNames = [...]string{"IDLE", "TX_RESP", "GAP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_UDATA"}
 
 // Node is one BMW instance bound to a radio.
 type Node struct {
@@ -96,7 +95,9 @@ func (n *Node) onWin() {
 
 // OnTxDone implements phy.Handler.
 func (n *Node) OnTxDone(f frame.Frame) {
-	n.DCF.ChannelMaybeIdle()
+	if n.TxDone() {
+		return
+	}
 	switch n.St {
 	case stTxRTS:
 		n.St = stWfCTS
@@ -106,9 +107,6 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxUData:
 		n.Finish(nil, nil, false)
-	case csma.Responding:
-		n.St = csma.Idle
-		n.TrySend()
 	default:
 		panic(fmt.Sprintf("bmw: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
@@ -185,7 +183,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, _ sim.Time) {
 				n.visitDelivered()
 				return
 			}
-			n.afterSIFS()
+			n.AfterSIFS(n, 0)
 			return
 		}
 		n.Overhear(g.Receiver, g.Duration)
@@ -209,20 +207,12 @@ func (n *Node) sendData() {
 	n.SendData(f)
 }
 
-// Call implements sim.Caller: the SIFS-deferred data transmission after
-// a CTS, scheduled closure-free through the engine's tagged-event path.
+// Call implements sim.Caller: the data frame, one SIFS after the CTS
+// (AfterSIFS).
 func (n *Node) Call(int32) {
-	n.Deferred--
-	if n.Req == nil || n.Radio.Transmitting() {
-		return
+	if n.StepDue() {
+		n.sendData()
 	}
-	n.sendData()
-}
-
-func (n *Node) afterSIFS() {
-	n.St = stGap
-	n.Deferred++
-	n.Eng.AfterCall(phy.SIFS, n, 0)
 }
 
 // onData: reliable (Duration > 0) data frames are cached and delivered by

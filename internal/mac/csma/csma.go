@@ -1,10 +1,13 @@
 // Package csma is the IEEE 802.11 DCF the baselines are built on: NAV
 // virtual carrier sense, a DIFS-gated contention process wrapping the
 // common backoff entity, and Station, the DCF half of a node that BMMM,
-// BMW, LBP, 802.11MX and plain 802.11 embed on top of mac.Node. Each of
-// them keeps only its own exchange. RMAC embeds mac.Node too but does not
-// use the DCF half — it discards virtual carrier sense in favour of busy
-// tones (§2).
+// BMW, LBP, 802.11MX and plain 802.11 embed on top of mac.Node. The
+// station also runs the SIFS timing they share: the one-slot response
+// (Respond), the gap before a protocol's own next frame (AfterSIFS and
+// StepDue) and the end of a response (TxDone). Each protocol keeps only
+// its own exchange. RMAC embeds
+// mac.Node too but does not use the DCF half — it discards virtual
+// carrier sense in favour of busy tones (§2).
 package csma
 
 import (

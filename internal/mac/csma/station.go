@@ -13,14 +13,16 @@ import (
 const respSlack = 2*phy.Tau + 2*sim.Microsecond
 
 // State is a node's place in its exchange. The station owns the field
-// and two of its values: Idle, when the node runs no exchange of its
-// own, and Responding, while a SIFS response is on the air. A protocol
-// numbers its own states from FirstState on.
+// and three of its values: Idle, when the node runs no exchange of its
+// own, Responding, while a SIFS response is on the air, and Gap, while
+// the node waits out the SIFS before its own next frame (AfterSIFS). A
+// protocol numbers its own states from FirstState on.
 type State uint8
 
 const (
 	Idle       State = iota // no exchange of the node's own in progress
 	Responding              // a SIFS response is on the air
+	Gap                     // inside a SIFS gap of the node's own exchange
 	FirstState              // the first value free for a protocol's states
 )
 
@@ -113,6 +115,20 @@ func (s *Station) Progress(state string, timer *sim.Timer) mac.Liveness {
 		Pending: timer.Pending() || s.Radio.Transmitting() ||
 			s.Radio.CarrierSensed() || s.DCF.Armed() || s.Deferred > 0,
 	}
+}
+
+// TxDone is the start every DCF OnTxDone shares: contention resumes,
+// and a SIFS response that went out returns the node to Idle and to its
+// queue. It reports whether the frame was that response; if not, the
+// protocol handles the end of its own frame.
+func (s *Station) TxDone() bool {
+	s.DCF.ChannelMaybeIdle()
+	if s.St != Responding {
+		return false
+	}
+	s.St = Idle
+	s.TrySend()
+	return true
 }
 
 // OnCarrierChange implements phy.Handler.
@@ -220,6 +236,24 @@ func (s *Station) Respond(f frame.Frame) {
 	s.Deferred++
 	s.resp = f
 	s.Eng.AfterCall(phy.SIFS, s, 0)
+}
+
+// AfterSIFS holds the node in Gap for one SIFS, so it neither responds
+// to solicitations nor starts a new contention meanwhile, and then runs
+// p.Call(tag). p is the protocol embedding the station; its Call sends
+// the exchange's next frame if StepDue says so.
+func (s *Station) AfterSIFS(p sim.Caller, tag int32) {
+	s.St = Gap
+	s.Deferred++
+	s.Eng.AfterCall(phy.SIFS, p, tag)
+}
+
+// StepDue accounts for the end of a SIFS gap opened by AfterSIFS and
+// reports whether the protocol sends its next frame now: not when the
+// node no longer holds a packet or is transmitting.
+func (s *Station) StepDue() bool {
+	s.Deferred--
+	return s.Req != nil && !s.Radio.Transmitting()
 }
 
 // Call implements sim.Caller: the SIFS-deferred response of Respond.

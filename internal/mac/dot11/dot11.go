@@ -35,10 +35,9 @@ const (
 	stTxData
 	stWfACK
 	stTxBcast
-	stGap
 )
 
-var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_BCAST", "GAP"}
+var stateNames = [...]string{"IDLE", "TX_RESP", "GAP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_BCAST"}
 
 // Node is one 802.11 DCF instance bound to a radio.
 type Node struct {
@@ -101,7 +100,9 @@ func (n *Node) onWin() {
 
 // OnTxDone implements phy.Handler.
 func (n *Node) OnTxDone(f frame.Frame) {
-	n.DCF.ChannelMaybeIdle()
+	if n.TxDone() {
+		return
+	}
 	switch n.St {
 	case stTxRTS:
 		n.St = stWfCTS
@@ -113,9 +114,6 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		// Best effort: the sender has no way to learn the outcome of a
 		// reliable multicast; report the attempt.
 		n.FinishAll(false)
-	case csma.Responding:
-		n.St = csma.Idle
-		n.TrySend()
 	default:
 		panic(fmt.Sprintf("dot11: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
@@ -138,20 +136,12 @@ func (n *Node) sendData() {
 	n.SendData(f)
 }
 
-// Call implements sim.Caller: the SIFS-deferred data transmission after
-// a CTS, scheduled closure-free through the engine's tagged-event path.
+// Call implements sim.Caller: the data frame, one SIFS after the CTS
+// (AfterSIFS).
 func (n *Node) Call(int32) {
-	n.Deferred--
-	if n.Req == nil || n.Radio.Transmitting() {
-		return
+	if n.StepDue() {
+		n.sendData()
 	}
-	n.sendData()
-}
-
-func (n *Node) afterSIFS() {
-	n.St = stGap
-	n.Deferred++
-	n.Eng.AfterCall(phy.SIFS, n, 0)
 }
 
 func (n *Node) completeUnicast(dropped bool) {
@@ -182,7 +172,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, _ sim.Time) {
 		if n.St == stWfCTS && g.Receiver == n.Addr() {
 			n.CountCtrlRx(g)
 			n.timer.Stop()
-			n.afterSIFS()
+			n.AfterSIFS(n, 0)
 			return
 		}
 		n.Overhear(g.Receiver, g.Duration)

@@ -45,10 +45,9 @@ const (
 	stTxData
 	stWfACK
 	stTxUData
-	stGap
 )
 
-var stateNames = [...]string{"IDLE", "TX_RESP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_UDATA", "GAP"}
+var stateNames = [...]string{"IDLE", "TX_RESP", "GAP", "TX_RTS", "WF_CTS", "TX_DATA", "WF_ACK", "TX_UDATA"}
 
 // peerState tracks this node's receiver-side relationship with a sender.
 type peerState struct {
@@ -118,7 +117,9 @@ func (n *Node) onWin() {
 
 // OnTxDone implements phy.Handler.
 func (n *Node) OnTxDone(f frame.Frame) {
-	n.DCF.ChannelMaybeIdle()
+	if n.TxDone() {
+		return
+	}
 	switch n.St {
 	case stTxRTS:
 		n.St = stWfCTS
@@ -128,9 +129,6 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		n.timer.Start(n.RespWait(frame.ACKLen))
 	case stTxUData:
 		n.Finish(nil, nil, false)
-	case csma.Responding:
-		n.St = csma.Idle
-		n.TrySend()
 	default:
 		panic(fmt.Sprintf("lbp: node %v OnTxDone in state %v", n.Addr(), stateNames[n.St]))
 	}
@@ -155,20 +153,12 @@ func (n *Node) sendData() {
 	n.SendData(f)
 }
 
-// Call implements sim.Caller: the SIFS-deferred data transmission after
-// a CTS, scheduled closure-free through the engine's tagged-event path.
+// Call implements sim.Caller: the data frame, one SIFS after the
+// leader's CTS (AfterSIFS).
 func (n *Node) Call(int32) {
-	n.Deferred--
-	if n.Req == nil || n.Radio.Transmitting() {
-		return
+	if n.StepDue() {
+		n.sendData()
 	}
-	n.sendData()
-}
-
-func (n *Node) afterSIFS() {
-	n.St = stGap
-	n.Deferred++
-	n.Eng.AfterCall(phy.SIFS, n, 0)
 }
 
 // --- Reception ---------------------------------------------------------------
@@ -201,7 +191,7 @@ func (n *Node) OnFrameReceived(f frame.Frame, ok bool, rxStart sim.Time) {
 		if n.St == stWfCTS && g.Receiver == n.Addr() {
 			n.CountCtrlRx(g)
 			n.timer.Stop()
-			n.afterSIFS()
+			n.AfterSIFS(n, 0)
 			return
 		}
 		n.Overhear(g.Receiver, g.Duration)

@@ -54,10 +54,9 @@ const (
 	stTxData
 	stWfNAK
 	stTxUData
-	stGap
 )
 
-var stateNames = [...]string{"IDLE", "TX_RESP", "TX_ANN", "TX_DATA", "WF_NAK", "TX_UDATA", "GAP"}
+var stateNames = [...]string{"IDLE", "TX_RESP", "GAP", "TX_ANN", "TX_DATA", "WF_NAK", "TX_UDATA"}
 
 // rxArm is the receiver-side armed expectation for one exchange. A node
 // holds a single arm slot (a later announce supersedes an earlier one, as
@@ -131,10 +130,12 @@ func (n *Node) onWin() {
 
 // OnTxDone implements phy.Handler.
 func (n *Node) OnTxDone(f frame.Frame) {
-	n.DCF.ChannelMaybeIdle()
+	if n.TxDone() {
+		return
+	}
 	switch n.St {
 	case stTxAnn:
-		n.afterSIFS()
+		n.AfterSIFS(n, tagData)
 	case stTxData:
 		n.St = stWfNAK
 		n.nakMark = n.Radio.ToneTime(phy.ToneABT)
@@ -155,7 +156,7 @@ func (n *Node) sendData() {
 
 // Tags for the node's sim.Caller dispatch.
 const (
-	tagData   int32 = iota // SIFS-deferred data transmission (after ANN)
+	tagData   int32 = iota // data frame, one SIFS after the announcement (AfterSIFS)
 	tagNAKOff              // end of this node's NAK tone emission
 )
 
@@ -164,21 +165,13 @@ const (
 func (n *Node) Call(tag int32) {
 	switch tag {
 	case tagData:
-		n.Deferred--
-		if n.Req == nil || n.Radio.Transmitting() {
-			return
+		if n.StepDue() {
+			n.sendData()
 		}
-		n.sendData()
 	case tagNAKOff:
 		n.nakOn = false
 		n.Radio.SetTone(phy.ToneABT, false)
 	}
-}
-
-func (n *Node) afterSIFS() {
-	n.St = stGap
-	n.Deferred++
-	n.Eng.AfterCall(phy.SIFS, n, tagData)
 }
 
 // onNAKWindowEnd scores the window: tone sensed for λ means at least one

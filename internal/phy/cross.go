@@ -17,41 +17,45 @@ import (
 // DESIGN.md §14 for the full derivation).
 //
 // A sharded run gives every spatial shard its own Medium on its own
-// Engine/goroutine. Radios that can come within one interference range of
-// a foreign shard's radio during the current mobility epoch are marked
-// border radios; for each of them the fabric keeps an immutable catalog
-// per foreign shard: the candidate receivers over there. The epoch's
-// position envelope (how far any pairwise distance can change within it)
-// sizes the candidate sets; a stationary run is the case envelope 0 with
-// a single epoch spanning the horizon, where the candidates are exactly
-// the in-range receivers. When a border radio transmits, aborts, or
-// toggles a tone, the sender shard — in addition to its normal local
-// fan-out — publishes a fixed-size message into a bounded SPSC ring per
-// target shard. Messages carry a field-copied image of the frame
-// (wireFrame), the event times, the sender's position, and a
-// sender-minted sequence base in the engine's cross sequence space
-// (sim.CrossSeq), which fixes the merge order at the receiver independent
-// of wall-clock arrival.
+// Engine/goroutine. A radio that can come within one interference range
+// of a foreign shard's radio during the current mobility epoch is a
+// border radio: it holds one immutable catalog per foreign shard in
+// reach, naming that shard and the candidate receivers over there. The
+// epoch's position envelope (how far any pairwise distance can change
+// within it) sizes the candidate sets; a stationary run is the case
+// envelope 0 with a single epoch spanning the horizon, where the
+// candidates are exactly the in-range receivers. When a border radio
+// transmits, is cut (AbortTx or a crash), or raises or lowers a tone, the
+// medium — after its local fan-out — mirrors the effect: one fixed-size
+// message per catalog into a bounded SPSC ring toward the catalog's
+// shard. A message carries a field-copied image of the frame (wireFrame),
+// the effect's instants, the sender's position, and a sender-minted
+// sequence base in the engine's cross sequence space (sim.CrossSeq),
+// which fixes the merge order at the receiver independent of wall-clock
+// arrival.
 //
 // The receiver drains its rings between (and while waiting for) execution
 // windows. Draining does NOT touch any simulation-visible pool: each
 // message is copied into a conduit-owned holder (pendingCross) and a
 // single holder event is scheduled at the message's earliest receiver
-// event time under the sender's sequence base. All observable work — frame
-// materialisation from the receiver's pool, mirror transmission setup,
-// per-receiver rx scheduling with the receiver set, delays and decode
-// flags computed from positions — happens when the holder fires, which is
-// a deterministic position in the receiver's event stream. This is what
-// keeps pool hit/miss statistics (and therefore run fingerprints)
-// bit-identical for a fixed (seed, shards) pair no matter how the OS
-// schedules the shard goroutines.
+// event time under the sender's sequence base. All observable work
+// happens when the holder fires, which is a deterministic position in the
+// receiver's event stream: the frame is materialised from the receiver's
+// pool, the receiver set, delays and decode flags are computed from
+// positions, and the effect is replayed through the medium's own physics
+// primitives (addRx, cut, toneTo, lowerTone in medium.go) under the
+// message's sequence numbers. The conduit schedules no rx or tone event
+// of its own. This is what keeps pool hit/miss statistics (and therefore
+// run fingerprints) bit-identical for a fixed (seed, shards) pair no
+// matter how the OS schedules the shard goroutines.
 //
-// Mirror transmissions carry a ghost *Radio as their source: an
-// unregistered, static radio with the foreign node's id and position
-// (refreshed from each message). It is never part of the receiver
-// medium's radio list, never transmits locally, and appears only as
-// tx.src — every consumer of that field (trace, audit ObsRxEnd, fault's
-// per-receiver error chains) is keyed by the receiving radio.
+// A mirrored transmission or tone carries a ghost *Radio as its source:
+// an unregistered radio with the foreign node's id. It is never part of
+// the receiver medium's radio list and never transmits locally; it
+// appears as tx.src — every consumer of that field (trace, audit
+// ObsRxEnd, fault's per-receiver error chains) is keyed by the receiving
+// radio — and it holds the foreign node's open tone sessions in its
+// toneSess, as a local radio holds its own.
 
 // crossKind enumerates conduit message types. The ghost records appear
 // only at epoch boundaries: the rollover leader diffs the new border-band
@@ -191,42 +195,47 @@ func (w *wireFrame) materialize(p *frame.Pool) frame.Frame {
 
 // crossCatalog is the immutable receiver set of one (border radio, target
 // shard) pair for one epoch, built from the boundary positions. dests are
-// *candidates*: every foreign radio that could come within interference
-// range during the epoch (boundary distance ≤ irange + envelope), as
-// indices into the receiver medium's radio slice in ascending id order.
-// minProp is the conservative bound propDelay(max(0, minBoundaryDist −
-// envelope)). With envelope 0 the candidates are exactly the in-range
-// receivers and minProp is their minimum delay. Epoch rollover swaps in
-// freshly allocated catalogs, so in-flight holders referencing the old
-// epoch's catalog stay valid.
+// *candidates*: every radio of the target shard (to) that could come within
+// interference range during the epoch (boundary distance ≤ irange +
+// envelope), as indices into that shard medium's radio slice in ascending
+// id order. minProp is the conservative bound propDelay(max(0,
+// minBoundaryDist − envelope)). With envelope 0 the candidates are exactly
+// the in-range receivers and minProp is their minimum delay. Epoch
+// rollover swaps in freshly allocated catalogs, so in-flight holders
+// referencing the old epoch's catalog stay valid.
 type crossCatalog struct {
-	srcID   int
+	to      int
 	minProp sim.Time
 	dests   []int32
 }
 
-// crossMsg is one ring slot. Slots are reused in place; the embedded
-// wireFrame keeps its backing arrays across messages. srcPos is the
-// sender's position at t0 (crossTx, crossToneOn — the receiver computes
-// the actual receivers and delays from it) or the ghost's boundary
-// position (crossGhostAdd); gid names the ghost for the two ghost record
-// kinds, which travel with cat == nil.
-type crossMsg struct {
+// crossHdr is a message without its frame image. src is the foreign
+// node. srcPos is the sender's position at t0 (crossTx, crossToneOn —
+// the receiver computes the actual receivers and delays from it). The two
+// ghost record kinds travel with cat == nil.
+type crossHdr struct {
 	kind    uint8
 	tone    uint8
-	gid     int32
+	src     int32
 	cat     *crossCatalog
-	t0      sim.Time // tx start / abort time / tone transition / epoch boundary
+	t0      sim.Time // tx start / cut instant / tone transition / epoch boundary
 	t1      sim.Time // tx natural end (crossTx); original tx start (crossAbort)
 	seqBase uint64
 	srcPos  geom.Point
-	fr      wireFrame
+}
+
+// crossMsg is one message: a ring slot, and inside a holder its drained
+// image. Both are reused in place; the wireFrame keeps its backing arrays
+// across messages.
+type crossMsg struct {
+	crossHdr
+	fr wireFrame
 }
 
 // spscRing is a bounded single-producer single-consumer ring. The producer
 // is the sender shard's simulation goroutine, the consumer the receiver
 // shard's. Capacity is a power of two; a full ring makes the producer spin
-// (draining its own inboxes to break producer cycles — see send).
+// (draining its own inboxes to break producer cycles — see put).
 type spscRing struct {
 	head  atomic.Uint64 // next slot the consumer will read
 	_     [56]byte
@@ -264,16 +273,9 @@ func (r *spscRing) publish() { r.tail.Add(1) }
 // one at drain time is invisible to the simulation, which is what keeps
 // drain timing out of the deterministic state.
 type pendingCross struct {
-	c       *shardConduit
-	kind    uint8
-	tone    uint8
-	gid     int32
-	cat     *crossCatalog
-	t0, t1  sim.Time
-	seqBase uint64
-	srcPos  geom.Point
-	fr      wireFrame
-	next    *pendingCross
+	crossMsg
+	c    *shardConduit
+	next *pendingCross
 }
 
 // Call implements sim.Caller: the holder fired at the message's earliest
@@ -310,28 +312,20 @@ type ShardStats struct {
 	FullSpins uint64
 }
 
-// toneSessKey names a receiver-side tone session: foreign tones are
-// uniquely live per (source node, tone) pair.
-type toneSessKey struct {
-	src  int
-	tone uint8
-}
-
 // shardConduit is one shard's half of the cross-shard fabric, owned by
-// that shard's Medium/goroutine.
+// that shard's Medium/goroutine. Its sender state is the outbound rings
+// and the sequence counter (the catalogs live on the border radios); its
+// receiver state the inbound rings, the ghosts, and the mirror table that
+// routes cuts.
 type shardConduit struct {
 	net   *ShardNet
 	med   *Medium
 	shard int
 
-	// Sender state.
-	out      []*spscRing                // per target shard; nil at the own index
-	catalogs map[*Radio][]*crossCatalog // border radio → per-target catalogs (index parallel to catIdx)
-	catIdx   map[*Radio][]int           // target shard index per catalog
+	out      []*spscRing // per target shard; nil at the own index
 	localSeq uint64
 	endTime  sim.Time
 
-	// Receiver state.
 	in       []*spscRing // per source shard; nil at the own index
 	ghosts   map[int]*Radio
 	free     *pendingCross
@@ -339,18 +333,12 @@ type shardConduit struct {
 	expQueue []mirrorExp
 	maxProp  sim.Time // max mirror prop (interference range); bounds how long an abort can trail
 
-	// Foreign tone sessions, keyed by (source node, tone). The ON fire
-	// captures the receivers actually in range at the transition (with
-	// their propagation delays); the OFF fire replays exactly that set,
-	// mirroring the unsharded toneSession contract.
-	toneSess map[toneSessKey]*toneSession
-
 	stats ShardStats
 }
 
 // ShardNet is the cross-shard fabric of one sharded run: conduits, rings,
 // the direct lookahead matrix, and the frontier table built from it. The
-// matrix, every catalog, border flag and ghost set are epoch state: built
+// matrix, the radios' catalogs and the ghost sets are epoch state: built
 // at connect time and rebuilt at each epoch boundary via Rebuild. A
 // stationary run has one epoch and never rebuilds.
 type ShardNet struct {
@@ -365,7 +353,7 @@ type ShardNet struct {
 	// inside the boundary barrier.
 	envelope  float64 // max pairwise distance change within one epoch (2·MaxSpeed·epoch); 0 when stationary
 	irange    float64
-	r2, c2    float64 // irange², CommRange²
+	r2        float64 // irange²
 	seqBlock  uint64  // per-message sequence stride (2·nodes+2)
 	mediums   []*Medium
 	localIdx  []int32
@@ -397,14 +385,12 @@ type ShardNet struct {
 func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime sim.Time, envelope float64) *ShardNet {
 	s := len(mediums)
 	irange := mediums[0].cfg.interferenceRange()
-	cr := mediums[0].cfg.CommRange
 	net := &ShardNet{
 		conduits:  make([]*shardConduit, s),
 		direct:    make([][]sim.Time, s),
 		envelope:  envelope,
 		irange:    irange,
 		r2:        irange * irange,
-		c2:        cr * cr,
 		seqBlock:  2*uint64(len(pos)) + 2,
 		mediums:   mediums,
 		localIdx:  make([]int32, len(pos)),
@@ -426,15 +412,12 @@ func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime s
 	for i, m := range mediums {
 		net.conduits[i] = &shardConduit{
 			net: net, med: m, shard: i,
-			out:      make([]*spscRing, s),
-			in:       make([]*spscRing, s),
-			catalogs: make(map[*Radio][]*crossCatalog),
-			catIdx:   make(map[*Radio][]int),
-			ghosts:   make(map[int]*Radio),
-			mirrors:  make(map[mirrorKey]*transmission),
-			toneSess: make(map[toneSessKey]*toneSession),
-			endTime:  endTime,
-			maxProp:  maxProp,
+			out:     make([]*spscRing, s),
+			in:      make([]*spscRing, s),
+			ghosts:  make(map[int]*Radio),
+			mirrors: make(map[mirrorKey]*transmission),
+			endTime: endTime,
+			maxProp: maxProp,
 		}
 	}
 	for i := 0; i < s; i++ {
@@ -455,18 +438,18 @@ func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime s
 	return net
 }
 
-// Rebuild recomputes the epoch state — candidate catalogs, border flags,
-// ghost membership, and the direct lookahead matrix — from the node
-// positions at epoch boundary B. Ghost membership changes are announced to
-// each receiver shard as crossGhostAdd/crossGhostDel records stamped at
-// t=B with sender-minted sequence numbers.
+// Rebuild recomputes the epoch state — candidate catalogs, ghost
+// membership, and the direct lookahead matrix — from the node positions
+// at epoch boundary B. Ghost membership changes are announced to each
+// receiver shard as crossGhostAdd/crossGhostDel records stamped at t=B
+// with sender-minted sequence numbers.
 //
 // MUST be called only by the rollover leader while every shard is parked
 // at the boundary barrier (all frontiers ≥ B): it rewrites sender state
-// (catalogs, border flags, localSeq) owned by other shards' goroutines,
-// which is only race-free under the barrier's happens-before chain —
-// frontier release-stores before parking, epoch-generation release-store
-// after Rebuild returns.
+// (radio catalogs, localSeq) owned by other shards' goroutines, which is
+// only race-free under the barrier's happens-before chain — frontier
+// release-stores before parking, epoch-generation release-store after
+// Rebuild returns.
 func (n *ShardNet) Rebuild(pos []geom.Point, B sim.Time, leader int) {
 	n.rebuild(pos, B, leader, true)
 }
@@ -478,14 +461,13 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 			n.direct[i][j] = sim.MaxTime
 		}
 	}
-	for _, c := range n.conduits {
-		for _, r := range c.med.radios {
-			r.border = false
+	// The catalogs themselves are allocated afresh below: in-flight holders
+	// may still point at old-epoch ones, which must stay intact until they
+	// fire.
+	for _, m := range n.mediums {
+		for _, r := range m.radios {
+			r.cats = r.cats[:0]
 		}
-		// Fresh maps, not cleared ones: in-flight holders may still point at
-		// old-epoch catalogs, and those must stay intact until they fire.
-		c.catalogs = make(map[*Radio][]*crossCatalog)
-		c.catIdx = make(map[*Radio][]int)
 	}
 	newGhost := make([][][]int, s)
 	for i := range newGhost {
@@ -536,8 +518,6 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 			continue
 		}
 		srcRadio := n.mediums[ss].radios[n.localIdx[src]]
-		srcRadio.border = true
-		c := n.conduits[ss]
 		for t := 0; t < s; t++ {
 			dests := perShard[t]
 			if len(dests) == 0 {
@@ -550,9 +530,8 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 			if dmin < 0 {
 				dmin = 0
 			}
-			cat := &crossCatalog{srcID: src, minProp: n.mediums[0].propDelay(dmin), dests: dests}
-			c.catalogs[srcRadio] = append(c.catalogs[srcRadio], cat)
-			c.catIdx[srcRadio] = append(c.catIdx[srcRadio], t)
+			cat := &crossCatalog{to: t, minProp: n.mediums[0].propDelay(dmin), dests: dests}
+			srcRadio.cats = append(srcRadio.cats, cat)
 			if cat.minProp < n.direct[ss][t] {
 				n.direct[ss][t] = cat.minProp
 			}
@@ -562,7 +541,8 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 	// Diff ghost membership per ordered shard pair. Sources were visited in
 	// ascending id order, so both slices are sorted; a merge walk yields the
 	// additions and removals in ascending id order, which fixes the record
-	// sequence numbers deterministically.
+	// sequence numbers deterministically. Only an epoch boundary removes
+	// ghosts: the connect-time epoch has no predecessor.
 	for ss := 0; ss < s; ss++ {
 		for t := 0; t < s; t++ {
 			if ss == t {
@@ -573,19 +553,14 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 			for i < len(old) || j < len(cur) {
 				switch {
 				case j >= len(cur) || (i < len(old) && old[i] < cur[j]):
-					if emit {
-						n.ghostRecord(ss, t, leader, crossGhostDel, old[i], geom.Point{}, B)
-					} else {
-						n.conduits[t].stats.GhostDels++
-						delete(n.conduits[t].ghosts, old[i])
-					}
+					n.ghostRecord(ss, t, leader, crossGhostDel, old[i], B)
 					i++
 				case i >= len(old) || cur[j] < old[i]:
 					if emit {
-						n.ghostRecord(ss, t, leader, crossGhostAdd, cur[j], pos[cur[j]], B)
+						n.ghostRecord(ss, t, leader, crossGhostAdd, cur[j], B)
 					} else {
 						n.conduits[t].stats.GhostAdds++
-						n.conduits[t].ghost(cur[j], pos[cur[j]])
+						n.conduits[t].ghost(cur[j])
 					}
 					j++
 				default:
@@ -599,50 +574,32 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 }
 
 // ghostRecord publishes one ghost membership record from shard ss to shard
-// t on behalf of the rollover leader. It cannot use the normal send() path:
-// that spins draining *shard ss's* inbox, but the leader may only touch its
-// own conduit. Receivers parked at the barrier drain their rings while
-// spinning on the epoch generation, so a full ring targeting a follower
-// always makes progress; a full ring targeting the leader itself is drained
-// right here.
-func (n *ShardNet) ghostRecord(ss, t, leader int, kind uint8, src int, pos geom.Point, B sim.Time) {
-	c := n.conduits[ss]
-	ring := c.out[t]
-	seqBase := c.mintSeq()
-	for {
-		if slot := ring.next(); slot != nil {
-			slot.kind, slot.tone, slot.cat = kind, 0, nil
-			slot.gid = int32(src)
-			slot.srcPos = pos
-			slot.t0, slot.t1, slot.seqBase = B, 0, seqBase
-			ring.publish()
-			c.stats.MsgsOut++
-			return
-		}
-		if n.stop.Load() {
-			return
-		}
-		c.stats.FullSpins++
-		if t == leader {
-			n.conduits[leader].drain()
-		} else {
-			runtime.Gosched()
-		}
+// t on behalf of the rollover leader. A blocked record spins like any
+// message (put), but the leader may only drain its own conduit, not shard
+// ss's: receivers parked at the barrier drain their rings while spinning
+// on the epoch generation, so a full ring targeting a follower always
+// makes progress, and a full ring targeting the leader itself is drained
+// by the spin.
+func (n *ShardNet) ghostRecord(ss, t, leader int, kind uint8, src int, B sim.Time) {
+	var spin *shardConduit
+	if t == leader {
+		spin = n.conduits[leader]
 	}
+	c := n.conduits[ss]
+	c.put(t, &crossHdr{kind: kind, src: int32(src), t0: B, seqBase: c.mintSeq()}, nil, spin)
 }
 
 // ghost returns the receiver-side ghost radio for foreign node src,
 // creating it on demand. Creation is deterministic wherever it happens: a
-// ghost record firing at an epoch boundary, or a mirror transmission whose
-// holder crossed the boundary after the source left the border band (its
-// crossGhostDel already fired — the mirror recreates the ghost it needs).
-func (c *shardConduit) ghost(src int, pos geom.Point) *Radio {
+// ghost record firing at an epoch boundary, or a mirrored transmission or
+// tone whose holder crossed the boundary after the source left the border
+// band (its crossGhostDel already fired — the mirror recreates the ghost
+// it needs).
+func (c *shardConduit) ghost(src int) *Radio {
 	g := c.ghosts[src]
 	if g == nil {
-		g = &Radio{m: c.med, eng: c.med.eng, id: src, static: true, pos: pos, memoTime: -1}
+		g = &Radio{m: c.med, eng: c.med.eng, id: src}
 		c.ghosts[src] = g
-	} else {
-		g.pos = pos
 	}
 	return g
 }
@@ -719,10 +676,8 @@ func (c *shardConduit) drain() {
 		for ; h != t; h++ {
 			slot := &ring.slots[h&ring.mask]
 			p := c.takeHolder()
-			p.kind, p.tone, p.gid, p.cat = slot.kind, slot.tone, slot.gid, slot.cat
-			p.t0, p.t1, p.seqBase = slot.t0, slot.t1, slot.seqBase
-			p.srcPos = slot.srcPos
-			if slot.kind == crossTx {
+			p.crossHdr = slot.crossHdr
+			if p.kind == crossTx {
 				p.fr.copyFrom(&slot.fr)
 			}
 			c.stats.MsgsIn++
@@ -758,55 +713,51 @@ func (c *shardConduit) putHolder(p *pendingCross) {
 }
 
 // fire runs a holder event: the deterministic point where a cross message
-// becomes simulation state.
+// becomes simulation state, replayed through the medium's primitives
+// under the message's sequence block (its base is the holder's own
+// number).
 func (c *shardConduit) fire(p *pendingCross) {
 	m := c.med
+	src, t, seq := int(p.src), Tone(p.tone), p.seqBase+1
 	switch p.kind {
 	case crossTx:
 		c.fireTx(p)
 	case crossAbort:
-		// p.t1 is the original start time (the mirror's key), p.t0 the
-		// abort instant. The abort holder fires at t0+minProp. Within one
-		// epoch every mirror prop is at least minProp, so t0+prop ≥ now:
-		// the truncation lands exactly, strictly before the mirror's first
-		// rxEnd (t1'>t0 ⇒ end+prop > t0+prop ≥ t0+minProp), and every path
-		// is still intact; the guards mirror AbortTx's belt-and-braces. A
-		// transmission that spans an epoch boundary carries props sampled
-		// under the previous epoch's envelope, which the current epoch's
-		// lookahead floor may exceed — the clamp below then lands the
-		// truncation at the holder instant (a deterministic position; at
-		// most minProp late, sub-µs). A stationary run has no boundary, so
-		// its clamp never fires.
-		tx := c.mirrors[mirrorKey{p.cat.srcID, p.t1}]
-		seq := p.seqBase + 1
-		if tx != nil && !tx.aborted {
-			now := m.eng.Now()
-			tx.aborted = true
-			tx.end = p.t0
-			for _, q := range tx.dests {
-				s := seq
-				seq++
-				if q.tx != tx || !q.endEv.Pending() {
-					continue
-				}
-				q.corrupted = true
-				q.endEv.Cancel()
-				at := p.t0 + q.prop
-				if at < now {
-					at = now
-				}
-				q.endEv = m.eng.ScheduleCrossCall(at, q, tagRxEnd, s)
-			}
-			delete(c.mirrors, mirrorKey{p.cat.srcID, p.t1})
+		// p.t1 is the original start time (the mirror's key), p.t0 the cut
+		// instant; cut explains when its truncation lands exactly.
+		key := mirrorKey{src, p.t1}
+		if tx := c.mirrors[key]; tx != nil && !tx.aborted {
+			m.cut(tx, p.t0, seq)
+			delete(c.mirrors, key)
 		}
-	case crossToneOn, crossToneOff:
-		c.fireTone(p)
+	case crossToneOn:
+		// Capture the receivers in range at t0 into a session on the ghost;
+		// the OFF replays exactly that set with these delays, as SetTone
+		// does. Every candidate consumes its sequence number whether or not
+		// it is in range.
+		g := c.ghost(src)
+		if old := g.toneSess[t]; old != nil {
+			m.freeSess(old) // stale session from a horizon-filtered OFF
+		}
+		sess := m.newSess()
+		g.toneSess[t] = sess
+		for _, idx := range p.cat.dests {
+			if r, d2, ok := c.candidate(p, idx); ok {
+				m.toneTo(sess, t, r, d2, p.t0, seq)
+			}
+			seq++
+		}
+	case crossToneOff:
+		// An OFF whose ON was horizon-filtered at the sender finds no
+		// session and is a no-op, as the unsharded engine never runs it.
+		if g := c.ghosts[src]; g != nil {
+			m.lowerTone(g, t, p.t0, seq)
+		}
 	case crossGhostAdd:
 		c.stats.GhostAdds++
-		c.ghost(int(p.gid), p.srcPos)
+		c.ghost(src)
 	case crossGhostDel:
 		c.stats.GhostDels++
-		delete(c.ghosts, int(p.gid))
 		// A source leaving the border band can no longer route its tone OFF
 		// through the conduit (its catalogs toward this shard are empty), so
 		// any tone it still holds here would jam its captured receivers for
@@ -815,36 +766,37 @@ func (c *shardConduit) fire(p *pendingCross) {
 		// is the physically conservative reading of the captured-set
 		// contract. 2 tones × (nodes−1) dests fits the 2·nodes+2 sequence
 		// block.
-		seq := p.seqBase + 1
-		for t := Tone(0); t < NumTones; t++ {
-			key := toneSessKey{src: int(p.gid), tone: uint8(t)}
-			sess := c.toneSess[key]
-			if sess == nil {
-				continue
+		if g := c.ghosts[src]; g != nil {
+			for t := Tone(0); t < NumTones; t++ {
+				seq = m.lowerTone(g, t, p.t0, seq)
 			}
-			delete(c.toneSess, key)
-			for i, r := range sess.dests {
-				m.eng.ScheduleCrossCall(p.t0+sess.props[i], r, toneOffTag(t), seq)
-				seq++
-			}
-			m.freeSess(sess)
+			delete(c.ghosts, src)
 		}
 	}
 	c.putHolder(p)
 }
 
+// candidate returns candidate idx of a message's catalog and its squared
+// distance from the sender at t0, which the fire time trails by at least
+// minProp (a backward position query, well within the mobility retention
+// horizon); ok is false when the candidate is out of interference range
+// by then.
+func (c *shardConduit) candidate(p *pendingCross, idx int32) (r *Radio, d2 float64, ok bool) {
+	r = c.med.radios[idx]
+	d2 = c.med.positionAt(r, p.t0).Dist2(p.srcPos)
+	return r, d2, d2 <= c.net.r2
+}
+
 // fireTx mirrors a foreign transmission: the catalog only names
 // candidates, so the actual receiver set, propagation delays, and decode
-// flags are computed here from the sender's position at t0 (carried in
-// the message) and each candidate's own trajectory at t0 (a backward
-// query bounded by minProp ≪ the retention horizon). Every candidate
-// consumes its two sequence numbers whether or not it is in range, so the
-// merge order is independent of the filter outcome. With envelope 0 every
-// candidate is in range.
+// flags are computed here (candidate). Every candidate consumes its two
+// sequence numbers whether or not it is in range, so the merge order is
+// independent of the filter outcome. With envelope 0 every candidate is
+// in range.
 func (c *shardConduit) fireTx(p *pendingCross) {
 	m := c.med
 	tx := m.newTx()
-	tx.src = c.ghost(p.cat.srcID, p.srcPos)
+	tx.src = c.ghost(int(p.src))
 	tx.f = p.fr.materialize(m.frames)
 	tx.start, tx.end = p.t0, p.t1
 	// No local txDone ever runs for a mirror: the sender shard owns the
@@ -853,85 +805,23 @@ func (c *shardConduit) fireTx(p *pendingCross) {
 	tx.finished = true
 	seq := p.seqBase + 1
 	for _, idx := range p.cat.dests {
-		s := seq
-		seq += 2
-		r := m.radios[idx]
-		d2 := m.positionAt(r, p.t0).Dist2(p.srcPos)
-		if d2 > c.net.r2 {
-			continue
+		if r, d2, ok := c.candidate(p, idx); ok {
+			m.addRx(tx, r, d2, seq)
 		}
-		q := m.newRxPath()
-		q.tx, q.r, q.inComm = tx, r, d2 <= c.net.c2
-		q.prop = m.propDelay(math.Sqrt(d2))
-		tx.dests = append(tx.dests, q)
-		m.eng.ScheduleCrossCall(p.t0+q.prop, q, tagRxStart, s)
-		q.endEv = m.eng.ScheduleCrossCall(p.t1+q.prop, q, tagRxEnd, s+1)
+		seq += 2
 	}
 	tx.pending = len(tx.dests)
 	if tx.pending == 0 {
 		// Every candidate drifted out of reach by t0: nothing will ever
-		// reference this mirror (aborts look up the mirror table, which we
+		// reference this mirror (cuts look up the mirror table, which we
 		// skip), so recycle it and its frame immediately.
 		m.freeTx(tx)
 		return
 	}
-	key := mirrorKey{p.cat.srcID, p.t0}
+	key := mirrorKey{int(p.src), p.t0}
 	c.evictExpired()
 	c.mirrors[key] = tx
 	c.expQueue = append(c.expQueue, mirrorExp{key: key, expire: p.t1 + c.maxProp})
-}
-
-// fireTone handles foreign tone transitions. The ON fire captures the
-// live receiver set (positions at t0) into a session keyed by (source,
-// tone); the OFF fire replays exactly that session with the ON delays —
-// the unsharded SetTone contract. An OFF whose ON was horizon-filtered at
-// the sender finds no session and is a no-op, matching the unsharded
-// engine's never-run semantics. An OFF-then-ON pair where only the OFF was
-// filtered leaves a stale session behind; the next ON replaces it. As
-// with aborts, a tone held across epoch boundaries may carry ON props
-// below the current lookahead floor, so OFF transitions clamp to the
-// holder instant.
-func (c *shardConduit) fireTone(p *pendingCross) {
-	m := c.med
-	key := toneSessKey{src: p.cat.srcID, tone: p.tone}
-	if p.kind == crossToneOff {
-		sess := c.toneSess[key]
-		if sess == nil {
-			return
-		}
-		delete(c.toneSess, key)
-		now := m.eng.Now()
-		seq := p.seqBase + 1
-		for i, r := range sess.dests {
-			at := p.t0 + sess.props[i]
-			if at < now {
-				at = now
-			}
-			m.eng.ScheduleCrossCall(at, r, toneOffTag(Tone(p.tone)), seq)
-			seq++
-		}
-		m.freeSess(sess)
-		return
-	}
-	if old := c.toneSess[key]; old != nil {
-		m.freeSess(old) // stale session from a horizon-filtered OFF
-	}
-	sess := m.newSess()
-	seq := p.seqBase + 1
-	for _, idx := range p.cat.dests {
-		s := seq
-		seq++
-		r := m.radios[idx]
-		d2 := m.positionAt(r, p.t0).Dist2(p.srcPos)
-		if d2 > c.net.r2 {
-			continue
-		}
-		prop := m.propDelay(math.Sqrt(d2))
-		sess.dests = append(sess.dests, r)
-		sess.props = append(sess.props, prop)
-		m.eng.ScheduleCrossCall(p.t0+prop, r, toneOnTag(Tone(p.tone)), s)
-	}
-	c.toneSess[key] = sess
 }
 
 // evictExpired drops mirror-table entries whose abort can no longer
@@ -950,32 +840,58 @@ func (c *shardConduit) evictExpired() {
 	}
 }
 
-// send publishes one message to target shard t, spinning when the ring is
-// full. A blocked producer drains its own inboxes each spin: a cycle of
-// mutually-full shards always has every participant emptying its inbound
-// rings, so some producer always unblocks — production cannot deadlock.
-// The spin yields on every turn and never sleeps: the consumer it waits
-// for may need this very P, and a sleeping producer holds up its whole
-// shard for far longer than the ring takes to drain.
+// mirror sends the message h about border radio r's local effect to
+// every shard r has a catalog for, f (when non-nil) as its frame image.
+// Each catalog gets its own sequence block. A catalog is skipped when no
+// receiver event could fall on or before the run horizon (every event
+// of the message lies at or after t0+minProp), matching the unsharded
+// engine's never-run semantics; a skipped ON or start leaves its OFF or
+// cut nothing to find.
 //
 // Every message ends the running window: the engine stops right after the
 // event that minted it, and the shard loop re-reads its target, whose echo
 // term now covers the send (sim.ShardSync.Target).
-func (c *shardConduit) send(t int, fill func(slot *crossMsg)) {
+func (c *shardConduit) mirror(r *Radio, h crossHdr, f frame.Frame) {
+	h.src = int32(r.id)
+	for _, cat := range r.cats {
+		if h.t0+cat.minProp > c.endTime {
+			continue
+		}
+		h.cat, h.seqBase = cat, c.mintSeq()
+		if c.put(cat.to, &h, f, c) {
+			c.med.eng.Stop()
+		}
+	}
+}
+
+// put publishes one message to target shard t, spinning while the ring is
+// full, and reports whether it did: an aborting run drops the message
+// rather than block forever. Each spin drains spin's inboxes, when spin
+// is non-nil, and yields. A blocked producer drains its own inboxes: a
+// cycle of mutually-full shards always has every participant emptying its
+// inbound rings, so some producer always unblocks — production cannot
+// deadlock. The spin never sleeps: the consumer it waits for may need
+// this very P, and a sleeping producer holds up its whole shard for far
+// longer than the ring takes to drain.
+func (c *shardConduit) put(t int, h *crossHdr, f frame.Frame, spin *shardConduit) bool {
 	ring := c.out[t]
 	for {
 		if slot := ring.next(); slot != nil {
-			fill(slot)
+			slot.crossHdr = *h
+			if f != nil {
+				slot.fr.copyIn(f)
+			}
 			ring.publish()
 			c.stats.MsgsOut++
-			c.med.eng.Stop()
-			return
+			return true
 		}
 		if c.net.stop.Load() {
-			return // aborting run: drop rather than block forever
+			return false
 		}
 		c.stats.FullSpins++
-		c.drain()
+		if spin != nil {
+			spin.drain()
+		}
 		runtime.Gosched()
 	}
 }
@@ -998,62 +914,4 @@ func (c *shardConduit) mintSeq() uint64 {
 	s := sim.CrossSeq(c.shard, c.localSeq)
 	c.localSeq += c.net.seqBlock
 	return s
-}
-
-// txStart mirrors a border transmission into every foreign shard with
-// candidate receivers. Called by Medium.StartTx after the local fan-out.
-func (c *shardConduit) txStart(r *Radio, tx *transmission) {
-	srcPos := c.med.PositionOf(r) // tx.start == Now: the memo from the local fan-out hits
-	for i, cat := range c.catalogs[r] {
-		if tx.start+cat.minProp > c.endTime {
-			continue // no receiver event on or before the horizon
-		}
-		seqBase := c.mintSeq()
-		c.send(c.catIdx[r][i], func(slot *crossMsg) {
-			slot.kind, slot.cat = crossTx, cat
-			slot.t0, slot.t1, slot.seqBase = tx.start, tx.end, seqBase
-			slot.srcPos = srcPos
-			slot.fr.copyIn(tx.f)
-		})
-	}
-}
-
-// txAbort mirrors an abort (AbortTx or a crash truncation). now is the
-// abort instant; tx.start still names the mirror.
-func (c *shardConduit) txAbort(r *Radio, tx *transmission, now sim.Time) {
-	for i, cat := range c.catalogs[r] {
-		if tx.start+cat.minProp > c.endTime {
-			continue // the mirror itself was filtered; nothing to abort
-		}
-		if now+cat.minProp > c.endTime {
-			continue // every truncated rxEnd would fall past the horizon
-		}
-		seqBase := c.mintSeq()
-		c.send(c.catIdx[r][i], func(slot *crossMsg) {
-			slot.kind, slot.cat = crossAbort, cat
-			slot.t0, slot.t1, slot.seqBase = now, tx.start, seqBase
-		})
-	}
-}
-
-// toneSet mirrors a tone transition of a border radio. Only an ON carries
-// the sender's position: the OFF replays the session its ON captured.
-func (c *shardConduit) toneSet(r *Radio, t Tone, on bool, now sim.Time) {
-	kind := crossToneOff
-	var srcPos geom.Point
-	if on {
-		kind = crossToneOn
-		srcPos = c.med.PositionOf(r)
-	}
-	for i, cat := range c.catalogs[r] {
-		if now+cat.minProp > c.endTime {
-			continue
-		}
-		seqBase := c.mintSeq()
-		c.send(c.catIdx[r][i], func(slot *crossMsg) {
-			slot.kind, slot.tone, slot.cat = kind, uint8(t), cat
-			slot.t0, slot.t1, slot.seqBase = now, 0, seqBase
-			slot.srcPos = srcPos
-		})
-	}
 }

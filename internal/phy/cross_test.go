@@ -86,7 +86,7 @@ func TestShardBoundaryPhysics(t *testing.T) {
 	got := srads[2].rec
 
 	// All three sit within one disc radius of a foreign radio.
-	if !srads[0].border || !srads[1].border || !srads[2].border {
+	if len(srads[0].cats) == 0 || len(srads[1].cats) == 0 || len(srads[2].cats) == 0 {
 		t.Fatal("boundary radios not marked as border")
 	}
 	if len(got.frames) != len(want.frames) {
@@ -345,4 +345,126 @@ func TestMintSeqOverflowPanics(t *testing.T) {
 		}
 	}()
 	c.mintSeq()
+}
+
+// TestShardBoundaryCrash cross-checks the crash path across a shard
+// border: radio a raises a tone, starts a frame and crashes mid-air, then
+// recovers and sends again. SetDown must truncate the frame and drop the
+// tone at the far receiver at the same instants whether the two radios
+// share one medium or sit on conduit-joined shard mediums, and the frame
+// sent after recovery must arrive alike.
+func TestShardBoundaryCrash(t *testing.T) {
+	cfg := DefaultConfig()
+	pos := []geom.Point{{X: 95, Y: 0}, {X: 105, Y: 0}} // a | b across x=100
+	horizon := 10 * sim.Millisecond
+	script := func(eng *sim.Engine, a *Radio) {
+		at := func(t sim.Time, fn func()) { eng.ScheduleCall(t, scriptStep{fn}, 0) }
+		us := sim.Microsecond
+		at(0, func() { a.SetTone(Tone(0), true) })
+		at(100*us, func() { a.StartTx(testFrame(a.ID(), 100)) })
+		at(500*us, func() { a.SetDown(true) })
+		at(1000*us, func() { a.SetDown(false) })
+		at(2000*us, func() { a.StartTx(testFrame(a.ID(), 100)) })
+		at(3000*us, func() { a.SetTone(Tone(0), false) }) // the crash already dropped it
+	}
+
+	eng, _, rads := build(t, cfg, pos)
+	script(eng, rads[0].Radio)
+	eng.Run(horizon)
+	want := rads[1].rec
+
+	eng0 := sim.NewEngine(1)
+	m0 := NewMedium(eng0, cfg)
+	eng1 := sim.NewEngine(2)
+	m1 := NewMedium(eng1, cfg)
+	a := m0.AddRadio(0, mobility.Stationary{P: pos[0]})
+	a.SetHandler(&recRadio{Radio: a, rec: &recorder{}, eng: eng0})
+	b := m1.AddRadio(1, mobility.Stationary{P: pos[1]})
+	rb := &recRadio{Radio: b, rec: &recorder{}, eng: eng1}
+	b.SetHandler(rb)
+	net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon, 0)
+	script(eng0, a)
+	runOut(eng0, horizon)
+	net.Drain(1)
+	runOut(eng1, horizon)
+	got := rb.rec
+
+	if len(want.frames) != 2 || want.frames[0].ok || !want.frames[1].ok {
+		t.Fatalf("degenerate reference run: want a truncated frame, then a clean one: %+v", want.frames)
+	}
+	if len(got.frames) != len(want.frames) {
+		t.Fatalf("frame count: sharded %d, unsharded %d", len(got.frames), len(want.frames))
+	}
+	for i := range want.frames {
+		w, g := want.frames[i], got.frames[i]
+		if g.ok != w.ok || g.rxStart != w.rxStart || g.at != w.at {
+			t.Errorf("frame %d: sharded (ok=%v %v..%v), unsharded (ok=%v %v..%v)",
+				i, g.ok, g.rxStart, g.at, w.ok, w.rxStart, w.at)
+		}
+	}
+	if len(want.tones) != 2 {
+		t.Fatalf("degenerate reference run: %d tone edges, want the ON and the crash's OFF", len(want.tones))
+	}
+	if len(got.tones) != len(want.tones) {
+		t.Fatalf("tone edges: sharded %d, unsharded %d", len(got.tones), len(want.tones))
+	}
+	for i := range want.tones {
+		if got.tones[i] != want.tones[i] {
+			t.Errorf("tone edge %d: sharded %+v, unsharded %+v", i, got.tones[i], want.tones[i])
+		}
+	}
+	if len(got.carrier) != len(want.carrier) {
+		t.Fatalf("carrier transitions: sharded %d, unsharded %d", len(got.carrier), len(want.carrier))
+	}
+	for i := range want.carrier {
+		if got.carrier[i] != want.carrier[i] {
+			t.Errorf("carrier %d: sharded %v, unsharded %v", i, got.carrier[i], want.carrier[i])
+		}
+	}
+}
+
+// TestShardBoundaryGhostDropsTone holds a foreign tone across an epoch
+// boundary B whose Rebuild moves the source out of the border band: its
+// ghost is removed at B, and since no OFF can reach the listener through
+// the conduit any more, the ghost's tone session ends there. The listener
+// senses the OFF at B plus the delay its ON captured.
+func TestShardBoundaryGhostDropsTone(t *testing.T) {
+	cfg := DefaultConfig()
+	pos := []geom.Point{{X: 95, Y: 0}, {X: 105, Y: 0}}
+	horizon := 10 * sim.Millisecond
+	on, B := sim.Millisecond, 5*sim.Millisecond
+
+	eng0 := sim.NewEngine(1)
+	m0 := NewMedium(eng0, cfg)
+	eng1 := sim.NewEngine(2)
+	m1 := NewMedium(eng1, cfg)
+	a := m0.AddRadio(0, mobility.Stationary{P: pos[0]})
+	b := m1.AddRadio(1, mobility.Stationary{P: pos[1]})
+	rb := &recRadio{Radio: b, rec: &recorder{}, eng: eng1}
+	b.SetHandler(rb)
+	net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon, 0)
+	eng0.ScheduleCall(on, scriptStep{func() { a.SetTone(Tone(0), true) }}, 0)
+	runOut(eng0, B)
+	net.Drain(1)
+	runOut(eng1, B)
+
+	// The boundary positions put a far beyond any foreign radio's reach.
+	net.Rebuild([]geom.Point{{X: -1000, Y: 0}, pos[1]}, B, 0)
+	net.Drain(1)
+	runOut(eng1, horizon)
+
+	tones := rb.rec.tones
+	if len(tones) != 2 || !tones[0].sensed || tones[1].sensed {
+		t.Fatalf("tone edges %+v, want the ON and the boundary's OFF", tones)
+	}
+	prop := tones[0].at - on
+	if prop <= 0 || tones[1].at != B+prop {
+		t.Errorf("tone OFF sensed at %v, want B+prop = %v", tones[1].at, B+prop)
+	}
+	if got := net.Stats(1).GhostDels; got != 1 {
+		t.Errorf("GhostDels = %d, want 1", got)
+	}
+	if a.OwnTone(Tone(0)) != true || b.ToneSensed(Tone(0)) {
+		t.Error("the boundary must end only the listener's view of the tone")
+	}
 }

@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rmac/internal/frame"
 	"rmac/internal/geom"
@@ -181,19 +180,6 @@ func (m *Medium) propDelay(dist float64) sim.Time {
 	return d
 }
 
-// NeighborsOf returns the IDs of nodes currently within communication range
-// of r, in ascending ID order. Used by routing/topology analysis, not by
-// the PHY fast path.
-func (m *Medium) NeighborsOf(r *Radio) []int {
-	p := m.PositionOf(r)
-	var out []int
-	m.forEachInRange(r, p, m.cfg.CommRange, func(o *Radio, _ float64) {
-		out = append(out, o.id)
-	})
-	sort.Ints(out)
-	return out
-}
-
 // Tags for the pooled objects' sim.Caller dispatch.
 const (
 	tagRxStart int32 = iota
@@ -205,7 +191,7 @@ type transmission struct {
 	src      *Radio
 	f        frame.Frame
 	start    sim.Time
-	end      sim.Time // updated if aborted
+	end      sim.Time // updated when cut (see Medium.cut)
 	aborted  bool
 	finished bool // txDone ran or AbortTx was called
 	crossed  bool // mirrored into at least one foreign shard (sharded runs)
@@ -343,18 +329,12 @@ func (m *Medium) StartTx(r *Radio, f frame.Frame) sim.Time {
 	// its timeout/retry paths), but no energy reaches any receiver.
 	if !r.down {
 		srcPos := m.PositionOf(r)
-		c2 := m.cfg.CommRange * m.cfg.CommRange
 		m.forEachInRange(r, srcPos, m.cfg.interferenceRange(), func(o *Radio, d2 float64) {
-			p := m.newRxPath()
-			p.tx, p.r, p.inComm = tx, o, d2 <= c2
-			p.prop = m.propDelay(math.Sqrt(d2))
-			tx.dests = append(tx.dests, p)
-			m.eng.ScheduleCall(now+p.prop, p, tagRxStart)
-			p.endEv = m.eng.ScheduleCall(tx.end+p.prop, p, tagRxEnd)
+			m.addRx(tx, o, d2, 0)
 		})
-		if m.cross != nil && r.border {
+		if len(r.cats) > 0 {
 			tx.crossed = true
-			m.cross.txStart(r, tx)
+			m.cross.mirror(r, crossHdr{kind: crossTx, t0: now, t1: tx.end, srcPos: srcPos}, f)
 		}
 	}
 	tx.pending = len(tx.dests)
@@ -387,29 +367,13 @@ func (m *Medium) AbortTx(r *Radio) {
 	if m.Obs != nil {
 		m.Obs.ObsTxAbort(r, tx.f)
 	}
-	now := m.eng.Now()
-	truncated := tx.aborted // SetDown already cut the signal at every receiver
-	tx.aborted = true
 	tx.finished = true
-	tx.end = now
 	tx.doneEv.Cancel()
 	m.Stats.Aborts++
-	if !truncated {
-		for _, p := range tx.dests {
-			if p.tx != tx || !p.endEv.Pending() {
-				continue // rxEnd already ran; path is freed or reused
-			}
-			p.corrupted = true
-			p.endEv.Cancel()
-			p.endEv = m.eng.ScheduleCall(now+p.prop, p, tagRxEnd)
-		}
-		if tx.crossed && m.cross != nil {
-			m.cross.txAbort(r, tx, now)
-		}
-	}
+	m.cutTx(r, tx)
 	r.curTx = nil
 	if m.Tracer != nil {
-		m.Tracer.Add(trace.Event{At: now, Node: r.id, Kind: trace.TxAbort, What: tx.f.Kind().String()})
+		m.Tracer.Add(trace.Event{At: m.eng.Now(), Node: r.id, Kind: trace.TxAbort, What: tx.f.Kind().String()})
 	}
 	if tx.pending == 0 {
 		m.freeTx(tx)
@@ -549,43 +513,27 @@ func (m *Medium) SetTone(r *Radio, t Tone, on bool) {
 		}
 		m.Tracer.Add(trace.Event{At: now, Node: r.id, Kind: k, What: t.String()})
 	}
-	if on {
-		m.Stats.ToneActivation++
-		if r.down {
-			// A crashed radio raises no tone energy: ownTone tracks the
-			// MAC's intent, but no session forms and nothing propagates.
-			// The matching off-transition is a no-op (nil session).
-			return
-		}
-		srcPos := m.PositionOf(r)
-		sess := m.newSess()
-		m.forEachInRange(r, srcPos, m.cfg.interferenceRange(), func(o *Radio, d2 float64) {
-			sess.dests = append(sess.dests, o)
-			sess.props = append(sess.props, m.propDelay(math.Sqrt(d2)))
-		})
-		r.toneSess[t] = sess
-		for i, o := range sess.dests {
-			m.eng.ScheduleCall(now+sess.props[i], o, toneOnTag(t))
-		}
-		if m.cross != nil && r.border {
-			r.crossTone[t] = true
-			m.cross.toneSet(r, t, true, now)
-		}
+	if !on {
+		m.stopTone(r, t)
 		return
 	}
-	if r.crossTone[t] && m.cross != nil {
-		r.crossTone[t] = false
-		m.cross.toneSet(r, t, false, now)
-	}
-	sess := r.toneSess[t]
-	r.toneSess[t] = nil
-	if sess == nil {
+	m.Stats.ToneActivation++
+	if r.down {
+		// A crashed radio raises no tone energy: ownTone tracks the MAC's
+		// intent, but no session forms and nothing propagates. The
+		// matching off-transition is a no-op (nil session).
 		return
 	}
-	for i, o := range sess.dests {
-		m.eng.ScheduleCall(now+sess.props[i], o, toneOffTag(t))
+	srcPos := m.PositionOf(r)
+	sess := m.newSess()
+	r.toneSess[t] = sess
+	m.forEachInRange(r, srcPos, m.cfg.interferenceRange(), func(o *Radio, d2 float64) {
+		m.toneTo(sess, t, o, d2, now, 0)
+	})
+	if len(r.cats) > 0 {
+		r.crossTone[t] = true
+		m.cross.mirror(r, crossHdr{kind: crossToneOn, tone: uint8(t), t0: now, srcPos: srcPos}, nil)
 	}
-	m.freeSess(sess)
 }
 
 // SetDown crashes (down=true) or recovers (down=false) node r's radio —
@@ -633,49 +581,144 @@ func (m *Medium) SetDown(r *Radio, down bool) {
 		return
 	}
 	m.Stats.Crashes++
-	// Truncate the in-flight transmission at every receiver. Only a live
-	// (not yet aborted) transmission is cut: if tx.aborted is already set,
-	// a previous crash in this same airtime truncated it — its rxEnds are
-	// running at crash+prop and some dests may already be freed or reused,
-	// so touching them again would corrupt the pools. For a live tx every
-	// rxEnd sits at tx.end+prop > now and is still pending; the guards in
-	// the loop are belt-and-braces against that invariant shifting.
-	if tx := r.curTx; tx != nil && !tx.aborted {
-		now := m.eng.Now()
-		tx.aborted = true
-		for _, p := range tx.dests {
-			if p.tx != tx || !p.endEv.Pending() {
-				continue
-			}
-			p.corrupted = true
-			p.endEv.Cancel()
-			p.endEv = m.eng.ScheduleCall(now+p.prop, p, tagRxEnd)
-		}
-		if tx.crossed && m.cross != nil {
-			m.cross.txAbort(r, tx, now)
-		}
+	// Truncate the in-flight transmission at every receiver.
+	if tx := r.curTx; tx != nil {
+		m.cutTx(r, tx)
 	}
 	// Poison signals mid-reception at the crashed node.
 	for _, p := range r.active {
 		p.corrupted = true
 	}
 	// Drop emitted tones at every listener.
-	now := m.eng.Now()
 	for t := Tone(0); t < NumTones; t++ {
-		if r.crossTone[t] && m.cross != nil {
-			r.crossTone[t] = false
-			m.cross.toneSet(r, t, false, now)
-		}
-		sess := r.toneSess[t]
-		if sess == nil {
+		m.stopTone(r, t)
+	}
+}
+
+// The physics primitives below are the medium's only implementation of
+// each channel effect. A local effect (StartTx, AbortTx, SetTone,
+// SetDown) and a foreign one mirrored through the cross-shard conduit
+// (cross.go) call the same primitive. They differ only in the instant
+// they pass (now for a local effect, the instant the message recorded
+// for a mirrored one) and in seq: 0 for a local effect, whose events the
+// engine numbers as it schedules them, or the first number of the
+// mirrored message's sim.CrossSeq block, stepped once per event (see at
+// and nextSeq).
+
+// at schedules c.Call(tag) at t under sequence number seq (see above).
+func (m *Medium) at(t sim.Time, c sim.Caller, tag int32, seq uint64) sim.Event {
+	if seq == 0 {
+		return m.eng.ScheduleCall(t, c, tag)
+	}
+	return m.eng.ScheduleCrossCall(t, c, tag, seq)
+}
+
+// nextSeq returns the sequence number after seq: a local effect's 0
+// stays 0.
+func nextSeq(seq uint64) uint64 {
+	if seq == 0 {
+		return 0
+	}
+	return seq + 1
+}
+
+// addRx starts tx's signal at receiver o, at squared distance d2 from
+// the sender: the first bit arrives at tx.start+prop and the last at
+// tx.end+prop, under seq and the number after it.
+func (m *Medium) addRx(tx *transmission, o *Radio, d2 float64, seq uint64) {
+	p := m.newRxPath()
+	p.tx, p.r, p.inComm = tx, o, d2 <= m.cfg.CommRange*m.cfg.CommRange
+	p.prop = m.propDelay(math.Sqrt(d2))
+	tx.dests = append(tx.dests, p)
+	m.at(tx.start+p.prop, p, tagRxStart, seq)
+	p.endEv = m.at(tx.end+p.prop, p, tagRxEnd, nextSeq(seq))
+}
+
+// cut truncates tx at instant at: every receiver still waiting for the
+// last bit gets it at at+prop instead, and decodes nothing. seq numbers
+// the new ends, one per rx path, skipped or not.
+//
+// Only a path whose rxEnd is still pending is touched: a path that
+// completed was freed and may serve another transmission by now. A local
+// cut (at = now) of a live transmission finds every end at tx.end+prop >
+// now still pending. A mirrored cut lands exactly too, as its holder
+// fires at at+minProp ≤ at+prop, except for a transmission that spans an
+// epoch boundary: its delays were sampled under the previous epoch's
+// envelope, which the current lookahead floor may exceed, so the end is
+// clamped to now, the holder instant (a deterministic position, at most
+// minProp late; DESIGN.md §15). A stationary run has no boundary, so its
+// clamp never fires.
+func (m *Medium) cut(tx *transmission, at sim.Time, seq uint64) {
+	tx.aborted = true
+	tx.end = at
+	now := m.eng.Now()
+	for _, p := range tx.dests {
+		s := seq
+		seq = nextSeq(seq)
+		if p.tx != tx || !p.endEv.Pending() {
 			continue
 		}
-		r.toneSess[t] = nil
-		for i, o := range sess.dests {
-			m.eng.ScheduleCall(now+sess.props[i], o, toneOffTag(t))
-		}
-		m.freeSess(sess)
+		p.corrupted = true
+		p.endEv.Cancel()
+		p.endEv = m.at(max(at+p.prop, now), p, tagRxEnd, s)
 	}
+}
+
+// cutTx truncates r's transmission tx now, here and in every foreign
+// shard it was mirrored into. A transmission a crash already cut is left
+// alone: its truncated ends are running at crash+prop, and some of its
+// paths may be freed or reused by now.
+func (m *Medium) cutTx(r *Radio, tx *transmission) {
+	if tx.aborted {
+		return
+	}
+	now := m.eng.Now()
+	m.cut(tx, now, 0)
+	if tx.crossed {
+		m.cross.mirror(r, crossHdr{kind: crossAbort, t0: now, t1: tx.start}, nil)
+	}
+}
+
+// toneTo adds listener o, at squared distance d2 from the emitter, to the
+// tone-t session sess raised at instant at: the tone reaches o at at+prop
+// under seq, and lowerTone replays the same delay.
+func (m *Medium) toneTo(sess *toneSession, t Tone, o *Radio, d2 float64, at sim.Time, seq uint64) {
+	prop := m.propDelay(math.Sqrt(d2))
+	sess.dests = append(sess.dests, o)
+	sess.props = append(sess.props, prop)
+	m.at(at+prop, o, toneOnTag(t), seq)
+}
+
+// lowerTone ends g's tone-t session, if one is open, as of instant at:
+// each listener loses the tone at at+prop, with the delay its ON
+// captured. seq numbers those events, one per listener; the number after
+// the last is returned. g is the emitting radio, or for a foreign tone
+// its ghost. Like cut, a mirrored OFF of a tone held across an epoch
+// boundary may find at+prop before now and is clamped to now.
+func (m *Medium) lowerTone(g *Radio, t Tone, at sim.Time, seq uint64) uint64 {
+	sess := g.toneSess[t]
+	if sess == nil {
+		return seq
+	}
+	g.toneSess[t] = nil
+	now := m.eng.Now()
+	for i, o := range sess.dests {
+		m.at(max(at+sess.props[i], now), o, toneOffTag(t), seq)
+		seq = nextSeq(seq)
+	}
+	m.freeSess(sess)
+	return seq
+}
+
+// stopTone ends r's tone-t session now, here and in every foreign shard
+// its ON was mirrored into.
+func (m *Medium) stopTone(r *Radio, t Tone) {
+	now := m.eng.Now()
+	if r.crossTone[t] {
+		r.crossTone[t] = false
+		m.cross.mirror(r, crossHdr{kind: crossToneOff, tone: uint8(t), t0: now}, nil)
+	}
+	m.lowerTone(r, t, now, 0)
 }
 
 // toneSession records the receivers and delays captured when a tone was

@@ -38,17 +38,17 @@ type toneMeter struct {
 }
 
 // Radio is one node's PHY entity: transmitter, receiver, tone emitter and
-// tone sensor.
+// tone sensor. Its bools sit at the tail, packed into one word, which
+// keeps the struct in the 224-byte allocation size class.
 type Radio struct {
 	m   *Medium
 	eng *sim.Engine
 	id  int
 	mob mobility.Model
 
-	// static radios cache their fixed position in pos, sparing the
-	// mobility-model call on every in-range query.
-	static bool
-	pos    geom.Point
+	// A static radio (see static) caches its fixed position in pos,
+	// sparing the mobility-model call on every in-range query.
+	pos geom.Point
 
 	// Mobile radios memoize their last position query: one PHY fan-out
 	// asks for every receiver's position at the same instant, and a
@@ -58,25 +58,27 @@ type Radio struct {
 	memoTime sim.Time
 	memoPos  geom.Point
 
-	// down marks a crashed radio (fault injection): it emits no signal or
-	// tone energy and decodes nothing, but keeps sensing — see
-	// Medium.SetDown for the exact crash semantics.
-	down bool
-
 	handler Handler
 
 	curTx    *transmission
 	active   []*rxPath // signals currently arriving at this node
-	ownTone  [NumTones]bool
 	toneSess [NumTones]*toneSession
 	tones    [NumTones]toneMeter
 
-	// Sharded-run state (see cross.go). border marks a radio within one
-	// interference range of a foreign shard's radio; crossTone records, per
-	// tone, whether the current on-transition was mirrored to foreign
-	// shards (and therefore needs a mirrored off). Both stay zero in
-	// unsharded runs.
-	border    bool
+	// cats holds, in a sharded run, one catalog per foreign shard with
+	// candidate receivers of this radio in the current epoch (see
+	// cross.go); a radio with any is a border radio, whose effects the
+	// medium mirrors. Empty in unsharded runs.
+	cats []*crossCatalog
+
+	static bool // stationary: pos holds the position
+	// down marks a crashed radio (fault injection): it emits no signal or
+	// tone energy and decodes nothing, but keeps sensing — see
+	// Medium.SetDown for the exact crash semantics.
+	down    bool
+	ownTone [NumTones]bool
+	// crossTone records, per tone, whether the current on-transition was
+	// mirrored to foreign shards (and therefore needs a mirrored off).
 	crossTone [NumTones]bool
 }
 
@@ -85,9 +87,6 @@ func (r *Radio) ID() int { return r.id }
 
 // SetHandler installs the MAC-layer callback sink.
 func (r *Radio) SetHandler(h Handler) { r.handler = h }
-
-// Mobility returns the node's mobility model.
-func (r *Radio) Mobility() mobility.Model { return r.mob }
 
 // Frames returns the simulation-wide frame pool; see Medium.Frames.
 func (r *Radio) Frames() *frame.Pool { return r.m.Frames() }

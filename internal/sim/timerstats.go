@@ -130,6 +130,23 @@ func (s *TimerStats) cancel(pos int32, remaining Time) {
 	}
 }
 
+// Add adds census o to s: the census of a sharded run is the sum of its
+// engines'.
+func (s *TimerStats) Add(o *TimerStats) {
+	for i, v := range o.Scheduled {
+		s.Scheduled[i] += v
+	}
+	for i, v := range o.Cancelled {
+		s.Cancelled[i] += v
+	}
+	for i, v := range o.Placed {
+		s.Placed[i] += v
+	}
+	for i, v := range o.CancelledIn {
+		s.CancelledIn[i] += v
+	}
+}
+
 // TotalScheduled sums the schedule census.
 func (s *TimerStats) TotalScheduled() uint64 {
 	var t uint64

@@ -13,9 +13,16 @@
 # plus one grid-sized, multi-source run per MAC x scenario x -shards
 # {0, 2} (-nodes 120 -field-w 600 -field-h 300 -sources 2 -packets 20
 # -rate 40 -seed 1), which takes the >=96-radio spatial-grid path and
-# the multi-source traffic of the large benchmark workloads: 120 runs
-# per build. rmacsim runs with its default -strict, so a failed,
-# aborted, deadlocked or audit-violating run fails the script too.
+# the multi-source traffic of the large benchmark workloads; plus, per
+# MAC, three runs past 2 shards and 1 s epochs (-seed 1 -packets 20
+# -rate 40 -drain 1): speed2 on 4 shards with 0.25 s epochs (-nodes 200
+# -field-w 1000 -field-h 300 -sources 2), speed1 on 3 shards with 0.5 s
+# epochs under -burst 0.2 -avail 0.9 (-nodes 120 -field-w 800 -field-h
+# 300), and a 4-shard Poisson placement (-nodes 300 -field-w 800
+# -field-h 400 -sources 2), whose mobile runs install and remove ghosts
+# at many epoch boundaries: 138 runs per build. rmacsim runs with its
+# default -strict, so a failed, aborted, deadlocked or audit-violating
+# run fails the script too.
 #
 # Prints the base and work-tree fingerprint lines for every config and
 # exits non-zero on any mismatch or any non-zero rmacsim exit.
@@ -77,6 +84,16 @@ for proto in rmac bmmm bmw lbp mx dot11; do
                 -nodes 120 -field-w 600 -field-h 300 -sources 2 -packets 20 -rate 40
         done
     done
+    many="-seed 1 -packets 20 -rate 40 -drain 1"
+    # shellcheck disable=SC2086
+    check -protocol "$proto" $many -scenario speed2 -shards 4 -shard-epoch 0.25 \
+        -nodes 200 -field-w 1000 -field-h 300 -sources 2
+    # shellcheck disable=SC2086
+    check -protocol "$proto" $many -scenario speed1 -shards 3 -shard-epoch 0.5 \
+        -burst 0.2 -avail 0.9 -nodes 120 -field-w 800 -field-h 300
+    # shellcheck disable=SC2086
+    check -protocol "$proto" $many -topo poisson -shards 4 \
+        -nodes 300 -field-w 800 -field-h 400 -sources 2
 done
 
 echo "== $runs configs, $bad mismatched or failed"
