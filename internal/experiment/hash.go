@@ -84,7 +84,17 @@ func (c Config) CacheKey() string {
 // excluded — they carry wall-clock text — but the Aborted/Failed flags
 // and the event count are included, so a truncated run never fingerprints
 // like a complete one.
-func (r *RunResult) Fingerprint() string {
+func (r *RunResult) Fingerprint() string { return r.digest(true) }
+
+// Outcome is Fingerprint without the event count: a digest of what the
+// run measured, not of how many engine events it took. Two builds that
+// schedule the same simulation with different event bookkeeping (one
+// timer per backoff countdown instead of one per slot, say) agree on it.
+func (r *RunResult) Outcome() string { return r.digest(false) }
+
+// digest hashes the run's deterministic measurements, with the event
+// count when events is set.
+func (r *RunResult) digest(events bool) string {
 	h := sha256.New()
 	var buf [8]byte
 	w := func(v uint64) {
@@ -112,7 +122,9 @@ func (r *RunResult) Fingerprint() string {
 	f(r.AvgRetxRatio)
 	f(r.AvgOverheadRatio)
 	w(uint64(r.NonLeafCount))
-	w(r.Events)
+	if events {
+		w(r.Events)
+	}
 	w(r.Crashes)
 	w(r.Fault.BurstErrors)
 	w(uint64(len(r.Deadlocks)))

@@ -40,6 +40,22 @@ func TestFingerprintStableAcrossRuns(t *testing.T) {
 	}
 }
 
+func TestOutcomeIgnoresEventCount(t *testing.T) {
+	a := Run(smallConfig())
+	b := a
+	b.Events++
+	if a.Outcome() != b.Outcome() {
+		t.Error("Outcome depends on the event count")
+	}
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Error("Fingerprint ignores the event count")
+	}
+	b.Metrics.Receptions++
+	if a.Outcome() == b.Outcome() {
+		t.Error("Outcome ignores a measurement")
+	}
+}
+
 func TestRunCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

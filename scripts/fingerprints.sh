@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Fingerprint diff for behaviour-preserving refactors: build cmd/rmacsim
 # from BASE_REF (default HEAD) and from the work tree, run one fixed
-# corpus of configs on both builds, and compare the `fingerprint` line
-# (RunResult.Fingerprint, a digest of every deterministic measurement)
-# config by config.
+# corpus of configs on both builds, and compare one digest line of
+# rmacsim's report config by config: LINE (default `fingerprint`,
+# RunResult.Fingerprint, a digest of every deterministic measurement), or
+# `outcome` (RunResult.Outcome, the same digest without the event count,
+# for a change that moves only event bookkeeping).
 #
-#   scripts/fingerprints.sh [BASE_REF]
+#   scripts/fingerprints.sh [BASE_REF] [LINE]
 #
 # Corpus: {rmac, bmmm, bmw, lbp, mx, dot11} x {stationary, speed2} x
 # {no impairment, -burst 0.2 -avail 0.9} x -shards {0, 2} x -seed {1, 2},
@@ -24,12 +26,13 @@
 # default -strict, so a failed, aborted, deadlocked or audit-violating
 # run fails the script too.
 #
-# Prints the base and work-tree fingerprint lines for every config and
-# exits non-zero on any mismatch or any non-zero rmacsim exit.
+# Prints the base and work-tree LINE lines for every config and exits
+# non-zero on any mismatch or any non-zero rmacsim exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASE=${1:-HEAD}
+LINE=${2:-fingerprint}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -39,7 +42,7 @@ git archive "$BASE" | tar -x -C "$TMP/base"
 (cd "$TMP/base" && go build -o "$TMP/rmacsim-base" ./cmd/rmacsim)
 go build -o "$TMP/rmacsim-work" ./cmd/rmacsim
 
-# fp BIN ARGS... prints the run's fingerprint line, or FAILED(exit code).
+# fp BIN ARGS... prints the run's LINE line, or FAILED(exit code).
 fp() {
     local bin=$1 out code=0
     shift
@@ -48,7 +51,7 @@ fp() {
         echo "FAILED(exit $code)"
         return
     fi
-    grep '^fingerprint' <<<"$out" || echo "FAILED(no fingerprint line)"
+    grep "^$LINE " <<<"$out" || echo "FAILED(no $LINE line)"
 }
 
 runs=0
