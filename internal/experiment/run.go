@@ -56,6 +56,12 @@ type RunResult struct {
 
 	// Simulator instrumentation.
 	Events uint64
+	// BusyTicks sums every node's mac.Backoff.BusyTicks: countdown
+	// expiries that found the channel busy although the MAC never called
+	// Suspend, each sending the backoff onto its per-slot re-poll. Every
+	// MAC reports each busy edge, so a nonzero count means one missed an
+	// edge. It enters neither Fingerprint nor Outcome.
+	BusyTicks uint64
 	// TimerStats is the per-horizon timer census when Config.TimerStats
 	// is set (nil otherwise): a sharded run's is the sum of its engines'.
 	TimerStats *sim.TimerStats
@@ -163,6 +169,10 @@ func (t *RunTotals) addMAC(s *mac.Stats) {
 	t.MRTSAborted += s.MRTSAborted
 	t.ABTSent += s.ABTSent
 }
+
+// busyTicker is every MAC built on mac.Node: it counts the backoff
+// expiries that found the channel busy with no Suspend.
+type busyTicker interface{ BusyTicks() uint64 }
 
 // auditLiveness applies the deadlock predicate to every MAC: non-idle
 // with nothing pending means the node can never advance again.
@@ -455,6 +465,9 @@ func (n *network) collect() RunResult {
 	tot.Duplicates = res.Metrics.Duplicates
 	var drop, retx, ovh stats.Sample
 	for _, m := range n.macs {
+		if c, ok := m.(busyTicker); ok {
+			res.BusyTicks += c.BusyTicks()
+		}
 		s := m.Stats()
 		tot.addMAC(s)
 		if !s.NonLeaf() {

@@ -370,17 +370,17 @@ func shardGoldenString(r RunResult) string {
 
 // Fixed-seed (seed 1) sharded results pinned by TestShardedGolden.
 const (
-	goldenShards2       = "events=93262 gen=30 rx=1170 dup=0 deliv=1 delay=0.011874724999999999 drop=0 retx=0.23055555555555554 ovh=0.22121490345517855 nonleaf=12 mrts_n=443 abort_n=12 reach=40 msgs_out=1038 msgs_in=1038 ghost_adds=7 ghost_dels=0"
-	goldenShards4       = "events=105182 gen=30 rx=1170 dup=0 deliv=1 delay=0.012104591 drop=0 retx=0.35555555555555557 ovh=0.23422486641896934 nonleaf=12 mrts_n=488 abort_n=12 reach=40 msgs_out=6533 msgs_in=6533 ghost_adds=43 ghost_dels=0"
-	goldenShards2Speed1 = "events=193769 gen=30 rx=1116 dup=0 deliv=0.9538461538461539 delay=0.049131869000000002 drop=0.16363636363636364 retx=1.2575757575757576 ovh=0.31389222827466745 nonleaf=11 mrts_n=745 abort_n=11 reach=40 msgs_out=1315 msgs_in=1315 ghost_adds=10 ghost_dels=1"
+	goldenShards2       = "events=73182 gen=30 rx=1170 dup=0 deliv=1 delay=0.011874724999999999 drop=0 retx=0.23055555555555554 ovh=0.22121490345517855 nonleaf=12 mrts_n=443 abort_n=12 reach=40 msgs_out=1038 msgs_in=1038 ghost_adds=7 ghost_dels=0"
+	goldenShards4       = "events=79475 gen=30 rx=1170 dup=0 deliv=1 delay=0.012104591 drop=0 retx=0.35555555555555557 ovh=0.23422486641896934 nonleaf=12 mrts_n=488 abort_n=12 reach=40 msgs_out=6533 msgs_in=6533 ghost_adds=43 ghost_dels=0"
+	goldenShards2Speed1 = "events=79183 gen=30 rx=1116 dup=0 deliv=0.9538461538461539 delay=0.049131869000000002 drop=0.16363636363636364 retx=1.2575757575757576 ovh=0.31389222827466745 nonleaf=11 mrts_n=745 abort_n=11 reach=40 msgs_out=1315 msgs_in=1315 ghost_adds=10 ghost_dels=1"
 	// The baseline MACs and the impairment layer on two shards, recorded
 	// before the sharded build moved onto the shared stack builder.
-	goldenShards2BMMM  = "events=161685 gen=30 rx=1170 dup=0 deliv=1 delay=0.024230246 drop=0 retx=0.38055555555555554 ovh=1.0342097302475028 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=798 msgs_in=798 ghost_adds=7 ghost_dels=0"
-	goldenShards2BMW   = "events=138808 gen=30 rx=1170 dup=1490 deliv=1 delay=0.017885963000000001 drop=0.0027777777777777779 retx=0.75833333333333341 ovh=0.7072366390947199 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=531 msgs_in=531 ghost_adds=7 ghost_dels=0"
-	goldenShards2LBP   = "events=285929 gen=30 rx=1143 dup=1853 deliv=0.97692307692307689 delay=0.074236242999999993 drop=0.11197318007662836 retx=2.1686781609195402 ovh=0.34069708546746597 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=673 msgs_in=673 ghost_adds=7 ghost_dels=0"
-	goldenShards2MX    = "events=63315 gen=30 rx=1161 dup=1627 deliv=0.99230769230769234 delay=0.011581664 drop=0 retx=0.28333333333333333 ovh=0.26317181039942267 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=362 msgs_in=362 ghost_adds=7 ghost_dels=0"
-	goldenShards2DOT11 = "events=37862 gen=30 rx=1073 dup=605 deliv=0.91709401709401706 delay=0.0109896 drop=0 retx=0.014272030651340995 ovh=0.1473315425620523 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=228 msgs_in=228 ghost_adds=7 ghost_dels=0"
-	goldenShards2Fault = "events=270899 gen=30 rx=1008 dup=0 deliv=0.86153846153846159 delay=0.079436102999999994 drop=0.13457695014345264 retx=1.9103790691203189 ovh=0.31111401003162864 nonleaf=14 mrts_n=1108 abort_n=14 reach=40 bursterr=1660 badentries=4271 crashes=58 recoveries=57 deadlocks=0 msgs_out=1202 msgs_in=1202 ghost_adds=7 ghost_dels=0"
+	goldenShards2BMMM  = "events=135413 gen=30 rx=1170 dup=0 deliv=1 delay=0.024230246 drop=0 retx=0.38055555555555554 ovh=1.0342097302475028 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=798 msgs_in=798 ghost_adds=7 ghost_dels=0"
+	goldenShards2BMW   = "events=92317 gen=30 rx=1170 dup=1490 deliv=1 delay=0.017885963000000001 drop=0.0027777777777777779 retx=0.75833333333333341 ovh=0.7072366390947199 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=531 msgs_in=531 ghost_adds=7 ghost_dels=0"
+	goldenShards2LBP   = "events=133193 gen=30 rx=1143 dup=1853 deliv=0.97692307692307689 delay=0.074236242999999993 drop=0.11197318007662836 retx=2.1686781609195402 ovh=0.34069708546746597 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=673 msgs_in=673 ghost_adds=7 ghost_dels=0"
+	goldenShards2MX    = "events=47876 gen=30 rx=1161 dup=1627 deliv=0.99230769230769234 delay=0.011581664 drop=0 retx=0.28333333333333333 ovh=0.26317181039942267 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=362 msgs_in=362 ghost_adds=7 ghost_dels=0"
+	goldenShards2DOT11 = "events=26864 gen=30 rx=1073 dup=605 deliv=0.91709401709401706 delay=0.0109896 drop=0 retx=0.014272030651340995 ovh=0.1473315425620523 nonleaf=12 mrts_n=0 abort_n=12 reach=40 msgs_out=228 msgs_in=228 ghost_adds=7 ghost_dels=0"
+	goldenShards2Fault = "events=95273 gen=30 rx=1008 dup=0 deliv=0.86153846153846159 delay=0.079436102999999994 drop=0.13457695014345264 retx=1.9103790691203189 ovh=0.31111401003162864 nonleaf=14 mrts_n=1108 abort_n=14 reach=40 bursterr=1660 badentries=4271 crashes=58 recoveries=57 deadlocks=0 msgs_out=1202 msgs_in=1202 ghost_adds=7 ghost_dels=0"
 )
 
 // TestShardedGolden pins fixed-seed sharded results across commits, where
@@ -419,6 +419,7 @@ func TestShardedGolden(t *testing.T) {
 			if got := shardGoldenString(r); got != tc.want {
 				t.Errorf("fixed-seed sharded run drifted\n got: %s\nwant: %s", got, tc.want)
 			}
+			requireNoBusyTicks(t, r)
 		})
 	}
 }

@@ -69,6 +69,10 @@ func (m *Node) Stats() *Stats { return &m.stats }
 // SetUpper implements MAC.
 func (m *Node) SetUpper(u UpperLayer) { m.upper = u }
 
+// BusyTicks returns the backoff's count of countdown expiries that found
+// the channel busy with no Suspend (Backoff.BusyTicks).
+func (m *Node) BusyTicks() uint64 { return m.Backoff.BusyTicks }
+
 // AuditPending implements audit.PendingReporter.
 func (m *Node) AuditPending() (queued int, inFlight bool) {
 	return m.Queue.Len(), m.Req != nil
