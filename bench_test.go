@@ -227,12 +227,11 @@ func BenchmarkFeedbackDisciplines(b *testing.B) {
 }
 
 // BenchmarkWholeRun measures whole-run simulator performance per MAC
-// protocol: event throughput (events/s), simulated-seconds per wall
-// second, and the total allocation bill of a run (allocs/op — setup plus
-// steady state; the steady-state share is asserted ≈0 separately by the
-// experiment package's allocation regression test). scripts/bench.sh
-// records this suite in BENCH_run.json so the numbers are tracked
-// per-commit.
+// protocol (benchRuns' rates) and the total allocation bill of a run
+// (allocs/op — setup plus steady state; the steady-state share is asserted
+// ≈0 separately by the experiment package's allocation regression test).
+// scripts/bench.sh records this suite in BENCH_run.json so the numbers are
+// tracked per-commit.
 func BenchmarkWholeRun(b *testing.B) {
 	protos := []struct {
 		name string
@@ -247,22 +246,11 @@ func BenchmarkWholeRun(b *testing.B) {
 	}
 	for _, tc := range protos {
 		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			var simulated sim.Time
-			for i := 0; i < b.N; i++ {
+			benchRuns(b, func() Config {
 				cfg := benchConfig()
 				cfg.Protocol = tc.p
-				cfg.Seed = int64(i + 1)
-				res := Run(cfg)
-				if res.Failed {
-					b.Fatal(res.FailReason)
-				}
-				events += res.Events
-				simulated += cfg.Horizon()
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-			b.ReportMetric(simulated.Seconds()/b.Elapsed().Seconds(), "simsec/s")
+				return cfg
+			})
 		})
 	}
 }
@@ -295,13 +283,18 @@ func benchShardedConfig(nodes, shards int) Config {
 	return cfg
 }
 
-// benchShardedRuns runs whole simulations of config, seeded 1, 2, …, and
-// reports their event throughput, wall time per event and simulated
-// seconds per second; events count across all shards.
-func benchShardedRuns(b *testing.B, config func() Config) {
+// benchRuns runs whole simulations of config, seeded 1, 2, …, and reports
+// their event throughput, wall time per event, simulated seconds per
+// second and wall time per simulated node-second; events count across all
+// shards. How many events a simulation takes depends on how the engine
+// schedules it, not only on what it simulates, so events/s and ns/event
+// compare only builds that schedule alike; simsec/s and ns/node-simsec
+// compare any two.
+func benchRuns(b *testing.B, config func() Config) {
 	b.ReportAllocs()
 	var events uint64
 	var simulated sim.Time
+	var nodeSeconds float64
 	for i := 0; i < b.N; i++ {
 		cfg := config()
 		cfg.Seed = int64(i + 1)
@@ -314,10 +307,13 @@ func benchShardedRuns(b *testing.B, config func() Config) {
 		}
 		events += res.Events
 		simulated += cfg.Horizon()
+		nodeSeconds += float64(cfg.Nodes) * cfg.Horizon().Seconds()
 	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-	b.ReportMetric(simulated.Seconds()/b.Elapsed().Seconds(), "simsec/s")
+	wall := b.Elapsed()
+	b.ReportMetric(float64(events)/wall.Seconds(), "events/s")
+	b.ReportMetric(float64(wall.Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(simulated.Seconds()/wall.Seconds(), "simsec/s")
+	b.ReportMetric(float64(wall.Nanoseconds())/nodeSeconds, "ns/node-simsec")
 }
 
 // BenchmarkWholeRunSharded measures the spatially sharded conservative
@@ -334,7 +330,7 @@ func BenchmarkWholeRunSharded(b *testing.B) {
 	for _, nodes := range []int{1000, 10000} {
 		for _, shards := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("n%d/shards%d", nodes, shards), func(b *testing.B) {
-				benchShardedRuns(b, func() Config { return benchShardedConfig(nodes, shards) })
+				benchRuns(b, func() Config { return benchShardedConfig(nodes, shards) })
 			})
 		}
 	}
@@ -350,7 +346,7 @@ func BenchmarkWholeRunSharded(b *testing.B) {
 func BenchmarkWholeRunShardedMobile(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n1000/shards%d", shards), func(b *testing.B) {
-			benchShardedRuns(b, func() Config {
+			benchRuns(b, func() Config {
 				cfg := benchShardedConfig(1000, shards)
 				cfg.Scenario = Speed1
 				return cfg
@@ -389,7 +385,7 @@ func benchCoupledConfig(shards int) Config {
 func BenchmarkWholeRunShardedCoupled(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n2000/shards%d", shards), func(b *testing.B) {
-			benchShardedRuns(b, func() Config { return benchCoupledConfig(shards) })
+			benchRuns(b, func() Config { return benchCoupledConfig(shards) })
 		})
 	}
 }
@@ -416,7 +412,7 @@ func benchScaleConfig(nodes int) Config {
 func BenchmarkWholeRunScale(b *testing.B) {
 	for _, nodes := range []int{1000, 2000, 4000, 8000, 16000} {
 		b.Run(fmt.Sprintf("n%d", nodes), func(b *testing.B) {
-			benchShardedRuns(b, func() Config { return benchScaleConfig(nodes) })
+			benchRuns(b, func() Config { return benchScaleConfig(nodes) })
 		})
 	}
 }

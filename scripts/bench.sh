@@ -10,13 +10,16 @@
 #   scripts/bench.sh -quick     # single iteration smoke (CI)
 #   scripts/bench.sh -check     # short run, gate against committed JSONs
 #
-# Each JSON maps a benchmark to {ns_op, b_op, allocs_op} (plus events_s
-# and ns_event where the benchmark reports them), and its
-# "_provenance" entry records where the numbers came from: CPU model,
-# core count, GOMAXPROCS, Go version, source commit ("-dirty" when the
-# tree had uncommitted changes) and date. Commit the refreshed files
-# together with any change that moves these numbers, and quote the
-# before/after in the PR description.
+# Each JSON maps a benchmark to {ns_op, b_op, allocs_op} (plus events_s,
+# ns_event and ns_node_simsec where the benchmark reports them) and the
+# source commit that measured it ("-dirty" when the tree had uncommitted
+# changes), so a file merged from several recordings still dates each
+# row. Its "_provenance" entry records where the numbers came from: CPU
+# model, core count, GOMAXPROCS, Go version, commit and date. Commit the
+# refreshed files together with any change that moves these numbers, and
+# quote the before/after in the PR description. ns_node_simsec (wall ns
+# per simulated node-second) compares any two builds; events_s and
+# ns_event only builds that schedule a simulation with the same events.
 #
 # -check compares a short (1s benchtime) run against the committed numbers
 # and fails on any allocs/op increase or on an ns/op regression beyond the
@@ -47,14 +50,15 @@ case "${1:-}" in
     ;;
 esac
 
+COMMIT=$(git describe --always --dirty 2>/dev/null || echo unknown)
+
 # provenance — the "_provenance" JSON object stamped into every file.
 provenance() {
-    local cpu commit
+    local cpu
     cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
-    commit=$(git describe --always --dirty 2>/dev/null || echo unknown)
     printf '{"cpu": "%s", "nproc": %s, "gomaxprocs": %s, "go": "%s", "commit": "%s", "date": "%s"}' \
         "${cpu:-unknown}" "$(nproc)" "${GOMAXPROCS:-$(nproc)}" "$(go env GOVERSION)" \
-        "$commit" "$(date -u +%Y-%m-%d)"
+        "$COMMIT" "$(date -u +%Y-%m-%d)"
 }
 
 # bench_suite PATTERN OUT PKGS... — run one benchmark suite and render the
@@ -69,18 +73,19 @@ bench_suite() {
     raw=$(go test -run '^$' -bench "$pattern" -benchtime "$BENCHTIME" -benchmem "$@")
     echo "$raw"
 
-    echo "$raw" | awk -v prov="$(provenance)" '
+    echo "$raw" | awk -v prov="$(provenance)" -v commit="$COMMIT" '
     BEGIN { print "{"; printf "  \"_provenance\": %s", prov; n = 1 }
     /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)   # strip -GOMAXPROCS suffix
-        ns = ""; bop = ""; allocs = ""; evs = ""; nsev = ""
+        ns = ""; bop = ""; allocs = ""; evs = ""; nsev = ""; nsns = ""
         for (i = 2; i <= NF; i++) {
-            if ($(i) == "ns/op")     ns     = $(i - 1)
-            if ($(i) == "B/op")      bop    = $(i - 1)
-            if ($(i) == "allocs/op") allocs = $(i - 1)
-            if ($(i) == "events/s")  evs    = $(i - 1)
-            if ($(i) == "ns/event")  nsev   = $(i - 1)
+            if ($(i) == "ns/op")          ns     = $(i - 1)
+            if ($(i) == "B/op")           bop    = $(i - 1)
+            if ($(i) == "allocs/op")      allocs = $(i - 1)
+            if ($(i) == "events/s")       evs    = $(i - 1)
+            if ($(i) == "ns/event")       nsev   = $(i - 1)
+            if ($(i) == "ns/node-simsec") nsns   = $(i - 1)
         }
         if (ns == "") next
         if (n++) printf ",\n"
@@ -88,7 +93,8 @@ bench_suite() {
             name, ns, (bop == "" ? "null" : bop), (allocs == "" ? "null" : allocs)
         if (evs != "") printf ", \"events_s\": %s", evs
         if (nsev != "") printf ", \"ns_event\": %s", nsev
-        printf "}"
+        if (nsns != "") printf ", \"ns_node_simsec\": %s", nsns
+        printf ", \"commit\": \"%s\"}", commit
     }
     END { print "\n}" }
     ' > "$out"
