@@ -323,9 +323,9 @@ func benchRuns(b *testing.B, config func() Config) {
 // recording host; events/s counts events across all shards.
 // scripts/bench.sh records this suite in BENCH_shard.json. Parallel
 // speedup is bounded by the host's core count (the -GOMAXPROCS suffix in
-// the raw benchmark output); a single-core host serialises the shard
-// goroutines and measures only the cache-locality win of the smaller
-// per-shard working sets.
+// the raw benchmark output); the metro districts decouple, so each shard
+// runs on a goroutine of its own, and a single-core host serialises them
+// and measures only the win of the smaller per-shard working sets.
 func BenchmarkWholeRunSharded(b *testing.B) {
 	for _, nodes := range []int{1000, 10000} {
 		for _, shards := range []int{1, 2, 4, 8} {
@@ -338,8 +338,9 @@ func BenchmarkWholeRunSharded(b *testing.B) {
 
 // BenchmarkWholeRunShardedMobile is BenchmarkWholeRunSharded with every
 // node on a Speed1 random-waypoint trajectory (DESIGN.md §15): the run
-// pays for epoch-boundary barriers, lookahead-matrix rebuilds, ghost-set
-// diffs and live-position cross-shard physics on top of the stationary
+// pays for epoch joins, lookahead-matrix rebuilds, ghost-set diffs,
+// regrouping as districts couple, and live-position cross-shard physics
+// on top of the stationary
 // workload. ns_op(stationary)/ns_op(mobile) at equal shard counts is the
 // mobility-epoch overhead; scripts/bench.sh records this suite alongside
 // the stationary rows in BENCH_shard.json.
@@ -377,11 +378,11 @@ func benchCoupledConfig(shards int) Config {
 
 // BenchmarkWholeRunShardedCoupled measures the sharded engine where it
 // has to synchronize hardest: on a coupled cut, every window is bounded by
-// a neighbour's frontier plus a sub-µs lookahead, so the run's cost is
-// dominated by how many events a window holds and how long a stalled
-// shard waits (DESIGN.md §14). shards1 is the single engine on the same
-// topology and traffic. scripts/bench.sh records this suite in
-// BENCH_shard.json.
+// a neighbour's frontier plus a sub-µs lookahead, and every shard is in
+// one component that takes turns on one goroutine, so the run's cost is
+// the simulation's plus the per-window stepping (DESIGN.md §14). shards1
+// is the single engine on the same topology and traffic. scripts/bench.sh
+// records this suite in BENCH_shard.json.
 func BenchmarkWholeRunShardedCoupled(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n2000/shards%d", shards), func(b *testing.B) {

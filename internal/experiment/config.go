@@ -181,7 +181,7 @@ type Config struct {
 	// ShardEpoch is the mobility epoch length of a sharded run: the
 	// interval at which lookahead and border-band membership are
 	// recomputed from conservative position envelopes. Shorter epochs give
-	// tighter lookahead (less conservatism) but more rollover barriers.
+	// tighter lookahead (less conservatism) but more epoch joins.
 	// 0 = 1 s. Ignored when Shards ≤ 1 or the scenario is stationary
 	// (nothing moves, so a stationary run has a single epoch).
 	ShardEpoch sim.Time
@@ -298,6 +298,9 @@ func (c Config) Validate() error {
 	}
 	if c.Packets < 0 || c.PacketSize < 0 {
 		return fmt.Errorf("experiment: negative traffic parameters (packets=%d size=%d)", c.Packets, c.PacketSize)
+	}
+	if c.Warmup < 0 || c.Drain < 0 {
+		return fmt.Errorf("experiment: warm-up and drain must not be negative, have %v and %v", c.Warmup, c.Drain)
 	}
 	if c.Field.W <= 0 || c.Field.H <= 0 {
 		return fmt.Errorf("experiment: field must have positive area, have %gx%g", c.Field.W, c.Field.H)

@@ -65,7 +65,7 @@ type RunMetrics struct {
 	ShardWindows   *metrics.Counter
 	ShardMessages  *metrics.CounterVec // by direction (out/in over the conduit)
 	ShardStalls    *metrics.Counter
-	ShardStallBy   *metrics.CounterVec // by the target term that bound the wait (neighbour/echo/epoch)
+	ShardStallBy   *metrics.CounterVec // by the target term that bound the stall (neighbour/echo/epoch)
 	ShardStallWait *metrics.Histogram
 	ShardEpochs    *metrics.Counter
 	ShardGhosts    *metrics.CounterVec // by op (add/del of border-band ghost radios)
@@ -150,15 +150,15 @@ func NewRunMetrics(r *metrics.Registry) *RunMetrics {
 		ShardWindows: r.Counter("rmac_kernel_shard_windows_total",
 			"Frontier windows executed by sharded-engine runs, summed over shards."),
 		ShardMessages: r.CounterVec("rmac_kernel_shard_messages_total",
-			"Cross-shard border messages over the conduit rings, by direction.",
+			"Cross-shard border messages over the conduit queues, by direction.",
 			[]string{"direction"}, [][]string{{"out"}, {"in"}}),
 		ShardStalls: r.Counter("rmac_kernel_shard_stalls_total",
-			"Frontier and epoch-barrier waits entered by sharded-engine runs."),
+			"Steps in which a shard could not advance, plus epoch joins, in sharded-engine runs."),
 		ShardStallBy: r.CounterVec("rmac_kernel_shard_stall_bound_total",
-			"Sharded-engine waits by the term that bound the waiting shard's target: a neighbour's frontier, the shard's own undrained sends (echo), or the epoch boundary.",
+			"Sharded-engine stalls by the term that bound the stalled shard's target: a neighbour's frontier, the shard's own undrained sends (echo), or the epoch join.",
 			[]string{"by"}, [][]string{{"neighbour"}, {"echo"}, {"epoch"}}),
 		ShardStallWait: r.Histogram("rmac_kernel_shard_stall_wait_seconds",
-			"Wall-clock time per frontier or epoch-barrier wait (sharded-engine runs).",
+			"Wall-clock time a shard's component waited at an epoch join for the other components (sharded-engine runs).",
 			shardStallMinExp, 34, 1e-9),
 		ShardEpochs: r.Counter("rmac_kernel_shard_epoch_rollovers_total",
 			"Mobility epoch boundaries crossed by sharded-engine runs, summed over shards."),

@@ -104,9 +104,9 @@ func TestMetricsRegistryFromRun(t *testing.T) {
 // TestShardMetricsFold runs a small mobile sharded simulation and checks
 // the rmac_kernel_shard_* families — including the epoch rollover, ghost
 // churn and stall attribution counters — reflect its per-shard scheduler
-// stats. Every stall is attributed to exactly one term: one barrier wait
-// per epoch rollover, and an echo-bound stall only behind an undrained
-// send, so never more of them than the shard sent messages.
+// stats. Every stall is attributed to exactly one term: one join per
+// epoch rollover, and an echo-bound stall only behind an undrained send,
+// so never more of them than the shard sent messages.
 func TestShardMetricsFold(t *testing.T) {
 	cfg := shardConfig(2)
 	cfg.Scenario = Speed1
@@ -206,11 +206,12 @@ func TestAddRunAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { rm.AddRun(&sharded) }); n != 0 {
 		t.Errorf("AddRun of a sharded run allocates %v times per run, want 0", n)
 	}
-	// Recording a stall and its bound costs nothing either.
+	// Recording a stall and its bound, or a join's wait, costs nothing
+	// either.
 	ss := &sharded.Shards[0]
 	if n := testing.AllocsPerRun(100, func() {
-		ss.stalled(1, time.Now())
-		ss.stalled(-1, time.Now())
+		ss.stalled(1)
+		ss.joined(time.Microsecond)
 	}); n != 0 {
 		t.Errorf("recording a stall allocates %v times, want 0", n)
 	}

@@ -94,6 +94,7 @@ func TestInvalidConfigFails(t *testing.T) {
 		{func(c *Config) { c.Phy.BitRate = -1 }, "radio range, bit rate and propagation speed must be positive"},
 		{func(c *Config) { c.Phy.PropSpeed = 0 }, "radio range, bit rate and propagation speed must be positive"},
 		{func(c *Config) { c.Limits.QueueCap = 0 }, "MAC queue capacity must be positive"},
+		{func(c *Config) { c.Warmup = -sim.Second }, "warm-up and drain must not be negative"},
 	} {
 		cfg := smallConfig()
 		tc.set(&cfg)

@@ -90,10 +90,9 @@ type RunResult struct {
 	Totals RunTotals
 
 	// Shards holds per-shard scheduler observability for sharded runs
-	// (Config.Shards > 1; nil otherwise). Node, event, message, epoch and
-	// ghost counts are deterministic for a fixed (Seed, Shards); window
-	// and stall counts and the stall wall-clock measurements depend on
-	// goroutine timing. None of it enters Fingerprint.
+	// (Config.Shards > 1; nil otherwise). Every count is deterministic for
+	// a fixed (Seed, Shards); only the stall wall-clock measurements
+	// depend on the host. None of it enters Fingerprint.
 	Shards []ShardRunStats
 
 	// Aborted is set when the engine watchdog stopped the run before its

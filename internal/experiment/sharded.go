@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,22 +21,22 @@ import (
 // into vertical strips by population quantile (snapped to the widest
 // nearby X-gap), each strip gets a complete private stack — engine,
 // medium, MACs, routing, apps, fault injector, auditor, built by the
-// classic run's network.addStack — on its own goroutine, and the strips
-// synchronize through the frontier protocol of
-// sim.ShardSync with the cross-shard conduit of phy.ConnectShards carrying
-// border traffic. See DESIGN.md §14 for the protocol, its liveness
-// argument, and the determinism contract.
+// classic run's network.addStack — and the strips synchronize through the
+// frontier protocol of sim.ShardSync with the cross-shard conduit of
+// phy.ConnectShards carrying border traffic. Strips that can influence
+// each other, a connected component of the lookahead graph, are stepped in
+// turn on one goroutine; the components run in parallel. See DESIGN.md §14
+// for the protocol, its liveness argument, and the determinism contract.
 //
 // The protocol runs under *mobility epochs* (DESIGN.md §15): the horizon
 // is divided into fixed-length epochs, per-node displacement within one
 // epoch is bounded by MaxSpeed·epoch, and at every epoch boundary all
-// shards park at a barrier while a rollover leader (shard 0) recomputes the
-// lookahead matrix and border-band membership from the boundary positions.
-// The leader reads positions from its own shadow replicas of every node's
-// waypoint model — trajectories are pure functions of (Seed, node id), so
-// no cross-goroutine state is touched. A stationary run is the case of
-// envelope 0 and a single epoch that outlasts the horizon: it never rolls
-// over.
+// components join the run's goroutine, which recomputes the lookahead
+// matrix, the border-band membership and the components from the
+// boundary positions. It reads positions from shadow replicas of every
+// node's waypoint model — trajectories are pure functions of (Seed, node
+// id). A stationary run is the case of envelope 0 and a single epoch that
+// outlasts the horizon: it never rolls over.
 
 // ShardSeedMix decorrelates per-shard engine RNG streams from each other
 // and from the unsharded stream while keeping them functions of
@@ -48,12 +48,11 @@ func shardSeed(seed int64, shard int) int64 {
 	return seed ^ int64(shard+1)*ShardSeedMix
 }
 
-// ShardRunStats is one shard's scheduler observability. Nodes, Events,
-// the conduit message counts and the epoch and ghost counters are
-// deterministic for a fixed (Seed, Shards). Windows, Stalls, the stall
-// attribution and the wall-clock stall measurements depend on goroutine
-// timing: how far a frontier had moved when a shard read it decides where
-// its windows end and whether it waits. None of it enters
+// ShardRunStats is one shard's scheduler observability. Everything but
+// StallWall and StallHist is deterministic for a fixed (Seed, Shards): a
+// component's shards are stepped in a fixed order on one goroutine, so
+// where windows end and when a shard cannot advance depend neither on
+// goroutine scheduling nor on GOMAXPROCS. None of it enters
 // RunResult.Fingerprint.
 type ShardRunStats struct {
 	Shard   int
@@ -62,31 +61,36 @@ type ShardRunStats struct {
 	Windows uint64 // Run windows executed
 	MsgsOut uint64 // cross-shard messages published
 	MsgsIn  uint64 // cross-shard messages drained
+	// Solo counts the epochs, the last one included, in which the shard
+	// was a component of its own: no finite lookahead joined it to another
+	// shard, so it ran on a goroutine of its own, in parallel with the
+	// rest. A stationary run has one epoch.
+	Solo uint64
 	// Mobility epoch counters (zero when stationary): boundary rollovers
-	// this shard synchronized on, and ghost record firings it received.
-	// All three are deterministic for a fixed (Seed, Shards).
+	// this shard took part in, and ghost record firings it received.
 	Epochs    uint64
 	GhostAdds uint64
 	GhostDels uint64
-	// Stalls counts waits: for a foreign frontier or the shard's own sends
-	// to move its target, and at the epoch-boundary barrier. Each is
-	// attributed to the term that bound the target when the shard stalled
-	// (see StallBounds): StallBy[k] counts the waits bound by shard k's
-	// frontier plus lookahead, StallBy[Shard] those bound by the shard's
-	// own undrained sends plus the round trip (the echo term), and
-	// StallEpoch the barrier waits.
+	// Stalls counts the steps in which the shard could not advance, plus
+	// one stall per epoch join. A step stall is attributed to the term that
+	// bound the target (see StallBounds): StallBy[k] counts those bound by
+	// shard k's frontier plus lookahead, StallBy[Shard] those bound by the
+	// shard's own undrained sends plus the round trip (the echo term).
+	// StallEpoch counts the joins, one per rollover.
 	Stalls     uint64
 	StallBy    []uint64
 	StallEpoch uint64
-	// StallWall is total wall time spent waiting; StallHist buckets
-	// individual waits by power-of-two nanoseconds (bucket i counts waits
-	// in [2^(i-1), 2^i)).
+	// StallWall is the wall time the shard's component waited at the
+	// epoch joins for the other components; StallHist buckets those waits
+	// by power-of-two nanoseconds (bucket i counts waits in [2^(i-1),
+	// 2^i)). A coupled component takes turns inside its goroutine and never
+	// waits otherwise.
 	StallWall time.Duration
 	StallHist [40]uint64
 }
 
 // StallBounds splits Stalls by the term that bound them: a neighbour's
-// frontier, the shard's own undrained sends (echo), or the epoch boundary.
+// frontier, the shard's own undrained sends (echo), or the epoch join.
 func (s *ShardRunStats) StallBounds() (neighbour, echo, epoch uint64) {
 	for k, n := range s.StallBy {
 		if k == s.Shard {
@@ -98,41 +102,43 @@ func (s *ShardRunStats) StallBounds() (neighbour, echo, epoch uint64) {
 	return neighbour, echo, s.StallEpoch
 }
 
-// stalled records one wait that began at begin, bound by shard by's term
-// of the target, or by the epoch boundary when by < 0.
-func (s *ShardRunStats) stalled(by int, begin time.Time) {
+// stalled records one step in which the shard could not advance, bound by
+// shard by's term of the target.
+func (s *ShardRunStats) stalled(by int) {
 	s.Stalls++
-	if by < 0 {
-		s.StallEpoch++
-	} else {
-		s.StallBy[by]++
-	}
-	wait := time.Since(begin)
+	s.StallBy[by]++
+}
+
+// joined records one epoch join at which the shard's component waited
+// wait for the others.
+func (s *ShardRunStats) joined(wait time.Duration) {
+	s.Stalls++
+	s.StallEpoch++
 	s.StallWall += wait
 	s.StallHist[min(bits.Len64(uint64(wait.Nanoseconds())), len(s.StallHist)-1)]++
 }
 
 // shardedRun is the coordinator state of one sharded simulation: the
-// network with one stack per strip, and the cross-shard fabric.
+// network with one stack per strip, the cross-shard fabric, and the
+// coupled components the strips are stepped in. A shard's engine, stats,
+// done and frontier are touched only by its component's goroutine within
+// an epoch, and by the run's goroutine at the join.
 type shardedRun struct {
 	*network
 	net   *phy.ShardNet
 	sync  *sim.ShardSync
-	stats []ShardRunStats // by shard; only shard j's goroutine writes stats[j]
+	stats []ShardRunStats // by shard
+	done  []sim.Time      // by shard: every event at or before done[j] has run
+	comps [][]int         // the current epoch's coupled components
 
-	// Mobility epoch state. epoch is sim.MaxTime for a stationary run.
-	// shadow/posB are leader-owned: only shard 0 touches them, inside the
-	// boundary barrier. gen is the epoch generation — the leader's
-	// release-increment after Rebuild is what publishes the new tables to
-	// the followers spinning on it.
+	// Mobility epoch state. epoch is sim.MaxTime for a stationary run;
+	// shadow/posB are read and written only at the join.
 	epoch  sim.Time
 	shadow []*mobility.RandomWaypoint
 	posB   []geom.Point
-	gen    atomic.Uint64
 
-	stop   atomic.Bool
+	stop   atomic.Bool // an abort or a panic: every component returns
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
 
 	mu        sync.Mutex
 	panicked  bool
@@ -144,12 +150,13 @@ type shardedRun struct {
 func buildSharded(cfg Config) *shardedRun {
 	n := newNetwork(cfg)
 	part := topo.PartitionStrips(n.placement, cfg.Shards)
-	sr := &shardedRun{network: n, stats: make([]ShardRunStats, cfg.Shards)}
+	sr := &shardedRun{network: n, stats: make([]ShardRunStats, cfg.Shards), done: make([]sim.Time, cfg.Shards)}
 	mediums := make([]*phy.Medium, cfg.Shards)
 	for s := range mediums {
 		ids := part.Nodes[s]
 		mediums[s] = n.addStack(shardSeed(cfg.Seed, s), ids).medium
 		sr.stats[s] = ShardRunStats{Shard: s, Nodes: len(ids), StallBy: make([]uint64, cfg.Shards)}
+		sr.done[s] = -1
 	}
 	sr.epoch = sim.MaxTime
 	envelope := cfg.shardEnvelope()
@@ -169,22 +176,118 @@ func buildSharded(cfg Config) *shardedRun {
 		}
 	}
 	sr.net = phy.ConnectShards(mediums, n.placement.Points, part.Shard, cfg.Horizon(), envelope)
-	sr.sync = sr.net.Sync()
+	sr.sync = sim.NewShardSync(sr.net.Direct())
+	sr.comps = components(sr.net.Direct())
 	return sr
 }
 
-// rebuildEpoch recomputes the cross-shard fabric for the epoch starting at
-// boundary B. Leader-only, inside the barrier: every shard has published a
-// frontier ≥ B and is parked draining, so the fabric is quiescent.
-func (sr *shardedRun) rebuildEpoch(B sim.Time) {
+// components groups the shards into the connected components of the
+// lookahead graph, where a finite direct entry either way couples two
+// shards; each component lists its shards in ascending order, and the
+// components are ordered by their lowest shard.
+func components(direct [][]sim.Time) [][]int {
+	seen := make([]bool, len(direct))
+	var comps [][]int
+	for s := range direct {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		comp := []int{s}
+		for i := 0; i < len(comp); i++ {
+			k := comp[i]
+			for j := range direct {
+				if !seen[j] && (direct[k][j] != sim.MaxTime || direct[j][k] != sim.MaxTime) {
+					seen[j] = true
+					comp = append(comp, j)
+				}
+			}
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// runSharded executes cfg on the sharded engine. Config must be valid and
+// cfg.Shards > 1. A panic while building reaches RunCtx's recover on this
+// goroutine; each component recovers its own (runComponent).
+func runSharded(ctx context.Context, cfg Config) RunResult {
+	sr := buildSharded(cfg)
+	ctx, sr.cancel = context.WithCancel(ctx)
+	defer sr.cancel()
+	sr.arm(ctx)
+	end := cfg.Horizon()
+	// B is the next epoch boundary: every window of the epoch ends before
+	// it, because the current lookahead tables hold only for events
+	// strictly before it. The epoch that contains the horizon is the last.
+	for B := sr.epoch; ; B += sr.epoch {
+		sr.runEpoch(min(B-1, end), B <= end)
+		if B > end || sr.stop.Load() {
+			break
+		}
+		sr.join(B)
+	}
+	if sr.panicked {
+		return RunResult{Config: cfg, Failed: true, FailReason: sr.panicMsg, Stack: sr.panicDump}
+	}
+	return sr.collect()
+}
+
+// runEpoch steps every component through limit, each on a goroutine of
+// its own except the first, which runs on the caller's, and returns once
+// all are done. When a rollover follows, each component's wait for the
+// others is charged to its shards as their epoch stall.
+func (sr *shardedRun) runEpoch(limit sim.Time, rollover bool) {
+	finish := make([]time.Time, len(sr.comps))
+	var wg sync.WaitGroup
+	for c := 1; c < len(sr.comps); c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sr.runComponent(sr.comps[c], limit)
+			finish[c] = time.Now()
+		}()
+	}
+	sr.runComponent(sr.comps[0], limit)
+	finish[0] = time.Now()
+	wg.Wait()
+	joined := time.Now()
+	for c, comp := range sr.comps {
+		for _, j := range comp {
+			if len(comp) == 1 {
+				sr.stats[j].Solo++
+			}
+			if rollover {
+				sr.stats[j].joined(joined.Sub(finish[c]))
+			}
+		}
+	}
+}
+
+// join rolls the run over the epoch boundary B, on the run's goroutine
+// once every component has run all its events before B. Messages still
+// queued deliver at or after B: a shard ran up to B−1 only when every
+// coupled frontier plus its lookahead had reached B. join rebuilds the
+// fabric from the boundary positions (minting the ghost records), drains
+// every queue, so that each starts the epoch empty and none carries a
+// message between two components of the next epoch, republishes every
+// frontier to cover what the drain scheduled, and regroups the shards.
+func (sr *shardedRun) join(B sim.Time) {
 	for i, mdl := range sr.shadow {
 		sr.posB[i] = mdl.PositionAt(B)
 	}
-	sr.net.Rebuild(sr.posB, B, 0)
+	sr.net.Rebuild(sr.posB, B)
 	sr.sync.SetLookahead(sr.net.Direct())
+	for j := range sr.stacks {
+		sr.net.Drain(j)
+		sr.publish(j)
+		sr.stats[j].Epochs++
+	}
+	sr.comps = components(sr.net.Direct())
 }
 
-// fail records a shard goroutine's panic (first one wins).
+// fail records a component's panic (first one wins).
 func (sr *shardedRun) fail(r any, stack []byte) {
 	sr.mu.Lock()
 	if !sr.panicked {
@@ -195,192 +298,112 @@ func (sr *shardedRun) fail(r any, stack []byte) {
 	sr.mu.Unlock()
 }
 
-// publish refreshes shard j's frontier: the earliest future influence it
-// can still exert. That is the smaller of its next local event and the
-// send time of its earliest outbound message nobody has drained yet. The
-// second term is what makes relays safe: until a receiver drains a
-// message, the sender's frontier keeps covering that message's send time,
-// so third shards bounding the receiver's relay through the path closure
-// (foreign frontier + pathLa) never under-estimate it. A receiver's drain
-// lowers the receiver's own frontier to the scheduled delivery before it
-// releases the slot (sim.ShardSync.Lower), so the cap lifts only once the
-// delivery is covered there.
-func (sr *shardedRun) publish(j int, eng *sim.Engine) {
-	lb := eng.NextLowerBound()
-	if c := sr.net.OutCap(j); c < lb {
-		lb = c
-	}
-	sr.sync.Publish(j, lb)
+// abort stops every component at its next step and every engine at its
+// next context poll.
+func (sr *shardedRun) abort() {
+	sr.stop.Store(true)
+	sr.cancel()
 }
 
-// runShard is one shard's frontier loop. The window order is load-bearing:
-// the safe target is read BEFORE draining — any cross message with an
-// event inside [0, target) was published before the frontier snapshots
-// the target was computed from, so it is already visible to that drain
-// (ring writes happen-before the frontier store that made the target) —
-// and the frontier is re-published only after draining, so everything the
-// drain scheduled is reflected in the next-lower-bound it advertises.
-//
-// The target's own term covers only sends already made, so a window ends
-// right after any event that sends across (the conduit stops the engine)
-// and the loop asks again: the send's echoes then land after everything
-// the window ran. Every wait spins with runtime.Gosched and never sleeps.
-func (sr *shardedRun) runShard(j int, endTime sim.Time) {
-	eng, ss := sr.stacks[j].eng, &sr.stats[j]
+// runComponent steps the shards of one coupled component in rounds, in
+// ascending order, until every one has run all its events through limit.
+// A shard that got there keeps draining and publishing until the whole
+// component is done, so its neighbours' sends reach it and its frontier
+// covers them. A round in which nothing moves cannot happen while a shard
+// is unfinished (DESIGN.md §14): every queue was empty throughout it, so
+// every frontier it read was exact, and the unfinished shard with the
+// earliest next event would have advanced. Such a round is a protocol bug,
+// and runComponent panics rather than spin.
+func (sr *shardedRun) runComponent(comp []int, limit sim.Time) {
 	defer func() {
 		if r := recover(); r != nil {
 			sr.fail(r, debug.Stack())
-			sr.stop.Store(true)
-			sr.cancel()
-			sr.net.Stop()
+			sr.abort()
 		}
-		// Terminal frontier: a shard at MaxTime constrains nobody.
-		sr.sync.Publish(j, sim.MaxTime)
-		sr.wg.Done()
 	}()
-	done := sim.Time(-1) // every event at or before done has run
-	// Mobility epochs: B is the next epoch boundary — a hard cap on every
-	// window, because the current lookahead tables are only valid for
-	// events strictly before it. gen is the epoch generation this shard has
-	// observed. A stationary run has B = MaxTime and never rolls over.
-	B := sr.epoch
-	var gen uint64
 	for !sr.stop.Load() {
-		// Our undrained-send cap is read before the frontier scan: a
-		// receiver lowers its frontier before it releases our slot, so one
-		// of the two reads covers each echo of a send already made.
-		target, by := sr.sync.Target(j, sr.net.OutCap(j))
-		sr.net.Drain(j)
-		sr.publish(j, eng)
-		if min(target, B) > endTime {
-			// No foreign influence can arrive on or before the horizon
-			// anymore: an undrained message would cap its sender's frontier
-			// at the send time, pulling our target back under the horizon,
-			// and future sends land above their sender's frontier plus
-			// lookahead — above target — where the sender-side filter drops
-			// them. Echoes of our own sends in this window may not: a send
-			// cuts the window, and the loop asks again. The window that
-			// reaches the horizon is the last. (It requires B > endTime
-			// too, so it never outruns the epoch tables.)
-			if endTime > done && sr.window(j, endTime, &done) {
-				continue
-			}
+		moved, finished := false, true
+		for _, j := range comp {
+			moved = sr.step(j, limit) || moved
+			finished = finished && sr.done[j] >= limit
+		}
+		if finished {
 			return
 		}
-		if target >= B {
-			// Epoch rollover. target ≥ B proves every event strictly before
-			// B safe under the *current* tables: finish the epoch's window
-			// (a send cuts it, and the loop asks again), then synchronize.
-			// The barrier condition is MinFrontier ≥ B — every shard has
-			// executed all pre-boundary events and every conduit ring is
-			// empty (an undrained message's send time t0 < B would cap its
-			// sender's frontier below B; and any message a parked shard
-			// drains after the leader's frontier snapshot was provably sent
-			// at t0 ≥ B, because its sender's frontier had already been
-			// observed at or past B). Everyone keeps draining and
-			// re-publishing while parked, so outbound caps release and the
-			// leader's ghost records always find ring space.
-			if B-1 > done && sr.window(j, B-1, &done) {
-				continue
-			}
-			if sr.stop.Load() {
-				return
-			}
-			sr.publish(j, eng)
-			ss.Epochs++
-			begin := time.Now()
-			if j == 0 {
-				for !sr.stop.Load() && sr.sync.MinFrontier() < B {
-					sr.net.Drain(j)
-					sr.publish(j, eng)
-					runtime.Gosched()
-				}
-			} else {
-				for !sr.stop.Load() && sr.gen.Load() == gen {
-					sr.net.Drain(j)
-					sr.publish(j, eng)
-					runtime.Gosched()
-				}
-			}
-			ss.stalled(-1, begin)
-			if sr.stop.Load() {
-				return
-			}
-			if j == 0 {
-				sr.rebuildEpoch(B)
-				sr.gen.Add(1) // release-publishes the new tables
-			}
-			gen++
-			B += sr.epoch
-			continue
+		if !moved {
+			panic(fmt.Sprintf("experiment: no shard of component %v can advance toward %v", comp, limit))
 		}
-		if limit := target - 1; limit > done { // events at exactly `target` are not yet safe
-			sr.window(j, limit, &done)
-			continue
-		}
-		// Cannot advance: wait for a foreign frontier, or for a receiver to
-		// drain our sends, to move the target. Keep draining while waiting
-		// — inbound messages never change our target, but consuming them
-		// unblocks producers and releases their frontier caps — and keep
-		// re-publishing as drains and consumed outbound slots raise our
-		// own frontier.
-		begin := time.Now()
-		for !sr.stop.Load() {
-			if t, _ := sr.sync.Target(j, sr.net.OutCap(j)); t > target {
-				break
-			}
-			sr.net.Drain(j)
-			sr.publish(j, eng)
-			runtime.Gosched()
-		}
-		ss.stalled(by, begin)
 	}
 }
 
-// window runs shard j's engine through limit and reports whether a
-// cross-shard send cut it short. done advances to limit, or after a cut to
-// just before the cut's instant, whose remaining events are still to run.
-func (sr *shardedRun) window(j int, limit sim.Time, done *sim.Time) (cut bool) {
+// step is one turn of shard j. It reads the safe target, drains, publishes,
+// and runs a window through min(target−1, limit); then it asks again, so
+// a window that a cross-shard send cut short goes on as far as the send's
+// echo term allows, and the frontier a window leaves behind is published
+// before the next shard reads it. The ask that cannot advance ends the
+// step, and counts as a stall if no window ran before it. step reports
+// whether anything moved: a window ran, a message was drained, or j's
+// published frontier changed.
+//
+// The echo and relay terms need every frontier to cover what its shard
+// can still send: a drain schedules deliveries the frontier must cover
+// from then on, and publish follows it before any other shard reads the
+// frontier (DESIGN.md §14).
+func (sr *shardedRun) step(j int, limit sim.Time) (moved bool) {
+	ran := false
+	for !sr.stop.Load() {
+		target, by := sr.sync.Target(j, sr.net.OutCap(j))
+		if sr.net.Drain(j) > 0 {
+			moved = true
+		}
+		if sr.publish(j) {
+			moved = true
+		}
+		to := min(target-1, limit) // events at exactly `target` are not yet safe
+		if to <= sr.done[j] {
+			if !ran && sr.done[j] < limit {
+				sr.stats[j].stalled(by)
+			}
+			return moved || ran
+		}
+		sr.window(j, to)
+		ran = true
+	}
+	return true
+}
+
+// publish refreshes shard j's frontier, the earliest future influence it
+// can still exert, and reports whether it changed. That is the smaller of
+// its next local event and the send time of its earliest outbound message
+// nobody has drained yet. The second term is what makes relays safe:
+// until a receiver drains a message, the sender's frontier keeps covering
+// that message's send time, so third shards bounding the receiver's relay
+// through the path closure (foreign frontier + pathLa) never
+// under-estimate it.
+func (sr *shardedRun) publish(j int) (changed bool) {
+	f := min(sr.stacks[j].eng.NextLowerBound(), sr.net.OutCap(j))
+	changed = f != sr.sync.Frontier(j)
+	sr.sync.Publish(j, f)
+	return changed
+}
+
+// window runs shard j's engine through limit. done[j] advances to limit,
+// or, when a cross-shard send cut the window, to just before the cut's
+// instant, whose remaining events are still to run. An engine abort
+// (watchdog budget or context cancellation — each shard polls the run
+// context itself, every 1024 events) stops the whole run.
+func (sr *shardedRun) window(j int, limit sim.Time) {
 	eng := sr.stacks[j].eng
 	eng.Run(limit)
 	sr.stats[j].Windows++
-	sr.checkAborted(eng)
-	if eng.Stopped() {
-		*done = eng.Now() - 1
-		return true
-	}
-	*done = limit
-	return false
-}
-
-// checkAborted propagates a shard-local engine abort (watchdog budget or
-// context cancellation — each shard polls the run context itself, every
-// 1024 events) to every other shard.
-func (sr *shardedRun) checkAborted(eng *sim.Engine) {
 	if _, aborted := eng.Aborted(); aborted {
-		sr.stop.Store(true)
-		sr.cancel()
-		sr.net.Stop()
+		sr.abort()
 	}
-}
-
-// runSharded executes cfg on the sharded engine. Config must be valid and
-// cfg.Shards > 1. A panic while building reaches RunCtx's recover on this
-// goroutine; each shard goroutine recovers its own (runShard).
-func runSharded(ctx context.Context, cfg Config) RunResult {
-	sr := buildSharded(cfg)
-	ctx, sr.cancel = context.WithCancel(ctx)
-	defer sr.cancel()
-	sr.arm(ctx)
-	sr.wg.Add(len(sr.stacks))
-	for j := range sr.stacks {
-		go sr.runShard(j, cfg.Horizon())
+	if eng.Stopped() {
+		sr.done[j] = eng.Now() - 1
+	} else {
+		sr.done[j] = limit
 	}
-	sr.wg.Wait()
-	if sr.panicked {
-		return RunResult{Config: cfg, Failed: true, FailReason: sr.panicMsg, Stack: sr.panicDump}
-	}
-	return sr.collect()
 }
 
 // collect is the network's collector plus the per-shard scheduler stats.

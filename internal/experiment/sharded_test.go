@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -38,20 +39,49 @@ func requireRan(t *testing.T, what string, r RunResult) {
 	}
 }
 
+// requireSameSchedule fails when two runs of one (Seed, Shards) stepped
+// their shards differently: every ShardRunStats field but the wall-clock
+// join waits is deterministic (DESIGN.md §14).
+func requireSameSchedule(t *testing.T, what string, a, b RunResult) {
+	t.Helper()
+	for s := range a.Shards {
+		x, y := a.Shards[s], b.Shards[s]
+		x.StallWall, y.StallWall = 0, 0
+		x.StallHist, y.StallHist = [40]uint64{}, [40]uint64{}
+		if !reflect.DeepEqual(x, y) {
+			t.Errorf("%s: shard %d scheduler counters diverged:\n%+v\n%+v", what, s, x, y)
+		}
+	}
+}
+
+// runOtherProcs runs cfg under another GOMAXPROCS than the test's, so a
+// comparison with a run at the test's setting shows that neither the
+// results nor the schedule depend on it.
+func runOtherProcs(cfg Config) RunResult {
+	procs := 1
+	if runtime.GOMAXPROCS(0) == 1 {
+		procs = 2
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return Run(cfg)
+}
+
 // TestShardedDeterministic pins the determinism contract of DESIGN.md §14:
 // for a fixed (Seed, Shards) pair, reruns are bit-identical — the whole
-// result fingerprint matches — regardless of goroutine scheduling, and a
-// different seed actually changes the run.
+// result fingerprint and every scheduler counter match — regardless of
+// goroutine scheduling and GOMAXPROCS, and a different seed actually
+// changes the run.
 func TestShardedDeterministic(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		cfg := shardConfig(shards)
 		a := Run(cfg)
 		requireRan(t, fmt.Sprintf("shards=%d", shards), a)
-		b := Run(cfg)
+		b := runOtherProcs(cfg)
 		requireRan(t, fmt.Sprintf("shards=%d rerun", shards), b)
 		if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
 			t.Fatalf("shards=%d rerun diverged:\n%s\n%s", shards, fa, fb)
 		}
+		requireSameSchedule(t, fmt.Sprintf("shards=%d", shards), a, b)
 		cfg.Seed = 7
 		c := Run(cfg)
 		requireRan(t, fmt.Sprintf("shards=%d seed 7", shards), c)
@@ -130,8 +160,8 @@ func TestShardedDelivers(t *testing.T) {
 
 // TestShardedMetroDecouples: on a metro placement the strip cuts snap into
 // the inter-district voids, the direct lookahead matrix is all-MaxTime, and
-// every shard runs its full horizon in a single window with zero conduit
-// traffic — the fully parallel fast path.
+// every shard runs alone, its full horizon in a single window with zero
+// conduit traffic — the fully parallel fast path.
 func TestShardedMetroDecouples(t *testing.T) {
 	cfg := shardConfig(2)
 	cfg.Topo = TopoMetro
@@ -150,6 +180,86 @@ func TestShardedMetroDecouples(t *testing.T) {
 		if ss.Windows != 1 {
 			t.Errorf("shard %d took %d windows, want 1 (decoupled)", ss.Shard, ss.Windows)
 		}
+		if ss.Solo != 1 {
+			t.Errorf("shard %d ran alone in %d epochs, want its one epoch", ss.Shard, ss.Solo)
+		}
+	}
+}
+
+// TestComponents pins the grouping of shards into coupled components: a
+// finite direct entry either way couples two shards, coupling is
+// transitive, each component is sorted, and components are ordered by
+// their lowest shard.
+func TestComponents(t *testing.T) {
+	inf := sim.MaxTime
+	for _, tc := range []struct {
+		name   string
+		direct [][]sim.Time
+		want   [][]int
+	}{
+		{"all decoupled", [][]sim.Time{
+			{inf, inf, inf},
+			{inf, inf, inf},
+			{inf, inf, inf},
+		}, [][]int{{0}, {1}, {2}}},
+		{"chain", [][]sim.Time{
+			{inf, 5, inf},
+			{inf, inf, inf},
+			{inf, 3, inf},
+		}, [][]int{{0, 1, 2}}},
+		{"two coupled pairs", [][]sim.Time{
+			{inf, inf, 4, inf},
+			{inf, inf, inf, inf},
+			{4, inf, inf, inf},
+			{inf, 7, inf, inf},
+		}, [][]int{{0, 2}, {1, 3}}},
+		{"one shard", [][]sim.Time{{inf}}, [][]int{{0}}},
+	} {
+		if got := components(tc.direct); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: components = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestShardedRegroups covers the two coupled layouts: on a Poisson cut
+// every strip is coupled to its neighbour for the whole run, so no shard
+// ever runs alone; on a mobile metro placement with narrow gaps the
+// districts start decoupled, each shard on its own, and couple as nodes
+// drift into the gaps, so the run regroups at an epoch join, and a rerun
+// still repeats it bit for bit, scheduler counters included.
+func TestShardedRegroups(t *testing.T) {
+	cut := shardConfig(3)
+	cut.Topo = TopoPoisson
+	cut.Nodes = 60
+	cut.Field = geom.Rect{W: 450, H: 150}
+	res := Run(cut)
+	requireRan(t, "poisson cut", res)
+	for _, ss := range res.Shards {
+		if ss.Solo != 0 {
+			t.Errorf("poisson cut: shard %d ran alone in %d epochs, want none", ss.Shard, ss.Solo)
+		}
+	}
+
+	metro := shardConfig(2)
+	metro.Topo = TopoMetro
+	metro.Sources = 2
+	metro.Scenario = Speed2
+	metro.DistrictGap = 100
+	a := Run(metro)
+	requireRan(t, "mobile metro", a)
+	b := runOtherProcs(metro)
+	requireRan(t, "mobile metro rerun", b)
+	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
+		t.Fatalf("mobile metro rerun diverged:\n%s\n%s", fa, fb)
+	}
+	requireSameSchedule(t, "mobile metro", a, b)
+	for _, ss := range a.Shards {
+		if epochs := ss.Epochs + 1; ss.Solo == 0 || ss.Solo == epochs {
+			t.Errorf("mobile metro: shard %d ran alone in %d of %d epochs, want some but not all", ss.Shard, ss.Solo, epochs)
+		}
+	}
+	if a.Shards[0].MsgsOut == 0 {
+		t.Error("mobile metro: coupled districts exchanged no messages")
 	}
 }
 
@@ -196,26 +306,20 @@ func TestShardOneMatchesUnsharded(t *testing.T) {
 // mobile sharded runs (DESIGN.md §15): epoch rollovers, catalog rebuilds
 // and ghost records must not introduce any schedule-dependent state — for
 // a fixed (Seed, Shards) pair the whole result fingerprint is
-// bit-identical across reruns, and the per-shard epoch counters agree.
+// bit-identical across reruns at any GOMAXPROCS, and so is every
+// scheduler counter, the epoch and ghost counters included.
 func TestShardedMobileDeterministic(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		cfg := shardConfig(shards)
 		cfg.Scenario = Speed1
 		a := Run(cfg)
 		requireRan(t, fmt.Sprintf("shards=%d mobile", shards), a)
-		b := Run(cfg)
+		b := runOtherProcs(cfg)
 		requireRan(t, fmt.Sprintf("shards=%d mobile rerun", shards), b)
 		if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
 			t.Fatalf("shards=%d mobile rerun diverged:\n%s\n%s", shards, fa, fb)
 		}
-		for s := range a.Shards {
-			if a.Shards[s].Epochs != b.Shards[s].Epochs ||
-				a.Shards[s].GhostAdds != b.Shards[s].GhostAdds ||
-				a.Shards[s].GhostDels != b.Shards[s].GhostDels {
-				t.Errorf("shards=%d shard %d epoch stats diverged: %+v vs %+v",
-					shards, s, a.Shards[s], b.Shards[s])
-			}
-		}
+		requireSameSchedule(t, fmt.Sprintf("shards=%d mobile", shards), a, b)
 		cfg.Seed = 7
 		c := Run(cfg)
 		requireRan(t, fmt.Sprintf("shards=%d mobile seed 7", shards), c)
@@ -272,6 +376,34 @@ func TestShardedMobileDelivers(t *testing.T) {
 	if res.Shards[0].MsgsIn != res.Shards[1].MsgsOut ||
 		res.Shards[1].MsgsIn != res.Shards[0].MsgsOut {
 		t.Fatalf("cross-shard messages lost: %+v", res.Shards)
+	}
+}
+
+// TestShardedJoinRepublishes checks the join's last duty: the drain there
+// schedules queued deliveries and ghost records at or after the boundary,
+// and every frontier must cover them before the next epoch's first target
+// is read. After each join, every shard's published frontier is exactly
+// its next event (no queue holds anything then).
+func TestShardedJoinRepublishes(t *testing.T) {
+	cfg := shardConfig(2)
+	cfg.Scenario = Speed1
+	sr := buildSharded(cfg)
+	_, sr.cancel = context.WithCancel(context.Background())
+	defer sr.cancel()
+	joins := 0
+	for B := sr.epoch; B <= cfg.Horizon(); B += sr.epoch {
+		sr.runEpoch(B-1, true)
+		sr.join(B)
+		joins++
+		for j, st := range sr.stacks {
+			if got, want := sr.sync.Frontier(j), st.eng.NextLowerBound(); got != want || sr.net.OutCap(j) != sim.MaxTime {
+				t.Fatalf("after the join at %v: shard %d publishes %v, next event %v, queued send at %v",
+					B, j, got, want, sr.net.OutCap(j))
+			}
+		}
+	}
+	if joins == 0 || sr.panicked {
+		t.Fatalf("%d joins, panic %q", joins, sr.panicMsg)
 	}
 }
 

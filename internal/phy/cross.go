@@ -3,9 +3,7 @@ package phy
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync/atomic"
 
 	"rmac/internal/frame"
 	"rmac/internal/geom"
@@ -17,9 +15,9 @@ import (
 // DESIGN.md §14 for the full derivation).
 //
 // A sharded run gives every spatial shard its own Medium on its own
-// Engine/goroutine. A radio that can come within one interference range
-// of a foreign shard's radio during the current mobility epoch is a
-// border radio: it holds one immutable catalog per foreign shard in
+// Engine. A radio that can come within one interference range of a
+// foreign shard's radio during the current mobility epoch is a border
+// radio: it holds one immutable catalog per foreign shard in
 // reach, naming that shard and the candidate receivers over there. The
 // epoch's position envelope (how far any pairwise distance can change
 // within it) sizes the candidate sets; a stationary run is the case
@@ -27,16 +25,15 @@ import (
 // candidates are exactly the in-range receivers. When a border radio
 // transmits, is cut (AbortTx or a crash), or raises or lowers a tone, the
 // medium — after its local fan-out — mirrors the effect: one fixed-size
-// message per catalog into a bounded SPSC ring toward the catalog's
-// shard. A message carries a field-copied image of the frame (wireFrame),
-// the effect's instants, the sender's position, and a sender-minted
-// sequence base in the engine's cross sequence space (sim.CrossSeq),
-// which fixes the merge order at the receiver independent of wall-clock
-// arrival.
+// message per catalog into the queue toward the catalog's shard. A
+// message carries a field-copied image of the frame (wireFrame), the
+// effect's instants, the sender's position, and a sender-minted sequence
+// base in the engine's cross sequence space (sim.CrossSeq), which fixes
+// the merge order at the receiver independent of when it is drained.
 //
-// The receiver drains its rings between (and while waiting for) execution
-// windows. Draining does NOT touch any simulation-visible pool: each
-// message is copied into a conduit-owned holder (pendingCross) and a
+// The receiver drains its queues before each execution window and at
+// every epoch join. Draining does NOT touch any simulation-visible pool:
+// each message is copied into a conduit-owned holder (pendingCross) and a
 // single holder event is scheduled at the message's earliest receiver
 // event time under the sender's sequence base. All observable work
 // happens when the holder fires, which is a deterministic position in the
@@ -47,7 +44,7 @@ import (
 // message's sequence numbers. The conduit schedules no rx or tone event
 // of its own. This is what keeps pool hit/miss statistics (and therefore
 // run fingerprints) bit-identical for a fixed (seed, shards) pair no
-// matter how the OS schedules the shard goroutines.
+// matter when a message is drained.
 //
 // A mirrored transmission or tone carries a ghost *Radio as its source:
 // an unregistered radio with the foreign node's id. It is never part of
@@ -58,7 +55,7 @@ import (
 // toneSess, as a local radio holds its own.
 
 // crossKind enumerates conduit message types. The ghost records appear
-// only at epoch boundaries: the rollover leader diffs the new border-band
+// only at epoch boundaries: the epoch join diffs the new border-band
 // membership against the old and announces additions and removals to
 // each receiver shard as stamped control records, so the ghost tables
 // change at a deterministic position in every receiver's event stream
@@ -73,7 +70,7 @@ const (
 	crossGhostDel
 )
 
-// wireFrame is a field-copied image of a frame for ring transport: no
+// wireFrame is a field-copied image of a frame for queue transport: no
 // pointers shared with the sender shard survive in it (slices are copied
 // into the wireFrame's own reusable backing arrays).
 type wireFrame struct {
@@ -134,7 +131,7 @@ func (w *wireFrame) copyIn(f frame.Frame) {
 	}
 }
 
-// copyFrom copies another wireFrame (ring slot → holder), again into w's
+// copyFrom copies another wireFrame (queue slot → holder), again into w's
 // own buffers.
 func (w *wireFrame) copyFrom(o *wireFrame) {
 	w.kind, w.flags = o.kind, o.flags
@@ -224,7 +221,7 @@ type crossHdr struct {
 	srcPos  geom.Point
 }
 
-// crossMsg is one message: a ring slot, and inside a holder its drained
+// crossMsg is one message: a queue slot, and inside a holder its drained
 // image. Both are reused in place; the wireFrame keeps its backing arrays
 // across messages.
 type crossMsg struct {
@@ -232,41 +229,34 @@ type crossMsg struct {
 	fr wireFrame
 }
 
-// spscRing is a bounded single-producer single-consumer ring. The producer
-// is the sender shard's simulation goroutine, the consumer the receiver
-// shard's. Capacity is a power of two; a full ring makes the producer spin
-// (draining its own inboxes to break producer cycles — see put).
-type spscRing struct {
-	head  atomic.Uint64 // next slot the consumer will read
-	_     [56]byte
-	tail  atomic.Uint64 // next slot the producer will write
-	_     [56]byte
+// crossQueue holds the undrained messages from one shard to another, in
+// send order. Its producer and consumer always run on one goroutine (the
+// shards of a coupled component share one, and the epoch join runs on
+// the run's), and a drain takes every message, so the queue is a slice of
+// slots reused in place that grows when full.
+type crossQueue struct {
 	slots []crossMsg // nil until the first message
-	mask  uint64
+	n     int        // undrained messages: slots[:n]
 }
 
-const crossRingCap = 1024
+// crossQueueCap is a queue's first allocation. A queue holds a handful of
+// messages: a send ends its window, and the receiver drains before the
+// sender's next step (at most 8 on 2–8 shard Poisson and metro runs,
+// ghost records included).
+const crossQueueCap = 16
 
-func newRing() *spscRing { return &spscRing{mask: crossRingCap - 1} }
-
-// next returns the slot the producer writes next, or nil when the ring is
-// full. The slots are allocated on the first message, so shard pairs that
-// never couple never pay for them. Safe because consumers index slots only
-// after observing tail != head, and publish's tail store orders the
-// allocation before that.
-func (r *spscRing) next() *crossMsg {
-	tail := r.tail.Load()
-	if tail-r.head.Load() >= crossRingCap {
-		return nil
+// add returns the slot for the next message, allocating the slots on the
+// first message, so shard pairs that never couple never pay for them, and
+// doubling them when all are in use.
+func (q *crossQueue) add() *crossMsg {
+	if q.n == len(q.slots) {
+		grown := make([]crossMsg, max(crossQueueCap, 2*len(q.slots)))
+		copy(grown, q.slots)
+		q.slots = grown
 	}
-	if r.slots == nil {
-		r.slots = make([]crossMsg, crossRingCap)
-	}
-	return &r.slots[tail&r.mask]
+	q.n++
+	return &q.slots[q.n-1]
 }
-
-// publish hands the slot returned by next to the consumer.
-func (r *spscRing) publish() { r.tail.Add(1) }
 
 // pendingCross is the receiver-side holder: the drained image of one
 // message plus the free-list link. Holders are conduit-private — acquiring
@@ -296,37 +286,34 @@ type mirrorExp struct {
 	expire sim.Time
 }
 
-// ShardStats counts one shard's conduit traffic. MsgsOut/MsgsIn and the
-// ghost churn counters are deterministic for a fixed (seed, shards);
-// FullSpins depends on goroutine timing and is excluded from any
-// fingerprint. GhostAdds/GhostDels count ghost installs and removals at
-// this (receiver) shard — the initial-epoch setup installs plus every
-// ghost record firing, so GhostAdds-GhostDels is the live ghost count. A
-// run without epoch rollovers (stationary) counts only the setup
-// installs.
+// ShardStats counts one shard's conduit traffic, deterministically for a
+// fixed (seed, shards). GhostAdds/GhostDels count ghost installs and
+// removals at this (receiver) shard — the initial-epoch setup installs
+// plus every ghost record firing, so GhostAdds-GhostDels is the live
+// ghost count. A run without epoch rollovers (stationary) counts only the
+// setup installs.
 type ShardStats struct {
 	MsgsOut   uint64
 	MsgsIn    uint64
 	GhostAdds uint64
 	GhostDels uint64
-	FullSpins uint64
 }
 
 // shardConduit is one shard's half of the cross-shard fabric, owned by
-// that shard's Medium/goroutine. Its sender state is the outbound rings
-// and the sequence counter (the catalogs live on the border radios); its
-// receiver state the inbound rings, the ghosts, and the mirror table that
-// routes cuts.
+// that shard's Medium. Its sender state is the outbound queues and the
+// sequence counter (the catalogs live on the border radios); its receiver
+// state the inbound queues, the ghosts, and the mirror table that routes
+// cuts.
 type shardConduit struct {
 	net   *ShardNet
 	med   *Medium
 	shard int
 
-	out      []*spscRing // per target shard; nil at the own index
+	out      []*crossQueue // per target shard; nil at the own index
 	localSeq uint64
 	endTime  sim.Time
 
-	in       []*spscRing // per source shard; nil at the own index
+	in       []*crossQueue // per source shard; nil at the own index
 	ghosts   map[int]*Radio
 	free     *pendingCross
 	mirrors  map[mirrorKey]*transmission
@@ -336,21 +323,19 @@ type shardConduit struct {
 	stats ShardStats
 }
 
-// ShardNet is the cross-shard fabric of one sharded run: conduits, rings,
-// the direct lookahead matrix, and the frontier table built from it. The
-// matrix, the radios' catalogs and the ghost sets are epoch state: built
-// at connect time and rebuilt at each epoch boundary via Rebuild. A
-// stationary run has one epoch and never rebuilds.
+// ShardNet is the cross-shard fabric of one sharded run: conduits, queues
+// and the direct lookahead matrix. The matrix, the radios' catalogs and
+// the ghost sets are epoch state: built at connect time and rebuilt at
+// each epoch join via Rebuild. A stationary run has one epoch and never
+// rebuilds.
 type ShardNet struct {
 	conduits []*shardConduit
 	direct   [][]sim.Time
-	sync     *sim.ShardSync
-	stop     atomic.Bool
 
 	// Epoch state. localIdx/shardOf/mediums are setup-time constants;
 	// prevGhost — the per-(sender, receiver) sorted ghost-source id sets of
-	// the current epoch — is owned by the rollover leader and only touched
-	// inside the boundary barrier.
+	// the current epoch — is only touched at connect time and at the
+	// epoch join.
 	envelope  float64 // max pairwise distance change within one epoch (2·MaxSpeed·epoch); 0 when stationary
 	irange    float64
 	r2        float64 // irange²
@@ -369,7 +354,7 @@ type ShardNet struct {
 // epoch length): catalogs are candidate sets over that envelope, valid
 // for exactly one epoch, and the experiment layer must call Rebuild at
 // every epoch boundary with the boundary positions (see DESIGN.md §15 for
-// the barrier protocol). A stationary run passes envelope 0 and never
+// the epoch join). A stationary run passes envelope 0 and never
 // rebuilds: its catalogs then hold exactly the in-range receivers, and
 // its lookahead is the exact minimum cross-shard delay.
 //
@@ -378,10 +363,10 @@ type ShardNet struct {
 // engine's never-run semantics and guaranteeing no message can chase a
 // shard that already ran its final window.
 //
-// The ring topology is fixed up front — every ordered shard pair gets its
-// ring even if no pair of radios is currently in reach — so epoch rollover
-// never has to publish new rings to a foreign goroutine; only the border
-// membership churns. A ring's slots are allocated on its first message.
+// The queue topology is fixed up front — every ordered shard pair gets its
+// queue even if no pair of radios is currently in reach — so only the
+// border membership churns at an epoch rollover. A queue's slots are
+// allocated on its first message.
 func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime sim.Time, envelope float64) *ShardNet {
 	s := len(mediums)
 	irange := mediums[0].cfg.interferenceRange()
@@ -412,8 +397,8 @@ func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime s
 	for i, m := range mediums {
 		net.conduits[i] = &shardConduit{
 			net: net, med: m, shard: i,
-			out:     make([]*spscRing, s),
-			in:      make([]*spscRing, s),
+			out:     make([]*crossQueue, s),
+			in:      make([]*crossQueue, s),
 			ghosts:  make(map[int]*Radio),
 			mirrors: make(map[mirrorKey]*transmission),
 			endTime: endTime,
@@ -425,16 +410,15 @@ func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime s
 			if i == j {
 				continue
 			}
-			ring := newRing()
-			net.conduits[i].out[j] = ring
-			net.conduits[j].in[i] = ring
+			q := &crossQueue{}
+			net.conduits[i].out[j] = q
+			net.conduits[j].in[i] = q
 		}
 	}
-	net.rebuild(pos, 0, 0, false)
+	net.rebuild(pos, 0, false)
 	for i, m := range mediums {
 		m.cross = net.conduits[i]
 	}
-	net.sync = sim.NewShardSync(net.direct)
 	return net
 }
 
@@ -444,17 +428,14 @@ func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime s
 // receiver shard as crossGhostAdd/crossGhostDel records stamped at t=B
 // with sender-minted sequence numbers.
 //
-// MUST be called only by the rollover leader while every shard is parked
-// at the boundary barrier (all frontiers ≥ B): it rewrites sender state
-// (radio catalogs, localSeq) owned by other shards' goroutines, which is
-// only race-free under the barrier's happens-before chain — frontier
-// release-stores before parking, epoch-generation release-store after
-// Rebuild returns.
-func (n *ShardNet) Rebuild(pos []geom.Point, B sim.Time, leader int) {
-	n.rebuild(pos, B, leader, true)
+// MUST be called only at the epoch join, when every shard has run all its
+// events before B and none is running: it rewrites every shard's sender
+// state (radio catalogs, localSeq).
+func (n *ShardNet) Rebuild(pos []geom.Point, B sim.Time) {
+	n.rebuild(pos, B, true)
 }
 
-func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) {
+func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, emit bool) {
 	s := len(n.conduits)
 	for i := range n.direct {
 		for j := range n.direct[i] {
@@ -553,11 +534,11 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 			for i < len(old) || j < len(cur) {
 				switch {
 				case j >= len(cur) || (i < len(old) && old[i] < cur[j]):
-					n.ghostRecord(ss, t, leader, crossGhostDel, old[i], B)
+					n.ghostRecord(ss, t, crossGhostDel, old[i], B)
 					i++
 				case i >= len(old) || cur[j] < old[i]:
 					if emit {
-						n.ghostRecord(ss, t, leader, crossGhostAdd, cur[j], B)
+						n.ghostRecord(ss, t, crossGhostAdd, cur[j], B)
 					} else {
 						n.conduits[t].stats.GhostAdds++
 						n.conduits[t].ghost(cur[j])
@@ -573,20 +554,10 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, leader int, emit bool) 
 	}
 }
 
-// ghostRecord publishes one ghost membership record from shard ss to shard
-// t on behalf of the rollover leader. A blocked record spins like any
-// message (put), but the leader may only drain its own conduit, not shard
-// ss's: receivers parked at the barrier drain their rings while spinning
-// on the epoch generation, so a full ring targeting a follower always
-// makes progress, and a full ring targeting the leader itself is drained
-// by the spin.
-func (n *ShardNet) ghostRecord(ss, t, leader int, kind uint8, src int, B sim.Time) {
-	var spin *shardConduit
-	if t == leader {
-		spin = n.conduits[leader]
-	}
+// ghostRecord queues one ghost membership record from shard ss to shard t.
+func (n *ShardNet) ghostRecord(ss, t int, kind uint8, src int, B sim.Time) {
 	c := n.conduits[ss]
-	c.put(t, &crossHdr{kind: kind, src: int32(src), t0: B, seqBase: c.mintSeq()}, nil, spin)
+	c.put(t, &crossHdr{kind: kind, src: int32(src), t0: B, seqBase: c.mintSeq()}, nil)
 }
 
 // ghost returns the receiver-side ghost radio for foreign node src,
@@ -606,75 +577,49 @@ func (c *shardConduit) ghost(src int) *Radio {
 
 // Direct returns the direct lookahead matrix: Direct()[k][j] is the
 // minimum cross-shard propagation delay from shard k to shard j
-// (sim.MaxTime where no pair of radios is in range). The shard loop feeds
-// it to Sync().SetLookahead after every Rebuild.
+// (sim.MaxTime where no pair of radios is in range). Only a finite entry
+// comes with catalogs, so shards joined by no chain of finite entries
+// exchange no message within the epoch. Rebuild rewrites it in place.
 func (n *ShardNet) Direct() [][]sim.Time { return n.direct }
-
-// Sync returns the run's frontier table, built from the direct matrix at
-// connect time. Drains lower a receiver's frontier in it before they
-// release ring slots, so the shard loop must publish and read frontiers
-// through this table.
-func (n *ShardNet) Sync() *sim.ShardSync { return n.sync }
-
-// Stop releases every producer blocked on a full ring (messages are
-// dropped from then on). Called when a sharded run aborts; determinism is
-// only contracted for runs that complete.
-func (n *ShardNet) Stop() { n.stop.Store(true) }
 
 // Stats returns shard j's conduit counters.
 func (n *ShardNet) Stats(j int) ShardStats { return n.conduits[j].stats }
 
 // OutCap returns the earliest send time among shard j's undrained outbound
-// messages, or sim.MaxTime when every outbound ring is empty. A shard's
+// messages, or sim.MaxTime when every outbound queue is empty. A shard's
 // published frontier must not exceed this cap: until a receiver has
 // drained a message, the closure argument needs the sender's frontier to
 // still cover that message's send time — otherwise a third shard reading
 // the (already advanced) frontier could under-estimate how early the
 // receiver can relay it (see DESIGN.md §14). The cap is also the own
-// ("echo") term of shard j's target: read it before the frontier scan
-// (sim.ShardSync.Target).
+// ("echo") term of shard j's target (sim.ShardSync.Target).
 //
-// Send times are monotone per ring (the sender's clock only advances), so
-// the head slot holds each ring's minimum. Safe to call from shard j's
-// goroutine only: slots are written by j alone, and a consumer advancing
-// head concurrently merely makes the cap conservatively low.
+// Send times are monotone per queue (the sender's clock only advances),
+// so the first slot holds each queue's minimum.
 func (n *ShardNet) OutCap(j int) sim.Time {
 	lb := sim.MaxTime
-	for _, ring := range n.conduits[j].out {
-		if ring == nil {
-			continue
-		}
-		h := ring.head.Load()
-		if h == ring.tail.Load() {
-			continue
-		}
-		if t := ring.slots[h&ring.mask].t0; t < lb {
-			lb = t
+	for _, q := range n.conduits[j].out {
+		if q != nil && q.n > 0 && q.slots[0].t0 < lb {
+			lb = q.slots[0].t0
 		}
 	}
 	return lb
 }
 
-// Drain consumes every queued inbound message of shard j and schedules
-// the corresponding holder events. Must be called from shard j's
-// goroutine: between execution windows, while waiting at the frontier
-// barrier, and (via the producer spin path) while blocked on a full
-// outbound ring.
-func (n *ShardNet) Drain(j int) { n.conduits[j].drain() }
+// Drain consumes every queued inbound message of shard j, schedules the
+// corresponding holder events, and returns how many it consumed. The
+// caller republishes j's frontier before any other shard reads it: the
+// drain lifts the senders' OutCap, and from then on j's next event is
+// what covers the deliveries.
+func (n *ShardNet) Drain(j int) int { return n.conduits[j].drain() }
 
-func (c *shardConduit) drain() {
-	for _, ring := range c.in {
-		if ring == nil {
-			continue
+func (c *shardConduit) drain() (drained int) {
+	for _, q := range c.in {
+		if q == nil || q.n == 0 {
+			continue // left unwritten: its sender may run in another component
 		}
-		h := ring.head.Load()
-		t := ring.tail.Load()
-		if h == t {
-			continue
-		}
-		first := sim.MaxTime
-		for ; h != t; h++ {
-			slot := &ring.slots[h&ring.mask]
+		for i := range q.slots[:q.n] {
+			slot := &q.slots[i]
 			p := c.takeHolder()
 			p.crossHdr = slot.crossHdr
 			if p.kind == crossTx {
@@ -686,15 +631,11 @@ func (c *shardConduit) drain() {
 				at += p.cat.minProp // ghost records (cat==nil) fire at the boundary itself
 			}
 			c.med.eng.ScheduleCrossCall(at, p, 0, p.seqBase)
-			first = min(first, at)
 		}
-		// Cover the deliveries with this shard's frontier before handing the
-		// slots back: the release lifts the sender's OutCap, and otherwise,
-		// for a moment, neither frontier covers them and a shard may run
-		// past their consequences (DESIGN.md §14).
-		c.net.sync.Lower(c.shard, first)
-		ring.head.Store(t)
+		drained += q.n
+		q.n = 0
 	}
+	return drained
 }
 
 func (c *shardConduit) takeHolder() *pendingCross {
@@ -858,42 +799,20 @@ func (c *shardConduit) mirror(r *Radio, h crossHdr, f frame.Frame) {
 			continue
 		}
 		h.cat, h.seqBase = cat, c.mintSeq()
-		if c.put(cat.to, &h, f, c) {
-			c.med.eng.Stop()
-		}
+		c.put(cat.to, &h, f)
+		c.med.eng.Stop()
 	}
 }
 
-// put publishes one message to target shard t, spinning while the ring is
-// full, and reports whether it did: an aborting run drops the message
-// rather than block forever. Each spin drains spin's inboxes, when spin
-// is non-nil, and yields. A blocked producer drains its own inboxes: a
-// cycle of mutually-full shards always has every participant emptying its
-// inbound rings, so some producer always unblocks — production cannot
-// deadlock. The spin never sleeps: the consumer it waits for may need
-// this very P, and a sleeping producer holds up its whole shard for far
-// longer than the ring takes to drain.
-func (c *shardConduit) put(t int, h *crossHdr, f frame.Frame, spin *shardConduit) bool {
-	ring := c.out[t]
-	for {
-		if slot := ring.next(); slot != nil {
-			slot.crossHdr = *h
-			if f != nil {
-				slot.fr.copyIn(f)
-			}
-			ring.publish()
-			c.stats.MsgsOut++
-			return true
-		}
-		if c.net.stop.Load() {
-			return false
-		}
-		c.stats.FullSpins++
-		if spin != nil {
-			spin.drain()
-		}
-		runtime.Gosched()
+// put queues one message, f (when non-nil) as its frame image, to target
+// shard t.
+func (c *shardConduit) put(t int, h *crossHdr, f frame.Frame) {
+	slot := c.out[t].add()
+	slot.crossHdr = *h
+	if f != nil {
+		slot.fr.copyIn(f)
 	}
+	c.stats.MsgsOut++
 }
 
 // mintSeq reserves the next block of cross sequence numbers for one

@@ -449,7 +449,7 @@ func TestShardBoundaryGhostDropsTone(t *testing.T) {
 	runOut(eng1, B)
 
 	// The boundary positions put a far beyond any foreign radio's reach.
-	net.Rebuild([]geom.Point{{X: -1000, Y: 0}, pos[1]}, B, 0)
+	net.Rebuild([]geom.Point{{X: -1000, Y: 0}, pos[1]}, B)
 	net.Drain(1)
 	runOut(eng1, horizon)
 

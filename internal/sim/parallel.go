@@ -1,13 +1,12 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Conservative parallel-simulation support. A sharded run partitions the
-// network into spatial shards, each owning a private Engine on its own
-// goroutine; shards advance their clocks under a Chandy–Misra–Bryant
+// network into spatial shards, each owning a private Engine. Shards that
+// can influence each other — a connected component of the lookahead
+// graph — are stepped in turn on one goroutine, and components run in
+// parallel. Shards advance their clocks under a Chandy–Misra–Bryant
 // variant without null messages: every shard publishes a frontier — a
 // lower bound on the earliest influence it can still exert, i.e.
 // min(next local event, send time of its earliest outbound message no
@@ -39,8 +38,8 @@ import (
 // Cross-shard events are injected with ScheduleCrossCall under a dedicated
 // sequence-number space (CrossSeqBase | sender<<CrossSeqShardShift | local
 // counter): the (time, seq) total order then interleaves cross traffic
-// after same-tick local events deterministically, independent of wall-clock
-// arrival order, which is what makes a fixed (seed, shards) pair
+// after same-tick local events deterministically, independent of when a
+// message is drained, which is what makes a fixed (seed, shards) pair
 // bit-identical across reruns.
 
 // MaxTime is the largest representable simulated time; used as the
@@ -76,8 +75,8 @@ func CrossSeq(src int, local uint64) uint64 {
 // event and advances" — needs the published bound to *be* the next event
 // time. A slot-start approximation (wheelMin) can under-report by up to
 // one slot width (128 ns), which exceeds the smallest lookahead (the
-// 1 ns propagation-delay floor) and can stall two shards against each
-// other forever.
+// 1 ns propagation-delay floor) and can leave two shards unable to
+// advance past each other forever.
 //
 // Due-list head and heap top are exact by construction. For in-slot wheel
 // events the earliest occupied slot per level is chain-scanned: within a
@@ -153,30 +152,17 @@ func (e *Engine) ScheduleCrossCall(at Time, c Caller, tag int32, seq uint64) Eve
 	return Event{eng: e, id: id, gen: n.gen}
 }
 
-// ShardSync is the shared frontier table of one sharded run. Each shard
-// publishes its frontier with Publish and computes its safe execution bound
-// with Target; both are lock-free (one atomic store / S+1 atomic loads).
-// The lookahead matrix is held behind an atomic pointer: mobile runs
-// replace it at every epoch boundary (SetLookahead), and a shard parked in
-// its stall loop keeps polling Target throughout — the swap guarantees it
-// reads a complete matrix, old or new, never a half-written one.
+// ShardSync is the frontier table of one sharded run: each shard's
+// published frontier and the closed lookahead matrix. It holds no lock
+// and no atomic: a finite lookahead couples two shards into one component,
+// whose shards run on one goroutine, so Target only reads frontiers that
+// its own goroutine published; and the matrix changes only at an epoch
+// join, before the component goroutines of the next epoch start.
 type ShardSync struct {
-	// walk closure: (*la)[k][j] = min walk lookahead k→j (k==j: min
-	// cycle); MaxTime = decoupled. Immutable once stored.
-	la atomic.Pointer[[][]Time]
-	fr []padTime
-	_  [56]byte
-	// lowered counts the Lower calls that moved a frontier down; Target
-	// and MinFrontier re-read every frontier when it changes mid-scan.
-	lowered atomic.Uint64
-	_       [56]byte
-}
-
-// padTime pads each frontier to its own cache line so Publish stores from
-// different shards never false-share.
-type padTime struct {
-	v atomic.Int64
-	_ [56]byte
+	// walk closure: la[k][j] = min walk lookahead k→j (k==j: min cycle);
+	// MaxTime = decoupled.
+	la [][]Time
+	fr []Time
 }
 
 // NewShardSync builds the frontier table for the given direct lookahead
@@ -192,29 +178,24 @@ func NewShardSync(direct [][]Time) *ShardSync {
 	if s > MaxShards {
 		panic(fmt.Sprintf("sim: %d shards exceeds MaxShards %d", s, MaxShards))
 	}
-	ss := &ShardSync{fr: make([]padTime, s)}
+	ss := &ShardSync{la: make([][]Time, s), fr: make([]Time, s)}
+	for i := range ss.la {
+		ss.la[i] = make([]Time, s)
+	}
 	ss.SetLookahead(direct)
 	return ss
 }
 
-// SetLookahead replaces the lookahead table with the walk closure of a new
-// direct matrix. Mobile sharded runs call it at every epoch boundary, when
-// node movement has changed the minimum cross-shard distances. The closure
-// is computed into a fresh matrix and swapped in atomically: shards parked
-// in stall loops keep polling Target during the swap and must never see a
-// half-written table. Memory safety comes from the swap; *determinism*
-// still needs the epoch barrier — without it, which epoch's matrix a
-// Target call reads would depend on goroutine scheduling (see DESIGN.md
-// §15 for the happens-before chain).
+// SetLookahead replaces the lookahead table, in place, with the walk
+// closure of a new direct matrix. Mobile sharded runs call it at every
+// epoch join, when node movement has changed the minimum cross-shard
+// distances.
 func (ss *ShardSync) SetLookahead(direct [][]Time) {
-	la := make([][]Time, len(direct))
-	for i := range la {
-		la[i] = make([]Time, len(direct))
-		copy(la[i], direct[i])
-		la[i][i] = maxTime // no self-edges: the diagonal closes to min cycle
+	for i, row := range direct {
+		copy(ss.la[i], row)
+		ss.la[i][i] = maxTime // no self-edges: the diagonal closes to min cycle
 	}
-	closeWalks(la)
-	ss.la.Store(&la)
+	closeWalks(ss.la)
 }
 
 // closeWalks closes a direct lookahead matrix over walks of length ≥ 1 in
@@ -238,80 +219,26 @@ func closeWalks(la [][]Time) {
 	}
 }
 
-// MinFrontier returns the minimum published frontier across all shards.
-// The epoch-rollover leader spins on it to detect the boundary barrier:
-// every frontier at or past the boundary means every shard has executed
-// all its pre-boundary events and every conduit ring has been drained (an
-// undrained message caps its sender's frontier at the send time).
-func (ss *ShardSync) MinFrontier() Time {
-	for {
-		n := ss.lowered.Load()
-		t := maxTime
-		for k := range ss.fr {
-			if f := Time(ss.fr[k].v.Load()); f < t {
-				t = f
-			}
-		}
-		if ss.lowered.Load() == n {
-			return t
-		}
-	}
-}
-
 // Lookahead returns the closed (minimum-walk) lookahead from shard k to
 // shard j — for k == j the minimum round trip through any other shard;
 // MaxTime when no such influence is possible.
-func (ss *ShardSync) Lookahead(k, j int) Time { return (*ss.la.Load())[k][j] }
+func (ss *ShardSync) Lookahead(k, j int) Time { return ss.la[k][j] }
 
 // Publish records shard k's frontier: a promise that shard k will not mint
 // any new influence before t. Callers must derive t from measurements only
-// — min(NextLowerBound after draining inbound rings, earliest undrained
+// — min(NextLowerBound after draining inbound messages, earliest undrained
 // outbound send time) — never from other shards' frontiers. Frontiers are
-// not monotone: Lower pulls one down when a drain schedules an earlier
-// delivery. Only shard k's goroutine may publish or lower frontier k.
-//
-// An unchanged frontier is not stored again: a shard re-publishes on every
-// spin of its waits, and each store would invalidate the cache line its
-// neighbours are polling. Readers then synchronise with the earlier store
-// of the same value, which is enough: between the two, shard k ran only
-// events at or after that value, so any message it sent meanwhile lands at
-// or after the value plus the lookahead the readers already bound by.
-func (ss *ShardSync) Publish(k int, t Time) {
-	if Time(ss.fr[k].v.Load()) != t {
-		ss.fr[k].v.Store(int64(t))
-	}
-}
-
-// Lower pulls shard k's published frontier down to t when it is above it.
-// A draining shard calls it with the deliveries it has just scheduled,
-// before releasing their ring slots: the release lifts the sender's cap
-// on its own frontier, so the receiver's frontier must already cover them.
-//
-// The hand-off from the sender's frontier to the receiver's is not atomic
-// for a reader that loads the frontiers one at a time: it may read the
-// receiver's before the Lower and the sender's after the release, and see
-// neither cover the delivery. Lower therefore bumps a counter between its
-// store and the caller's release, and Target and MinFrontier rescan when
-// the counter moved under them. (Publish never needs this: a published
-// frontier only drops below its previous value through events a drain
-// scheduled, and that drain has lowered it already.)
-func (ss *ShardSync) Lower(k int, t Time) {
-	if Time(ss.fr[k].v.Load()) > t {
-		ss.fr[k].v.Store(int64(t))
-		ss.lowered.Add(1)
-	}
-}
+// not monotone: a drain that schedules an earlier delivery pulls the next
+// publication down, so a shard must publish right after every drain.
+func (ss *ShardSync) Publish(k int, t Time) { ss.fr[k] = t }
 
 // Frontier returns shard k's last published frontier.
-func (ss *ShardSync) Frontier(k int) Time { return Time(ss.fr[k].v.Load()) }
+func (ss *ShardSync) Frontier(k int) Time { return ss.fr[k] }
 
 // Target returns the conservative execution bound for shard j — it may
 // run every event strictly before the returned time — and the shard whose
 // term set it (-1 when none did). outCap is the send time of j's earliest
-// undrained outbound message (MaxTime when none); the caller must read it
-// before calling Target. A receiver lowers its own frontier before it
-// releases a drained slot (Lower), so a cap read first and a frontier read
-// after can never both miss the delivery.
+// undrained outbound message (MaxTime when none).
 //
 // The k == j term is the echo bound: outCap plus the minimum round trip
 // covers every response to a send j has already made, and Target returns
@@ -319,33 +246,20 @@ func (ss *ShardSync) Frontier(k int) Time { return Time(ss.fr[k].v.Load()) }
 // must end its window right after any event that sends across and ask
 // again. j's own published frontier plays no part, so with nothing in
 // flight only foreign frontiers bound the window. MaxTime means j is
-// unconstrained (no shard — itself included — can route influence to it,
-// or all have terminated).
+// unconstrained (no shard — itself included — can route influence to it).
 func (ss *ShardSync) Target(j int, outCap Time) (Time, int) {
-	for {
-		n := ss.lowered.Load()
-		t, by := ss.target(j, outCap)
-		if ss.lowered.Load() == n {
-			return t, by
-		}
-	}
-}
-
-// target is one scan of Target's bound.
-func (ss *ShardSync) target(j int, outCap Time) (Time, int) {
 	t, by := Time(maxTime), -1
-	m := *ss.la.Load()
 	for k := range ss.fr {
-		la := m[k][j]
+		la := ss.la[k][j]
 		if la == maxTime {
-			continue
+			continue // another component's frontier: never read
 		}
 		f := outCap
 		if k != j {
-			f = Time(ss.fr[k].v.Load())
+			f = ss.fr[k]
 		}
 		if f == maxTime {
-			continue // k terminated (or j has nothing in flight): constrains nobody
+			continue // nothing pending, or for j nothing in flight: no bound
 		}
 		if b := f + la; b < t {
 			t, by = b, k

@@ -68,29 +68,40 @@ func TestShardSyncTarget(t *testing.T) {
 	}
 }
 
-// TestShardSyncLower: a drain's Lower only ever pulls a frontier down, and
-// the targets and the barrier minimum see the lowered value at once.
-func TestShardSyncLower(t *testing.T) {
+// TestShardSyncSetLookahead: an epoch join re-closes the lookahead in
+// place, so entries a coupling no longer supports must not survive from
+// the previous epoch's closure.
+func TestShardSyncSetLookahead(t *testing.T) {
 	inf := Time(MaxTime)
 	ss := NewShardSync([][]Time{
-		{inf, 5},
-		{7, inf},
+		{inf, 5, inf},
+		{7, inf, 10},
+		{inf, 3, inf},
 	})
-	ss.Publish(0, 1000)
-	ss.Publish(1, 2000)
-	ss.Lower(1, 3000) // above the frontier: no change
-	if got := ss.Frontier(1); got != 2000 {
-		t.Fatalf("Lower above the frontier moved it to %v", got)
+	ss.SetLookahead([][]Time{
+		{inf, 4, inf},
+		{6, inf, inf},
+		{inf, inf, inf},
+	})
+	want := [][]Time{
+		{10, 4, inf},
+		{6, 10, inf},
+		{inf, inf, inf},
 	}
-	ss.Lower(1, 300) // a delivery drained at 300
-	if got := ss.Frontier(1); got != 300 {
-		t.Fatalf("Frontier(1) = %v after Lower(1, 300)", got)
+	for k := range want {
+		for j := range want[k] {
+			if got := ss.Lookahead(k, j); got != want[k][j] {
+				t.Errorf("Lookahead(%d,%d) = %v, want %v", k, j, got, want[k][j])
+			}
+		}
 	}
-	if got, _ := ss.Target(0, MaxTime); got != 307 {
-		t.Errorf("Target(0) = %v, want 307 (lowered frontier 300 + lookahead 7)", got)
+	ss.Publish(0, 100)
+	ss.Publish(1, 200)
+	if got, by := ss.Target(2, MaxTime); got != MaxTime || by != -1 {
+		t.Errorf("decoupled shard 2: Target = %v by %d, want MaxTime by -1", got, by)
 	}
-	if got := ss.MinFrontier(); got != 300 {
-		t.Errorf("MinFrontier = %v, want 300", got)
+	if got, by := ss.Target(0, MaxTime); got != 206 || by != 1 {
+		t.Errorf("Target(0) = %v by %d, want 206 by 1", got, by)
 	}
 }
 
