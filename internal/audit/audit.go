@@ -24,6 +24,7 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 
 	"rmac/internal/frame"
 	"rmac/internal/mac"
@@ -220,6 +221,23 @@ func New(eng *sim.Engine, medium *phy.Medium, cfg Config) *Auditor {
 	}
 	medium.Obs = a
 	return a
+}
+
+// Reserve sizes the per-node tables for node ids in [0, n) at once. A
+// stack that knows its highest id calls it before registering its nodes,
+// which spares the tables their one-node-at-a-time growth; a larger id
+// still grows them.
+func (a *Auditor) Reserve(n int) {
+	if a == nil || n <= len(a.nodes) {
+		return
+	}
+	k := n - len(a.nodes)
+	a.nodes = slices.Grow(a.nodes, k)
+	a.macs = slices.Grow(a.macs, k)
+	a.contention = slices.Grow(a.contention, k)
+	a.navs = slices.Grow(a.navs, k)
+	a.pendings = slices.Grow(a.pendings, k)
+	a.grow(n)
 }
 
 // grow ensures per-node state exists for node ids in [0, n).

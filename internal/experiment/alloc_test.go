@@ -112,3 +112,40 @@ func TestPerNodeStateLinear(t *testing.T) {
 		t.Logf("bytes per node ratio %.2f×", ratio)
 	}
 }
+
+// TestMobileSetupPerNode is the per-node gate on what mobility costs to
+// set up: building a 1000-node Poisson placement, a moving node may
+// allocate at most 1 KB more than a stationary one, on one engine and on
+// two shards. A math/rand source seeded per node (4.9 KB of register) or
+// a second model per node fails it.
+func TestMobileSetupPerNode(t *testing.T) {
+	perNode := func(sc Scenario, shards int) float64 {
+		cfg := DefaultConfig()
+		cfg.Topo = TopoPoisson
+		cfg.Nodes = 1000
+		cfg.Field = geom.Rect{W: 1840, H: 920}
+		cfg.Sources = 4
+		cfg.Scenario = sc
+		cfg.Shards = shards
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if shards > 1 {
+			buildSharded(cfg)
+		} else {
+			build(cfg)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Nodes)
+	}
+	for _, shards := range []int{0, 2} {
+		still, moving := perNode(Stationary, shards), perNode(Speed1, shards)
+		t.Logf("shards %d: %.0f B/node stationary, %.0f B/node speed1", shards, still, moving)
+		if gap := moving - still; gap > 1024 {
+			t.Errorf("shards %d: a moving node costs %.0f B more to build than a stationary one, want ≤ 1024", shards, gap)
+		}
+	}
+}

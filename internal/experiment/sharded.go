@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"rmac/internal/geom"
-	"rmac/internal/mobility"
 	"rmac/internal/phy"
 	"rmac/internal/sim"
 	"rmac/internal/topo"
@@ -33,9 +32,8 @@ import (
 // epoch is bounded by MaxSpeed·epoch, and at every epoch boundary all
 // components join the run's goroutine, which recomputes the lookahead
 // matrix, the border-band membership and the components from the
-// boundary positions. It reads positions from shadow replicas of every
-// node's waypoint model — trajectories are pure functions of (Seed, node
-// id). A stationary run is the case of envelope 0 and a single epoch that
+// boundary positions, which it reads from the nodes' own waypoint models.
+// A stationary run is the case of envelope 0 and a single epoch that
 // outlasts the horizon: it never rolls over.
 
 // ShardSeedMix decorrelates per-shard engine RNG streams from each other
@@ -132,10 +130,9 @@ type shardedRun struct {
 	comps [][]int         // the current epoch's coupled components
 
 	// Mobility epoch state. epoch is sim.MaxTime for a stationary run;
-	// shadow/posB are read and written only at the join.
-	epoch  sim.Time
-	shadow []*mobility.RandomWaypoint
-	posB   []geom.Point
+	// posB is read and written only at the join.
+	epoch sim.Time
+	posB  []geom.Point
 
 	stop   atomic.Bool // an abort or a panic: every component returns
 	cancel context.CancelFunc
@@ -169,11 +166,7 @@ func buildSharded(cfg Config) *shardedRun {
 			// placements whose population-quantile cuts came out narrower.
 			panic(fmt.Sprintf("experiment: mobility envelope %.1fm exceeds the narrowest %.1fm strip; shorten ShardEpoch or use fewer shards", envelope, w))
 		}
-		sr.shadow = make([]*mobility.RandomWaypoint, cfg.Nodes)
 		sr.posB = make([]geom.Point, cfg.Nodes)
-		for i := range sr.shadow {
-			sr.shadow[i] = n.waypoint(i)
-		}
 	}
 	sr.net = phy.ConnectShards(mediums, n.placement.Points, part.Shard, cfg.Horizon(), envelope)
 	sr.sync = sim.NewShardSync(sr.net.Direct())
@@ -273,8 +266,15 @@ func (sr *shardedRun) runEpoch(limit sim.Time, rollover bool) {
 // every queue, so that each starts the epoch empty and none carries a
 // message between two components of the next epoch, republishes every
 // frontier to cover what the drain scheduled, and regroups the shards.
+//
+// The positions come from the live waypoint models, which no component
+// touches during the join; the next epoch's go statements order these
+// reads before its shards' own queries. Reading at B raises each model's
+// newest query to B, and every later backward query (the conduit's, at
+// most a propagation delay behind its shard's clock, which is past B)
+// lies far inside the model's retention horizon.
 func (sr *shardedRun) join(B sim.Time) {
-	for i, mdl := range sr.shadow {
+	for i, mdl := range sr.waypoints {
 		sr.posB[i] = mdl.PositionAt(B)
 	}
 	sr.net.Rebuild(sr.posB, B)

@@ -60,12 +60,41 @@ func (s Stationary) PositionAt(sim.Time) geom.Point { return s.P }
 // SpeedBound implements SpeedBounded: a stationary node never moves.
 func (s Stationary) SpeedBound() float64 { return 0 }
 
-// leg is one segment of a waypoint trajectory: hold at 'from' until start,
-// then move linearly, arriving at 'to' at 'arrive', then pause until 'until'.
-type leg struct {
-	from, to      geom.Point
-	start, arrive sim.Time
-	until         sim.Time // end of pause at destination
+// Leg is one segment of a trajectory: hold at From until Start, move
+// linearly to To, arriving at Arrive, then pause there until Until. A
+// trajectory's legs are contiguous (each starts when the previous one's
+// pause ends), and a leg answers for [Start, Until).
+type Leg struct {
+	From, To      geom.Point
+	Start, Arrive sim.Time
+	Until         sim.Time // end of pause at destination
+}
+
+// Covers reports whether t lies in [Start, Until), the instants the leg
+// answers for.
+func (l *Leg) Covers(t sim.Time) bool { return l.Start <= t && t < l.Until }
+
+// At returns the position on the leg at t.
+func (l *Leg) At(t sim.Time) geom.Point {
+	switch {
+	case t >= l.Arrive:
+		return l.To // pausing at destination
+	case t <= l.Start:
+		return l.From
+	default:
+		return l.From.Lerp(l.To, float64(t-l.Start)/float64(l.Arrive-l.Start))
+	}
+}
+
+// LegOf returns a leg of m covering t: a RandomWaypoint's own (LegAt),
+// and for any other model the leg that holds its position at t for the
+// instant t alone.
+func LegOf(m Model, t sim.Time) Leg {
+	if w, ok := m.(*RandomWaypoint); ok {
+		return w.LegAt(t)
+	}
+	p := m.PositionAt(t)
+	return Leg{From: p, To: p, Start: t, Arrive: t, Until: t + 1}
 }
 
 // RandomWaypoint implements the random waypoint mobility model: pick a
@@ -83,7 +112,11 @@ type RandomWaypoint struct {
 
 	// Retain is the retention horizon: positions in
 	// [maxSeen-Retain, maxSeen] stay exactly reconstructible, where
-	// maxSeen is the most advanced query so far. Trajectory legs that
+	// maxSeen is the most advanced query so far. A caller that caches
+	// the current leg (LegAt) queries only when a leg ends, so maxSeen
+	// moves when a leg is fetched and may trail the caller's clock by up
+	// to one leg: the model then trims less, never more, and every
+	// answer stays exact. Trajectory legs that
 	// fell entirely behind the horizon are discarded to bound memory on
 	// long runs; a query older than the horizon panics (PositionAt) or
 	// reports ok=false (PositionAtOK). Zero selects DefaultRetain. Must
@@ -94,7 +127,7 @@ type RandomWaypoint struct {
 	Retain sim.Time
 
 	rng  *rand.Rand
-	legs []leg
+	legs []Leg
 
 	maxSeen sim.Time // most advanced query
 	floor   sim.Time // oldest exactly-answerable time after trimming
@@ -110,7 +143,7 @@ func NewRandomWaypoint(field geom.Rect, minSpeed, maxSpeed float64, pause sim.Ti
 		panic("mobility: MaxSpeed must be positive")
 	}
 	m := &RandomWaypoint{Field: field, MinSpeed: minSpeed, MaxSpeed: maxSpeed, Pause: pause, rng: rng}
-	m.legs = append(m.legs, leg{from: start, to: start, start: 0, arrive: 0, until: 0})
+	m.legs = append(m.legs, Leg{From: start, To: start})
 	return m
 }
 
@@ -118,7 +151,7 @@ func NewRandomWaypoint(field geom.Rect, minSpeed, maxSpeed float64, pause sim.Ti
 func (m *RandomWaypoint) extend(t sim.Time) {
 	for {
 		last := m.legs[len(m.legs)-1]
-		if last.until > t {
+		if last.Until > t {
 			return
 		}
 		dest := m.Field.RandomPoint(m.rng)
@@ -126,15 +159,15 @@ func (m *RandomWaypoint) extend(t sim.Time) {
 		for speed <= 1e-9 {
 			speed = m.MinSpeed + m.rng.Float64()*(m.MaxSpeed-m.MinSpeed)
 		}
-		dist := last.to.Dist(dest)
+		dist := last.To.Dist(dest)
 		travel := sim.Time(dist / speed * float64(sim.Second))
-		l := leg{
-			from:   last.to,
-			to:     dest,
-			start:  last.until,
-			arrive: last.until + travel,
+		l := Leg{
+			From:   last.To,
+			To:     dest,
+			Start:  last.Until,
+			Arrive: last.Until + travel,
 		}
-		l.until = l.arrive + m.Pause
+		l.Until = l.Arrive + m.Pause
 		m.legs = append(m.legs, l)
 		m.trim()
 	}
@@ -149,7 +182,7 @@ func (m *RandomWaypoint) retain() sim.Time {
 }
 
 // trim drops legs that ended before the retention horizon. Legs are
-// contiguous (legs[i].start == legs[i-1].until), so the first kept leg
+// contiguous (legs[i].Start == legs[i-1].Until), so the first kept leg
 // still covers the horizon itself; floor records the oldest time the
 // remaining legs answer exactly. The copy-down keeps the slice's backing
 // array, so a steady-state trajectory reuses the same storage forever.
@@ -159,13 +192,13 @@ func (m *RandomWaypoint) trim() {
 	}
 	cutoff := m.maxSeen - m.retain()
 	i := 0
-	for i < len(m.legs)-1 && m.legs[i].until < cutoff {
+	for i < len(m.legs)-1 && m.legs[i].Until < cutoff {
 		i++
 	}
 	if i == 0 {
 		return
 	}
-	m.floor = m.legs[i].start
+	m.floor = m.legs[i].Start
 	n := copy(m.legs, m.legs[i:])
 	m.legs = m.legs[:n]
 }
@@ -174,41 +207,53 @@ func (m *RandomWaypoint) trim() {
 // predates the retention horizon — the silent alternative (clamping to
 // the oldest surviving leg) returns a position that is simply wrong.
 func (m *RandomWaypoint) PositionAt(t sim.Time) geom.Point {
-	p, ok := m.PositionAtOK(t)
-	if !ok {
-		panic(fmt.Sprintf("mobility: query at %d ns predates retention horizon (oldest retained: %d ns, newest seen: %d ns)",
-			int64(t), int64(m.floor), int64(m.maxSeen)))
-	}
-	return p
+	l := m.LegAt(t)
+	return l.At(t)
 }
 
 // PositionAtOK is PositionAt with an explicit failure path: ok is false
 // when t predates the retention horizon and no exact answer exists.
 func (m *RandomWaypoint) PositionAtOK(t sim.Time) (geom.Point, bool) {
-	if t < m.floor {
+	l, ok := m.legAt(t)
+	if !ok {
 		return geom.Point{}, false
+	}
+	return l.At(t), true
+}
+
+// LegAt returns the leg covering t: l.Covers(t) holds, and l.At(u)
+// equals PositionAt(u) for every u the leg covers. A caller that keeps
+// the leg answers positions until l.Until without querying the model
+// again. It panics when t predates the retention horizon, as PositionAt
+// does.
+func (m *RandomWaypoint) LegAt(t sim.Time) Leg {
+	l, ok := m.legAt(t)
+	if !ok {
+		panic(fmt.Sprintf("mobility: query at %d ns predates retention horizon (oldest retained: %d ns, newest seen: %d ns)",
+			int64(t), int64(m.floor), int64(m.maxSeen)))
+	}
+	return *l
+}
+
+// legAt finds the leg covering t, extending the trajectory as needed;
+// ok is false when t predates the retention horizon.
+func (m *RandomWaypoint) legAt(t sim.Time) (*Leg, bool) {
+	if t < m.floor {
+		return nil, false
 	}
 	if t > m.maxSeen {
 		m.maxSeen = t
 	}
 	m.extend(t)
-	// Find the leg containing t (legs are ordered; search from the back
-	// since queries are near the trajectory end).
-	for i := len(m.legs) - 1; i >= 0; i-- {
-		l := m.legs[i]
-		if t >= l.start || i == 0 {
-			switch {
-			case t >= l.arrive:
-				return l.to, true // pausing at destination
-			case t <= l.start:
-				return l.from, true
-			default:
-				frac := float64(t-l.start) / float64(l.arrive-l.start)
-				return l.from.Lerp(l.to, frac), true
-			}
-		}
+	// Legs are ordered; search from the back, since queries are near the
+	// trajectory end. The last leg to start at or before t covers it: the
+	// next one starts when its pause ends, after t, and extend made the
+	// last one's pause end after t.
+	i := len(m.legs) - 1
+	for i > 0 && t < m.legs[i].Start {
+		i--
 	}
-	return m.legs[0].from, true
+	return &m.legs[i], true
 }
 
 // SpeedBound implements SpeedBounded.

@@ -251,11 +251,11 @@ func TestWaypointArrivalExact(t *testing.T) {
 	m := NewRandomWaypoint(field, 5, 5, sim.Second, geom.Point{X: 0, Y: 0}, rand.New(rand.NewSource(10)))
 	m.extend(0)
 	l := m.legs[1]
-	wantTravel := l.from.Dist(l.to) / 5 * float64(sim.Second)
-	if math.Abs(float64(l.arrive-l.start)-wantTravel) > 1 {
-		t.Fatalf("travel time %v, want %v ns", l.arrive-l.start, wantTravel)
+	wantTravel := l.From.Dist(l.To) / 5 * float64(sim.Second)
+	if math.Abs(float64(l.Arrive-l.Start)-wantTravel) > 1 {
+		t.Fatalf("travel time %v, want %v ns", l.Arrive-l.Start, wantTravel)
 	}
-	if got := m.PositionAt(l.arrive); got.Dist(l.to) > 1e-6 {
-		t.Fatalf("position at arrival = %v, want %v", got, l.to)
+	if got := m.PositionAt(l.Arrive); got.Dist(l.To) > 1e-6 {
+		t.Fatalf("position at arrival = %v, want %v", got, l.To)
 	}
 }

@@ -39,12 +39,12 @@ func benchFrame() frame.Frame {
 	}
 }
 
-// benchMediumFanout measures one full broadcast cycle: StartTx fan-out to
-// n-1 receivers, then draining every rxStart/rxEnd/txDone event. This is
-// the simulator's dominant cost per data frame (§4 regenerates millions of
-// these). The pooled kernel schedules zero heap closures here.
-func benchMediumFanout(b *testing.B, n int) {
-	eng, m := benchMedium(b, n)
+// benchFanout measures one full broadcast cycle from radio 0: StartTx
+// fan-out to every radio in range, then draining every
+// rxStart/rxEnd/txDone event. This is the simulator's dominant cost per
+// data frame (§4 regenerates millions of these). The pooled kernel
+// schedules zero heap closures here.
+func benchFanout(b *testing.B, eng *sim.Engine, m *Medium) {
 	src := m.Radios()[0]
 	f := benchFrame()
 	// Warm the pools (rx paths, event arena, the grid) to steady state
@@ -62,42 +62,46 @@ func benchMediumFanout(b *testing.B, n int) {
 	}
 }
 
+// benchMediumFanout is benchFanout on benchMedium's n stationary radios:
+// a broadcast from node 0 fans out to the n-1 others.
+func benchMediumFanout(b *testing.B, n int) {
+	eng, m := benchMedium(b, n)
+	benchFanout(b, eng, m)
+}
+
 func BenchmarkMediumFanout30(b *testing.B)  { benchMediumFanout(b, 30) }
 func BenchmarkMediumFanout200(b *testing.B) { benchMediumFanout(b, 200) }
 
-// benchMediumMobile mirrors benchMedium with random-waypoint radios pacing
-// a small field, so every in-range query walks a trajectory. The gate for
-// the PositionOf memo: one trajectory walk per (radio, instant) instead of
-// one per in-range pair.
-func benchMediumMobile(b *testing.B, n int) (*sim.Engine, *Medium) {
+// benchMediumMobile builds a medium of n random-waypoint radios pacing
+// field at up to maxSpeed, pausing pause at each waypoint, so every
+// in-range query reads a trajectory: the gate for the medium's leg table,
+// which asks a model only when its current leg ends.
+func benchMediumMobile(b *testing.B, n int, field geom.Rect, maxSpeed float64, pause sim.Time) (*sim.Engine, *Medium) {
 	b.Helper()
 	eng := sim.NewEngine(1)
 	m := NewMedium(eng, DefaultConfig())
-	field := geom.Rect{W: 60, H: 60}
 	for i := 0; i < n; i++ {
 		rng := rand.New(rand.NewSource(int64(i) + 1))
-		m.AddRadio(i, mobility.NewRandomWaypoint(field, 0, 4, sim.Second, field.RandomPoint(rng), rng))
+		m.AddRadio(i, mobility.NewRandomWaypoint(field, 0, maxSpeed, pause, field.RandomPoint(rng), rng))
 	}
 	return eng, m
 }
 
-// BenchmarkMediumFanoutMobile measures the broadcast cycle of
-// benchMediumFanout under mobility: every radio's position comes from a
-// waypoint trajectory instead of a cached point.
+// BenchmarkMediumFanoutMobile200 measures the broadcast cycle of
+// benchMediumFanout under mobility: 200 radios on a 60×60 m field, all
+// in range of each other, on the spatial grid's path.
 func BenchmarkMediumFanoutMobile200(b *testing.B) {
-	eng, m := benchMediumMobile(b, 200)
-	src := m.Radios()[0]
-	f := benchFrame()
-	for i := 0; i < 8; i++ {
-		m.StartTx(src, f)
-		eng.RunAll()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.StartTx(src, f)
-		eng.RunAll()
-	}
+	eng, m := benchMediumMobile(b, 200, geom.Rect{W: 60, H: 60}, 4, sim.Second)
+	benchFanout(b, eng, m)
+}
+
+// BenchmarkMediumFanoutMobile75 is paper-grid's mobile fan-out: 75
+// radios on the paper's 500×300 m field under the speed2 bounds (0–8 m/s,
+// 5 s pauses), below the grid threshold, so every broadcast scans all 74
+// other radios' positions.
+func BenchmarkMediumFanoutMobile75(b *testing.B) {
+	eng, m := benchMediumMobile(b, 75, geom.Rect{W: 500, H: 300}, 8, 5*sim.Second)
+	benchFanout(b, eng, m)
 }
 
 // BenchmarkToneStorm measures busy-tone fan-out: each iteration one node

@@ -40,13 +40,14 @@ type spatialGrid struct {
 }
 
 // gridEntry caches the radio's position at rebuild time. For static radios
-// the cached position is exact and is used directly in range checks, so a
-// static candidate out of range is rejected without touching its Radio;
-// mobile radios are re-queried so movement between rebuilds never changes
-// results.
+// the cached position is exact and is used directly in range checks;
+// moving radios are re-read from their leg-table slot, so movement
+// between rebuilds never changes results. Either way a candidate out of
+// range is rejected without touching its Radio.
 type gridEntry struct {
 	r      *Radio
 	pos    geom.Point
+	slot   int32
 	static bool
 }
 
@@ -117,7 +118,7 @@ func (m *Medium) rebuildGrid() {
 			g.start = append(g.start, int32(k))
 		}
 		r := m.radios[s.i]
-		g.entries = append(g.entries, gridEntry{r: r, pos: s.pos, static: r.static})
+		g.entries = append(g.entries, gridEntry{r: r, pos: s.pos, slot: r.slot, static: r.static})
 	}
 	g.start = append(g.start, int32(n))
 	g.built = m.eng.Now()
@@ -140,7 +141,8 @@ func (m *Medium) forEachInRange(src *Radio, pos geom.Point, dist float64, fn fun
 		}
 		return
 	}
-	if g := m.grid; g == nil || !g.valid || m.mobile && m.eng.Now()-g.built > gridRefresh {
+	now := m.eng.Now()
+	if g := m.grid; g == nil || !g.valid || len(m.legs) > 0 && now-g.built > gridRefresh {
 		m.rebuildGrid()
 	}
 	g := m.grid
@@ -158,7 +160,7 @@ func (m *Medium) forEachInRange(src *Radio, pos geom.Point, dist float64, fn fun
 			}
 			op := e.pos
 			if !e.static {
-				op = m.PositionOf(e.r)
+				op = m.legPos(e.slot, now)
 			}
 			if d2 := op.Dist2(pos); d2 <= d2max {
 				fn(e.r, d2)

@@ -39,8 +39,15 @@ type Medium struct {
 	// hook site.
 	Obs Observer
 
-	grid   *spatialGrid
-	mobile bool // some radio moves: the grid goes stale over time
+	grid *spatialGrid
+
+	// legs holds every moving radio's current trajectory leg, dense by
+	// registration (Radio.slot), and legMob the model each leg comes
+	// from. A leg answers positions until it ends; only then is its model
+	// asked again (see PositionOf). Static radios have no slot. With any
+	// slot the grid goes stale over time.
+	legs   []mobility.Leg
+	legMob []mobility.Model
 
 	// Object pools. A released object keeps its slice capacity, so a
 	// steady-state broadcast reuses the same backing arrays every frame.
@@ -113,21 +120,17 @@ func (m *Medium) Engine() *sim.Engine { return m.eng }
 
 // AddRadio creates and registers the radio for node id, moving according to
 // mob. The returned radio must be given a Handler before traffic starts.
-// Stationary radios cache their position, removing the mobility-model call
-// from every in-range query. The next in-range query sees the new radio.
+// A stationary radio caches its position; any other gets a slot in the
+// leg table (see PositionOf). The next in-range query sees the new radio.
 func (m *Medium) AddRadio(id int, mob mobility.Model) *Radio {
-	r := &Radio{
-		m:        m,
-		eng:      m.eng,
-		id:       id,
-		mob:      mob,
-		memoTime: -1,
-	}
+	r := &Radio{m: m, eng: m.eng, id: id}
 	if s, ok := mob.(mobility.Stationary); ok {
-		r.static = true
-		r.pos = s.P
+		r.static, r.pos = true, s.P
 	} else {
-		m.mobile = true
+		// The zero leg covers no instant: the first query fetches one.
+		r.slot = int32(len(m.legs))
+		m.legs = append(m.legs, mobility.Leg{})
+		m.legMob = append(m.legMob, mob)
 	}
 	m.radios = append(m.radios, r)
 	m.InvalidateGrid()
@@ -137,37 +140,43 @@ func (m *Medium) AddRadio(id int, mob mobility.Model) *Radio {
 // Radios returns all registered radios.
 func (m *Medium) Radios() []*Radio { return m.radios }
 
-// PositionOf returns node r's current position. Mobile positions are
-// memoized per (radio, instant): a fan-out queries every in-range radio at
-// the same timestamp, so repeat queries hit the memo instead of re-walking
-// the trajectory.
+// PositionOf returns node r's current position. A moving radio's comes
+// from its current leg in the leg table: one fan-out asks for every
+// candidate's position at the same instant, and a leg lasts seconds, so
+// the model is asked only when the leg has ended (mobility.LegOf).
 func (m *Medium) PositionOf(r *Radio) geom.Point {
 	if r.static {
 		return r.pos
 	}
-	now := m.eng.Now()
-	if r.memoTime == now {
-		return r.memoPos
+	return m.legPos(r.slot, m.eng.Now())
+}
+
+// legPos returns the position at now, which is the engine clock, of the
+// moving radio in leg-table slot i, fetching the slot's next leg when now
+// has left the current one.
+func (m *Medium) legPos(i int32, now sim.Time) geom.Point {
+	l := &m.legs[i]
+	if !l.Covers(now) {
+		*l = mobility.LegOf(m.legMob[i], now)
 	}
-	p := r.mob.PositionAt(now)
-	r.memoTime, r.memoPos = now, p
-	return p
+	return l.At(now)
 }
 
 // positionAt returns node r's position at time t, which may trail the
 // engine clock by up to the mobility retention horizon. The cross-shard
 // conduit uses it to replay a foreign transmission's start-time geometry
-// at holder-fire time (the fire runs minProp after the start). Read-only
-// with respect to the memo: a backward query must not poison the
-// current-instant cache.
+// at holder-fire time (the fire runs minProp after the start). It answers
+// from the radio's current leg when that covers t, and otherwise asks the
+// model without refilling the slot: a backward query must not replace
+// the leg the current instant needs.
 func (m *Medium) positionAt(r *Radio, t sim.Time) geom.Point {
 	if r.static {
 		return r.pos
 	}
-	if r.memoTime == t {
-		return r.memoPos
+	if l := &m.legs[r.slot]; l.Covers(t) {
+		return l.At(t)
 	}
-	return r.mob.PositionAt(t)
+	return m.legMob[r.slot].PositionAt(t)
 }
 
 // propDelay converts a distance to a propagation delay; a floor of 1 ns

@@ -3,7 +3,6 @@ package phy
 import (
 	"rmac/internal/frame"
 	"rmac/internal/geom"
-	"rmac/internal/mobility"
 	"rmac/internal/sim"
 )
 
@@ -38,25 +37,17 @@ type toneMeter struct {
 }
 
 // Radio is one node's PHY entity: transmitter, receiver, tone emitter and
-// tone sensor. Its bools sit at the tail, packed into one word, which
-// keeps the struct in the 224-byte allocation size class.
+// tone sensor. Its slot and bools sit at the tail, packed into one word,
+// which keeps the struct in the 192-byte allocation size class.
 type Radio struct {
 	m   *Medium
 	eng *sim.Engine
 	id  int
-	mob mobility.Model
 
-	// A static radio (see static) caches its fixed position in pos,
-	// sparing the mobility-model call on every in-range query.
+	// A static radio (see static) holds its fixed position in pos; a
+	// moving one holds its position in the medium's leg table, at slot
+	// (see Medium.PositionOf).
 	pos geom.Point
-
-	// Mobile radios memoize their last position query: one PHY fan-out
-	// asks for every receiver's position at the same instant, and a
-	// trajectory walk per query would re-scan the waypoint legs N times
-	// per transmission. memoTime is -1 until the first query (time 0 is a
-	// valid query instant).
-	memoTime sim.Time
-	memoPos  geom.Point
 
 	handler Handler
 
@@ -71,7 +62,8 @@ type Radio struct {
 	// medium mirrors. Empty in unsharded runs.
 	cats []*crossCatalog
 
-	static bool // stationary: pos holds the position
+	slot   int32 // moving: index of the radio's current leg in Medium.legs
+	static bool  // stationary: pos holds the position
 	// down marks a crashed radio (fault injection): it emits no signal or
 	// tone energy and decodes nothing, but keeps sensing — see
 	// Medium.SetDown for the exact crash semantics.
