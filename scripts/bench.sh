@@ -150,6 +150,10 @@ check_suite() {
     rm -f "$refrows" "$currows"
 }
 
+# The kernel suite: the engine's schedule, cancel and timer rows, and the
+# PHY's broadcast fan-out (MediumFanout30/200 stationary, and on waypoint
+# trajectories MediumFanoutMobile200 and paper-grid's MediumFanoutMobile75,
+# all matched by the BenchmarkMediumFanout prefix) and busy-tone rows.
 bench_suite 'BenchmarkEngineSchedule|BenchmarkEngineScheduleCancel|BenchmarkEngineTimerChurn|BenchmarkMediumFanout|BenchmarkToneStorm' \
     BENCH_kernel.json ./internal/sim ./internal/phy
 [[ "$CHECK" == 1 ]] && check_suite BENCH_kernel.json 0.75
