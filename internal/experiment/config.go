@@ -325,6 +325,9 @@ func (c Config) Validate() error {
 	if c.Shards < 0 || c.Shards > sim.MaxShards {
 		return fmt.Errorf("experiment: shards must be in [0,%d], have %d", sim.MaxShards, c.Shards)
 	}
+	if c.Shards > c.Nodes {
+		return fmt.Errorf("experiment: %d shards exceed the %d nodes; every strip needs a node", c.Shards, c.Nodes)
+	}
 	if c.Shards > 1 {
 		if c.ShardEpoch < 0 {
 			return fmt.Errorf("experiment: shard epoch must not be negative, have %v", c.ShardEpoch)

@@ -65,7 +65,7 @@ type RunMetrics struct {
 	ShardWindows   *metrics.Counter
 	ShardMessages  *metrics.CounterVec // by direction (out/in over the conduit)
 	ShardStalls    *metrics.Counter
-	ShardStallBy   *metrics.CounterVec // by the target term that bound the stall (neighbour/echo/epoch)
+	ShardStallBy   *metrics.CounterVec // by the target term that bound the stall (neighbour/epoch)
 	ShardStallWait *metrics.Histogram
 	ShardEpochs    *metrics.Counter
 	ShardGhosts    *metrics.CounterVec // by op (add/del of border-band ghost radios)
@@ -150,13 +150,13 @@ func NewRunMetrics(r *metrics.Registry) *RunMetrics {
 		ShardWindows: r.Counter("rmac_kernel_shard_windows_total",
 			"Frontier windows executed by sharded-engine runs, summed over shards."),
 		ShardMessages: r.CounterVec("rmac_kernel_shard_messages_total",
-			"Cross-shard border messages over the conduit queues, by direction.",
+			"Cross-shard border messages over the conduits, by direction.",
 			[]string{"direction"}, [][]string{{"out"}, {"in"}}),
 		ShardStalls: r.Counter("rmac_kernel_shard_stalls_total",
 			"Steps in which a shard could not advance, plus epoch joins, in sharded-engine runs."),
 		ShardStallBy: r.CounterVec("rmac_kernel_shard_stall_bound_total",
-			"Sharded-engine stalls by the term that bound the stalled shard's target: a neighbour's frontier, the shard's own undrained sends (echo), or the epoch join.",
-			[]string{"by"}, [][]string{{"neighbour"}, {"echo"}, {"epoch"}}),
+			"Sharded-engine stalls by the term that bound the stalled shard's target: a neighbour's frontier or the epoch join.",
+			[]string{"by"}, [][]string{{"neighbour"}, {"epoch"}}),
 		ShardStallWait: r.Histogram("rmac_kernel_shard_stall_wait_seconds",
 			"Wall-clock time a shard's component waited at an epoch join for the other components (sharded-engine runs).",
 			shardStallMinExp, 34, 1e-9),
@@ -182,10 +182,9 @@ func (m *RunMetrics) AddRun(res *RunResult) {
 		m.ShardMessages.At(0).Add(ss.MsgsOut)
 		m.ShardMessages.At(1).Add(ss.MsgsIn)
 		m.ShardStalls.Add(ss.Stalls)
-		neighbour, echo, epoch := ss.StallBounds()
+		neighbour, epoch := ss.StallBounds()
 		m.ShardStallBy.At(0).Add(neighbour)
-		m.ShardStallBy.At(1).Add(echo)
-		m.ShardStallBy.At(2).Add(epoch)
+		m.ShardStallBy.At(1).Add(epoch)
 		for b, n := range ss.StallHist {
 			m.ShardStallWait.AddBucketSamples(b-shardStallMinExp, n)
 		}

@@ -104,9 +104,9 @@ func TestMetricsRegistryFromRun(t *testing.T) {
 // TestShardMetricsFold runs a small mobile sharded simulation and checks
 // the rmac_kernel_shard_* families — including the epoch rollover, ghost
 // churn and stall attribution counters — reflect its per-shard scheduler
-// stats. Every stall is attributed to exactly one term: one join per
-// epoch rollover, and an echo-bound stall only behind an undrained send,
-// so never more of them than the shard sent messages.
+// stats. Every stall is attributed to exactly one term, a neighbour's
+// frontier or the join (one per epoch rollover), and none to the shard
+// itself: no target has a term of its own.
 func TestShardMetricsFold(t *testing.T) {
 	cfg := shardConfig(2)
 	cfg.Scenario = Speed1
@@ -119,20 +119,19 @@ func TestShardMetricsFold(t *testing.T) {
 	rm.AddRun(&res)
 
 	var windows, out, in, stalls, hist, epochs, adds, dels uint64
-	var byNeighbour, byEcho, byEpoch uint64
+	var byNeighbour, byEpoch uint64
 	for _, ss := range res.Shards {
-		n, e, ep := ss.StallBounds()
-		if n+e+ep != ss.Stalls {
-			t.Errorf("shard %d: stall bounds %d+%d+%d do not add up to %d stalls", ss.Shard, n, e, ep, ss.Stalls)
+		n, ep := ss.StallBounds()
+		if n+ep != ss.Stalls {
+			t.Errorf("shard %d: stall bounds %d+%d do not add up to %d stalls", ss.Shard, n, ep, ss.Stalls)
 		}
 		if ep != ss.Epochs {
 			t.Errorf("shard %d: %d epoch-bound stalls, want one per rollover (%d)", ss.Shard, ep, ss.Epochs)
 		}
-		if e > ss.MsgsOut {
-			t.Errorf("shard %d: %d echo-bound stalls behind only %d sends", ss.Shard, e, ss.MsgsOut)
+		if own := ss.StallBy[ss.Shard]; own != 0 {
+			t.Errorf("shard %d: %d stalls bound by its own term", ss.Shard, own)
 		}
 		byNeighbour += n
-		byEcho += e
 		byEpoch += ep
 		windows += ss.Windows
 		out += ss.MsgsOut
@@ -169,7 +168,7 @@ func TestShardMetricsFold(t *testing.T) {
 	if got := rm.ShardStalls.Value(); got != stalls {
 		t.Errorf("shard_stalls_total = %d, want %d", got, stalls)
 	}
-	for i, want := range []uint64{byNeighbour, byEcho, byEpoch} {
+	for i, want := range []uint64{byNeighbour, byEpoch} {
 		if got := rm.ShardStallBy.At(i).Value(); got != want {
 			t.Errorf("shard_stall_bound_total cell %d = %d, want %d", i, got, want)
 		}
@@ -184,7 +183,7 @@ func TestShardMetricsFold(t *testing.T) {
 	if !strings.Contains(sb.String(), "rmac_kernel_shard_stall_wait_seconds_bucket") {
 		t.Error("exposition missing shard stall histogram buckets")
 	}
-	for _, by := range []string{"neighbour", "echo", "epoch"} {
+	for _, by := range []string{"neighbour", "epoch"} {
 		if want := `rmac_kernel_shard_stall_bound_total{by="` + by + `"}`; !strings.Contains(sb.String(), want) {
 			t.Errorf("exposition missing %s", want)
 		}

@@ -95,6 +95,9 @@ func TestInvalidConfigFails(t *testing.T) {
 		{func(c *Config) { c.Phy.PropSpeed = 0 }, "radio range, bit rate and propagation speed must be positive"},
 		{func(c *Config) { c.Limits.QueueCap = 0 }, "MAC queue capacity must be positive"},
 		{func(c *Config) { c.Warmup = -sim.Second }, "warm-up and drain must not be negative"},
+		// More strips than nodes would leave a strip empty, which the
+		// partitioner cannot cut.
+		{func(c *Config) { c.Nodes, c.Shards = 3, 4 }, "4 shards exceed the 3 nodes"},
 	} {
 		cfg := smallConfig()
 		tc.set(&cfg)

@@ -57,8 +57,8 @@ type ShardRunStats struct {
 	Nodes   int
 	Events  uint64
 	Windows uint64 // Run windows executed
-	MsgsOut uint64 // cross-shard messages published
-	MsgsIn  uint64 // cross-shard messages drained
+	MsgsOut uint64 // cross-shard messages sent
+	MsgsIn  uint64 // cross-shard messages delivered
 	// Solo counts the epochs, the last one included, in which the shard
 	// was a component of its own: no finite lookahead joined it to another
 	// shard, so it ran on a goroutine of its own, in parallel with the
@@ -72,9 +72,9 @@ type ShardRunStats struct {
 	// Stalls counts the steps in which the shard could not advance, plus
 	// one stall per epoch join. A step stall is attributed to the term that
 	// bound the target (see StallBounds): StallBy[k] counts those bound by
-	// shard k's frontier plus lookahead, StallBy[Shard] those bound by the
-	// shard's own undrained sends plus the round trip (the echo term).
-	// StallEpoch counts the joins, one per rollover.
+	// shard k's frontier plus lookahead. No target has a term of the
+	// shard's own, so StallBy[Shard] is always 0. StallEpoch counts the
+	// joins, one per rollover.
 	Stalls     uint64
 	StallBy    []uint64
 	StallEpoch uint64
@@ -88,16 +88,12 @@ type ShardRunStats struct {
 }
 
 // StallBounds splits Stalls by the term that bound them: a neighbour's
-// frontier, the shard's own undrained sends (echo), or the epoch join.
-func (s *ShardRunStats) StallBounds() (neighbour, echo, epoch uint64) {
-	for k, n := range s.StallBy {
-		if k == s.Shard {
-			echo += n
-		} else {
-			neighbour += n
-		}
+// frontier or the epoch join.
+func (s *ShardRunStats) StallBounds() (neighbour, epoch uint64) {
+	for _, n := range s.StallBy {
+		neighbour += n
 	}
-	return neighbour, echo, s.StallEpoch
+	return neighbour, s.StallEpoch
 }
 
 // stalled records one step in which the shard could not advance, bound by
@@ -169,7 +165,10 @@ func buildSharded(cfg Config) *shardedRun {
 		sr.posB = make([]geom.Point, cfg.Nodes)
 	}
 	sr.net = phy.ConnectShards(mediums, n.placement.Points, part.Shard, cfg.Horizon(), envelope)
-	sr.sync = sim.NewShardSync(sr.net.Direct())
+	sr.sync = sr.net.Sync()
+	for j := range sr.stacks {
+		sr.publish(j)
+	}
 	sr.comps = components(sr.net.Direct())
 	return sr
 }
@@ -259,13 +258,11 @@ func (sr *shardedRun) runEpoch(limit sim.Time, rollover bool) {
 }
 
 // join rolls the run over the epoch boundary B, on the run's goroutine
-// once every component has run all its events before B. Messages still
-// queued deliver at or after B: a shard ran up to B−1 only when every
-// coupled frontier plus its lookahead had reached B. join rebuilds the
-// fabric from the boundary positions (minting the ghost records), drains
-// every queue, so that each starts the epoch empty and none carries a
-// message between two components of the next epoch, republishes every
-// frontier to cover what the drain scheduled, and regroups the shards.
+// once every component has run all its events before B. It rebuilds the
+// fabric from the boundary positions — Rebuild delivers the ghost records
+// at B, which lowers their receivers' frontiers, and re-closes the
+// lookahead — and regroups the shards. Every frontier stays its shard's
+// exact next event.
 //
 // The positions come from the live waypoint models, which no component
 // touches during the join; the next epoch's go statements order these
@@ -278,10 +275,7 @@ func (sr *shardedRun) join(B sim.Time) {
 		sr.posB[i] = mdl.PositionAt(B)
 	}
 	sr.net.Rebuild(sr.posB, B)
-	sr.sync.SetLookahead(sr.net.Direct())
-	for j := range sr.stacks {
-		sr.net.Drain(j)
-		sr.publish(j)
+	for j := range sr.stats {
 		sr.stats[j].Epochs++
 	}
 	sr.comps = components(sr.net.Direct())
@@ -307,13 +301,11 @@ func (sr *shardedRun) abort() {
 
 // runComponent steps the shards of one coupled component in rounds, in
 // ascending order, until every one has run all its events through limit.
-// A shard that got there keeps draining and publishing until the whole
-// component is done, so its neighbours' sends reach it and its frontier
-// covers them. A round in which nothing moves cannot happen while a shard
-// is unfinished (DESIGN.md §14): every queue was empty throughout it, so
-// every frontier it read was exact, and the unfinished shard with the
-// earliest next event would have advanced. Such a round is a protocol bug,
-// and runComponent panics rather than spin.
+// A round in which no window runs cannot happen while a shard is
+// unfinished (DESIGN.md §14): every frontier is its shard's exact next
+// event, none changed during the round, and the unfinished shard with the
+// earliest next event would have advanced. Such a round is a protocol
+// bug, and runComponent panics rather than spin.
 func (sr *shardedRun) runComponent(comp []int, limit sim.Time) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -322,69 +314,48 @@ func (sr *shardedRun) runComponent(comp []int, limit sim.Time) {
 		}
 	}()
 	for !sr.stop.Load() {
-		moved, finished := false, true
+		ran, finished := false, true
 		for _, j := range comp {
-			moved = sr.step(j, limit) || moved
+			ran = sr.step(j, limit) || ran
 			finished = finished && sr.done[j] >= limit
 		}
 		if finished {
 			return
 		}
-		if !moved {
+		if !ran {
 			panic(fmt.Sprintf("experiment: no shard of component %v can advance toward %v", comp, limit))
 		}
 	}
 }
 
-// step is one turn of shard j. It reads the safe target, drains, publishes,
-// and runs a window through min(target−1, limit); then it asks again, so
-// a window that a cross-shard send cut short goes on as far as the send's
-// echo term allows, and the frontier a window leaves behind is published
-// before the next shard reads it. The ask that cannot advance ends the
-// step, and counts as a stall if no window ran before it. step reports
-// whether anything moved: a window ran, a message was drained, or j's
-// published frontier changed.
-//
-// The echo and relay terms need every frontier to cover what its shard
-// can still send: a drain schedules deliveries the frontier must cover
-// from then on, and publish follows it before any other shard reads the
-// frontier (DESIGN.md §14).
-func (sr *shardedRun) step(j int, limit sim.Time) (moved bool) {
-	ran := false
+// step is one turn of shard j: it reads the safe target, runs a window
+// through min(target−1, limit) and publishes the frontier the window left
+// behind, then asks again, so a window that a cross-shard send cut short
+// goes on as far as the receiver's lowered frontier allows. The ask that
+// cannot advance ends the step, and counts as a stall if no window ran
+// before it. step reports whether a window ran.
+func (sr *shardedRun) step(j int, limit sim.Time) (ran bool) {
 	for !sr.stop.Load() {
-		target, by := sr.sync.Target(j, sr.net.OutCap(j))
-		if sr.net.Drain(j) > 0 {
-			moved = true
-		}
-		if sr.publish(j) {
-			moved = true
-		}
+		target, by := sr.sync.Target(j)
 		to := min(target-1, limit) // events at exactly `target` are not yet safe
 		if to <= sr.done[j] {
 			if !ran && sr.done[j] < limit {
 				sr.stats[j].stalled(by)
 			}
-			return moved || ran
+			return ran
 		}
 		sr.window(j, to)
+		sr.publish(j)
 		ran = true
 	}
 	return true
 }
 
-// publish refreshes shard j's frontier, the earliest future influence it
-// can still exert, and reports whether it changed. That is the smaller of
-// its next local event and the send time of its earliest outbound message
-// nobody has drained yet. The second term is what makes relays safe:
-// until a receiver drains a message, the sender's frontier keeps covering
-// that message's send time, so third shards bounding the receiver's relay
-// through the path closure (foreign frontier + pathLa) never
-// under-estimate it.
-func (sr *shardedRun) publish(j int) (changed bool) {
-	f := min(sr.stacks[j].eng.NextLowerBound(), sr.net.OutCap(j))
-	changed = f != sr.sync.Frontier(j)
-	sr.sync.Publish(j, f)
-	return changed
+// publish sets shard j's frontier to its engine's next event. It runs at
+// build and after every window; in between, deliveries to j keep the
+// frontier exact by lowering it (phy.ShardNet.Sync).
+func (sr *shardedRun) publish(j int) {
+	sr.sync.Publish(j, sr.stacks[j].eng.NextLowerBound())
 }
 
 // window runs shard j's engine through limit. done[j] advances to limit,

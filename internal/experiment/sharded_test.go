@@ -379,31 +379,61 @@ func TestShardedMobileDelivers(t *testing.T) {
 	}
 }
 
-// TestShardedJoinRepublishes checks the join's last duty: the drain there
-// schedules queued deliveries and ghost records at or after the boundary,
-// and every frontier must cover them before the next epoch's first target
-// is read. After each join, every shard's published frontier is exactly
-// its next event (no queue holds anything then).
-func TestShardedJoinRepublishes(t *testing.T) {
-	cfg := shardConfig(2)
-	cfg.Scenario = Speed1
-	sr := buildSharded(cfg)
-	_, sr.cancel = context.WithCancel(context.Background())
-	defer sr.cancel()
-	joins := 0
-	for B := sr.epoch; B <= cfg.Horizon(); B += sr.epoch {
-		sr.runEpoch(B-1, true)
-		sr.join(B)
-		joins++
-		for j, st := range sr.stacks {
-			if got, want := sr.sync.Frontier(j), st.eng.NextLowerBound(); got != want || sr.net.OutCap(j) != sim.MaxTime {
-				t.Fatalf("after the join at %v: shard %d publishes %v, next event %v, queued send at %v",
-					B, j, got, want, sr.net.OutCap(j))
+// TestShardedFrontiersExact checks the invariant the sync argument rests
+// on: every frontier is its shard's exact next event. It drives the
+// component round loop by hand, stationary and mobile on 2 and 4 shards,
+// and after every step and every epoch join compares each shard's
+// frontier with its engine's NextLowerBound. That holds only if a
+// delivery lowers its receiver's frontier the moment it is sent, the
+// join's ghost records included.
+func TestShardedFrontiersExact(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		for _, sc := range []Scenario{Stationary, Speed1} {
+			cfg := shardConfig(shards)
+			cfg.Scenario = sc
+			name := fmt.Sprintf("%d shards %v", shards, sc)
+			sr := buildSharded(cfg)
+			_, sr.cancel = context.WithCancel(context.Background())
+			steps, joins := 0, 0
+			requireExact := func(after string) {
+				t.Helper()
+				for j, st := range sr.stacks {
+					if got, want := sr.sync.Frontier(j), st.eng.NextLowerBound(); got != want {
+						t.Fatalf("%s, after %s: shard %d frontier %v, next event %v", name, after, j, got, want)
+					}
+				}
 			}
+			end := cfg.Horizon()
+			for B := sr.epoch; ; B += sr.epoch {
+				limit := min(B-1, end)
+				for _, comp := range sr.comps {
+					for finished := false; !finished; {
+						ran := false
+						finished = true
+						for _, j := range comp {
+							ran = sr.step(j, limit) || ran
+							steps++
+							requireExact(fmt.Sprintf("step %d (shard %d)", steps, j))
+							finished = finished && sr.done[j] >= limit
+						}
+						if !finished && !ran {
+							t.Fatalf("%s: component %v cannot advance toward %v", name, comp, limit)
+						}
+					}
+				}
+				if B > end {
+					break
+				}
+				sr.join(B)
+				joins++
+				requireExact(fmt.Sprintf("the join at %v", B))
+			}
+			sr.cancel()
+			if (sc == Speed1) != (joins > 0) {
+				t.Errorf("%s: %d joins", name, joins)
+			}
+			t.Logf("%s: %d steps, %d joins, every frontier exact", name, steps, joins)
 		}
-	}
-	if joins == 0 || sr.panicked {
-		t.Fatalf("%d joins, panic %q", joins, sr.panicMsg)
 	}
 }
 

@@ -24,27 +24,28 @@ import (
 // envelope 0 with a single epoch spanning the horizon, where the
 // candidates are exactly the in-range receivers. When a border radio
 // transmits, is cut (AbortTx or a crash), or raises or lowers a tone, the
-// medium — after its local fan-out — mirrors the effect: one fixed-size
-// message per catalog into the queue toward the catalog's shard. A
-// message carries a field-copied image of the frame (wireFrame), the
-// effect's instants, the sender's position, and a sender-minted sequence
-// base in the engine's cross sequence space (sim.CrossSeq), which fixes
-// the merge order at the receiver independent of when it is drained.
+// medium — after its local fan-out — mirrors the effect: one message per
+// catalog, delivered to the catalog's shard at once. A message carries a
+// field-copied image of the frame (wireFrame), the effect's instants, the
+// sender's position, and a sender-minted sequence base in the engine's
+// cross sequence space (sim.CrossSeq), which fixes the merge order at the
+// receiver independent of when the message is inserted.
 //
-// The receiver drains its queues before each execution window and at
-// every epoch join. Draining does NOT touch any simulation-visible pool:
-// each message is copied into a conduit-owned holder (pendingCross) and a
-// single holder event is scheduled at the message's earliest receiver
-// event time under the sender's sequence base. All observable work
-// happens when the holder fires, which is a deterministic position in the
-// receiver's event stream: the frame is materialised from the receiver's
+// Delivery does NOT touch any simulation-visible pool: the message is
+// copied into a holder owned by the receiver's conduit (pendingCross), a
+// single holder event is scheduled on the receiver's engine at the
+// message's earliest receiver event time under the sender's sequence
+// base, and the receiver's frontier is lowered to that instant
+// (sim.ShardSync.Lower). All observable work happens when the holder
+// fires, which is a deterministic position in the receiver's event
+// stream: the frame is materialised from the receiver's
 // pool, the receiver set, delays and decode flags are computed from
 // positions, and the effect is replayed through the medium's own physics
 // primitives (addRx, cut, toneTo, lowerTone in medium.go) under the
 // message's sequence numbers. The conduit schedules no rx or tone event
 // of its own. This is what keeps pool hit/miss statistics (and therefore
 // run fingerprints) bit-identical for a fixed (seed, shards) pair no
-// matter when a message is drained.
+// matter when a message is delivered.
 //
 // A mirrored transmission or tone carries a ghost *Radio as its source:
 // an unregistered radio with the foreign node's id. It is never part of
@@ -70,9 +71,9 @@ const (
 	crossGhostDel
 )
 
-// wireFrame is a field-copied image of a frame for queue transport: no
-// pointers shared with the sender shard survive in it (slices are copied
-// into the wireFrame's own reusable backing arrays).
+// wireFrame is a field-copied image of a frame for cross-shard transport:
+// no pointers shared with the sender shard survive in it (slices are
+// copied into the wireFrame's own reusable backing arrays).
 type wireFrame struct {
 	kind        frame.Kind
 	flags       uint8
@@ -129,16 +130,6 @@ func (w *wireFrame) copyIn(f frame.Frame) {
 	default:
 		panic(fmt.Sprintf("phy: cross conduit cannot transport %T", f))
 	}
-}
-
-// copyFrom copies another wireFrame (queue slot → holder), again into w's
-// own buffers.
-func (w *wireFrame) copyFrom(o *wireFrame) {
-	w.kind, w.flags = o.kind, o.flags
-	w.transmitter, w.receiver = o.transmitter, o.receiver
-	w.seq32, w.seq16, w.duration, w.expect = o.seq32, o.seq16, o.duration, o.expect
-	w.receivers = append(w.receivers[:0], o.receivers...)
-	w.payload = append(w.payload[:0], o.payload...)
 }
 
 // materialize acquires a frame of the snapshotted kind from the receiver
@@ -221,49 +212,14 @@ type crossHdr struct {
 	srcPos  geom.Point
 }
 
-// crossMsg is one message: a queue slot, and inside a holder its drained
-// image. Both are reused in place; the wireFrame keeps its backing arrays
-// across messages.
-type crossMsg struct {
-	crossHdr
-	fr wireFrame
-}
-
-// crossQueue holds the undrained messages from one shard to another, in
-// send order. Its producer and consumer always run on one goroutine (the
-// shards of a coupled component share one, and the epoch join runs on
-// the run's), and a drain takes every message, so the queue is a slice of
-// slots reused in place that grows when full.
-type crossQueue struct {
-	slots []crossMsg // nil until the first message
-	n     int        // undrained messages: slots[:n]
-}
-
-// crossQueueCap is a queue's first allocation. A queue holds a handful of
-// messages: a send ends its window, and the receiver drains before the
-// sender's next step (at most 8 on 2–8 shard Poisson and metro runs,
-// ghost records included).
-const crossQueueCap = 16
-
-// add returns the slot for the next message, allocating the slots on the
-// first message, so shard pairs that never couple never pay for them, and
-// doubling them when all are in use.
-func (q *crossQueue) add() *crossMsg {
-	if q.n == len(q.slots) {
-		grown := make([]crossMsg, max(crossQueueCap, 2*len(q.slots)))
-		copy(grown, q.slots)
-		q.slots = grown
-	}
-	q.n++
-	return &q.slots[q.n-1]
-}
-
-// pendingCross is the receiver-side holder: the drained image of one
-// message plus the free-list link. Holders are conduit-private — acquiring
-// one at drain time is invisible to the simulation, which is what keeps
-// drain timing out of the deterministic state.
+// pendingCross is the receiver-side holder: one delivered message, its
+// frame image, and the free-list link. Holders are conduit-private —
+// acquiring one at send time is invisible to the simulation, which is what
+// keeps delivery timing out of the deterministic state. The wireFrame
+// keeps its backing arrays across messages.
 type pendingCross struct {
-	crossMsg
+	crossHdr
+	fr   wireFrame
 	c    *shardConduit
 	next *pendingCross
 }
@@ -300,20 +256,17 @@ type ShardStats struct {
 }
 
 // shardConduit is one shard's half of the cross-shard fabric, owned by
-// that shard's Medium. Its sender state is the outbound queues and the
-// sequence counter (the catalogs live on the border radios); its receiver
-// state the inbound queues, the ghosts, and the mirror table that routes
-// cuts.
+// that shard's Medium. Its sender state is the sequence counter (the
+// catalogs live on the border radios); its receiver state the holders, the
+// ghosts, and the mirror table that routes cuts.
 type shardConduit struct {
 	net   *ShardNet
 	med   *Medium
 	shard int
 
-	out      []*crossQueue // per target shard; nil at the own index
 	localSeq uint64
 	endTime  sim.Time
 
-	in       []*crossQueue // per source shard; nil at the own index
 	ghosts   map[int]*Radio
 	free     *pendingCross
 	mirrors  map[mirrorKey]*transmission
@@ -323,14 +276,15 @@ type shardConduit struct {
 	stats ShardStats
 }
 
-// ShardNet is the cross-shard fabric of one sharded run: conduits, queues
-// and the direct lookahead matrix. The matrix, the radios' catalogs and
-// the ghost sets are epoch state: built at connect time and rebuilt at
-// each epoch join via Rebuild. A stationary run has one epoch and never
-// rebuilds.
+// ShardNet is the cross-shard fabric of one sharded run: conduits, the
+// direct lookahead matrix and the run's frontier table. The matrix, the
+// radios' catalogs and the ghost sets are epoch state: built at connect
+// time and rebuilt at each epoch join via Rebuild. A stationary run has
+// one epoch and never rebuilds.
 type ShardNet struct {
 	conduits []*shardConduit
 	direct   [][]sim.Time
+	sync     *sim.ShardSync
 
 	// Epoch state. localIdx/shardOf/mediums are setup-time constants;
 	// prevGhost — the per-(sender, receiver) sorted ghost-source id sets of
@@ -356,17 +310,14 @@ type ShardNet struct {
 // every epoch boundary with the boundary positions (see DESIGN.md §15 for
 // the epoch join). A stationary run passes envelope 0 and never
 // rebuilds: its catalogs then hold exactly the in-range receivers, and
-// its lookahead is the exact minimum cross-shard delay.
+// its lookahead is the exact minimum cross-shard delay. The frontier table
+// (Sync) is built from the direct matrix here and re-closed by Rebuild;
+// every delivery lowers the receiver's frontier in it.
 //
 // endTime is the run horizon: messages whose earliest receiver event falls
 // strictly after it are dropped at the sender, matching the unsharded
 // engine's never-run semantics and guaranteeing no message can chase a
 // shard that already ran its final window.
-//
-// The queue topology is fixed up front — every ordered shard pair gets its
-// queue even if no pair of radios is currently in reach — so only the
-// border membership churns at an epoch rollover. A queue's slots are
-// allocated on its first message.
 func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime sim.Time, envelope float64) *ShardNet {
 	s := len(mediums)
 	irange := mediums[0].cfg.interferenceRange()
@@ -397,25 +348,14 @@ func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime s
 	for i, m := range mediums {
 		net.conduits[i] = &shardConduit{
 			net: net, med: m, shard: i,
-			out:     make([]*crossQueue, s),
-			in:      make([]*crossQueue, s),
 			ghosts:  make(map[int]*Radio),
 			mirrors: make(map[mirrorKey]*transmission),
 			endTime: endTime,
 			maxProp: maxProp,
 		}
 	}
-	for i := 0; i < s; i++ {
-		for j := 0; j < s; j++ {
-			if i == j {
-				continue
-			}
-			q := &crossQueue{}
-			net.conduits[i].out[j] = q
-			net.conduits[j].in[i] = q
-		}
-	}
 	net.rebuild(pos, 0, false)
+	net.sync = sim.NewShardSync(net.direct)
 	for i, m := range mediums {
 		m.cross = net.conduits[i]
 	}
@@ -423,16 +363,18 @@ func ConnectShards(mediums []*Medium, pos []geom.Point, shardOf []int, endTime s
 }
 
 // Rebuild recomputes the epoch state — candidate catalogs, ghost
-// membership, and the direct lookahead matrix — from the node positions
-// at epoch boundary B. Ghost membership changes are announced to each
-// receiver shard as crossGhostAdd/crossGhostDel records stamped at t=B
-// with sender-minted sequence numbers.
+// membership, and the direct lookahead matrix, which it re-closes into the
+// frontier table — from the node positions at epoch boundary B. Ghost
+// membership changes are delivered to each receiver shard as
+// crossGhostAdd/crossGhostDel records stamped at t=B with sender-minted
+// sequence numbers.
 //
 // MUST be called only at the epoch join, when every shard has run all its
 // events before B and none is running: it rewrites every shard's sender
 // state (radio catalogs, localSeq).
 func (n *ShardNet) Rebuild(pos []geom.Point, B sim.Time) {
 	n.rebuild(pos, B, true)
+	n.sync.SetLookahead(n.direct)
 }
 
 func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, emit bool) {
@@ -554,7 +496,7 @@ func (n *ShardNet) rebuild(pos []geom.Point, B sim.Time, emit bool) {
 	}
 }
 
-// ghostRecord queues one ghost membership record from shard ss to shard t.
+// ghostRecord delivers one ghost membership record from shard ss to shard t.
 func (n *ShardNet) ghostRecord(ss, t int, kind uint8, src int, B sim.Time) {
 	c := n.conduits[ss]
 	c.put(t, &crossHdr{kind: kind, src: int32(src), t0: B, seqBase: c.mintSeq()}, nil)
@@ -585,58 +527,9 @@ func (n *ShardNet) Direct() [][]sim.Time { return n.direct }
 // Stats returns shard j's conduit counters.
 func (n *ShardNet) Stats(j int) ShardStats { return n.conduits[j].stats }
 
-// OutCap returns the earliest send time among shard j's undrained outbound
-// messages, or sim.MaxTime when every outbound queue is empty. A shard's
-// published frontier must not exceed this cap: until a receiver has
-// drained a message, the closure argument needs the sender's frontier to
-// still cover that message's send time — otherwise a third shard reading
-// the (already advanced) frontier could under-estimate how early the
-// receiver can relay it (see DESIGN.md §14). The cap is also the own
-// ("echo") term of shard j's target (sim.ShardSync.Target).
-//
-// Send times are monotone per queue (the sender's clock only advances),
-// so the first slot holds each queue's minimum.
-func (n *ShardNet) OutCap(j int) sim.Time {
-	lb := sim.MaxTime
-	for _, q := range n.conduits[j].out {
-		if q != nil && q.n > 0 && q.slots[0].t0 < lb {
-			lb = q.slots[0].t0
-		}
-	}
-	return lb
-}
-
-// Drain consumes every queued inbound message of shard j, schedules the
-// corresponding holder events, and returns how many it consumed. The
-// caller republishes j's frontier before any other shard reads it: the
-// drain lifts the senders' OutCap, and from then on j's next event is
-// what covers the deliveries.
-func (n *ShardNet) Drain(j int) int { return n.conduits[j].drain() }
-
-func (c *shardConduit) drain() (drained int) {
-	for _, q := range c.in {
-		if q == nil || q.n == 0 {
-			continue // left unwritten: its sender may run in another component
-		}
-		for i := range q.slots[:q.n] {
-			slot := &q.slots[i]
-			p := c.takeHolder()
-			p.crossHdr = slot.crossHdr
-			if p.kind == crossTx {
-				p.fr.copyFrom(&slot.fr)
-			}
-			c.stats.MsgsIn++
-			at := p.t0
-			if p.cat != nil {
-				at += p.cat.minProp // ghost records (cat==nil) fire at the boundary itself
-			}
-			c.med.eng.ScheduleCrossCall(at, p, 0, p.seqBase)
-		}
-		drained += q.n
-		q.n = 0
-	}
-	return drained
-}
+// Sync returns the run's frontier table, whose lookahead is the closure of
+// Direct().
+func (n *ShardNet) Sync() *sim.ShardSync { return n.sync }
 
 func (c *shardConduit) takeHolder() *pendingCross {
 	if p := c.free; p != nil {
@@ -790,8 +683,8 @@ func (c *shardConduit) evictExpired() {
 // cut nothing to find.
 //
 // Every message ends the running window: the engine stops right after the
-// event that minted it, and the shard loop re-reads its target, whose echo
-// term now covers the send (sim.ShardSync.Target).
+// event that minted it, and the shard loop re-reads its target, which the
+// receiver's lowered frontier now bounds (sim.ShardSync.Target).
 func (c *shardConduit) mirror(r *Radio, h crossHdr, f frame.Frame) {
 	h.src = int32(r.id)
 	for _, cat := range r.cats {
@@ -804,15 +697,30 @@ func (c *shardConduit) mirror(r *Radio, h crossHdr, f frame.Frame) {
 	}
 }
 
-// put queues one message, f (when non-nil) as its frame image, to target
-// shard t.
+// put delivers one message, f (when non-nil) as its frame image, to shard
+// t: it fills a holder of t's conduit, schedules it on t's engine at the
+// message's earliest receiver event time under the message's sequence
+// base — t0 + minProp, or t0 itself for a ghost record, which has no
+// catalog — and lowers t's frontier to that instant. A message goes only
+// along a catalog, whose finite lookahead puts both shards in one
+// component, so put runs on t's goroutine between t's windows (or at the
+// join, on the run's); t has run at most to the target its last window
+// read, which the relay closure holds at or below that instant.
 func (c *shardConduit) put(t int, h *crossHdr, f frame.Frame) {
-	slot := c.out[t].add()
-	slot.crossHdr = *h
+	rc := c.net.conduits[t]
+	p := rc.takeHolder()
+	p.crossHdr = *h
 	if f != nil {
-		slot.fr.copyIn(f)
+		p.fr.copyIn(f)
 	}
+	at := h.t0
+	if h.cat != nil {
+		at += h.cat.minProp
+	}
+	rc.med.eng.ScheduleCrossCall(at, p, 0, h.seqBase)
+	c.net.sync.Lower(t, at)
 	c.stats.MsgsOut++
+	rc.stats.MsgsIn++
 }
 
 // mintSeq reserves the next block of cross sequence numbers for one

@@ -81,7 +81,6 @@ func TestShardBoundaryPhysics(t *testing.T) {
 	net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 0, 1}, horizon, 0)
 	boundaryScript(eng0, srads[0].Radio, srads[1].Radio)
 	runOut(eng0, horizon)
-	net.Drain(1)
 	runOut(eng1, horizon)
 	got := srads[2].rec
 
@@ -129,7 +128,7 @@ func TestShardBoundaryPhysics(t *testing.T) {
 		}
 	}
 	// Cross-check the conduit accounting while we're here: every message
-	// published by shard 0 was drained by shard 1, none flowed back.
+	// sent by shard 0 was delivered to shard 1, none flowed back.
 	s0, s1 := net.Stats(0), net.Stats(1)
 	if s0.MsgsOut == 0 || s0.MsgsOut != s1.MsgsIn || s1.MsgsOut != 0 {
 		t.Errorf("conduit stats: out0=%d in1=%d out1=%d", s0.MsgsOut, s1.MsgsIn, s1.MsgsOut)
@@ -163,11 +162,10 @@ func TestShardBoundaryAbortBeforeDelivery(t *testing.T) {
 		b := m1.AddRadio(1, mobility.Stationary{P: pos[1]})
 		rb := &recRadio{Radio: b, rec: &recorder{}, eng: eng1}
 		b.SetHandler(rb)
-		net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon, 0)
+		ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon, 0)
 		eng0.ScheduleCall(0, scriptStep{func() { a.StartTx(testFrame(0, 400)) }}, 0)
 		eng0.ScheduleCall(sim.Millisecond, scriptStep{func() { a.AbortTx() }}, 0)
 		runOut(eng0, horizon)
-		net.Drain(1)
 		runOut(eng1, horizon)
 		return rb.rec
 	}
@@ -236,12 +234,9 @@ func mobileBoundaryCase(t *testing.T, field geom.Rect, pos []geom.Point, shardOf
 		r.SetHandler(srads[i])
 	}
 	envelope := 2 * 50 * horizon.Seconds() // 2 × MaxSpeed × epoch; one epoch spans the script
-	net := ConnectShards(mediums, pos, shardOf, horizon, envelope)
+	ConnectShards(mediums, pos, shardOf, horizon, envelope)
 	boundaryScript(engs[0], srads[0].Radio, srads[1].Radio)
 	for s := 0; s < shards; s++ {
-		if s > 0 {
-			net.Drain(s)
-		}
 		runOut(engs[s], horizon)
 	}
 
@@ -382,10 +377,9 @@ func TestShardBoundaryCrash(t *testing.T) {
 	b := m1.AddRadio(1, mobility.Stationary{P: pos[1]})
 	rb := &recRadio{Radio: b, rec: &recorder{}, eng: eng1}
 	b.SetHandler(rb)
-	net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon, 0)
+	ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon, 0)
 	script(eng0, a)
 	runOut(eng0, horizon)
-	net.Drain(1)
 	runOut(eng1, horizon)
 	got := rb.rec
 
@@ -445,12 +439,10 @@ func TestShardBoundaryGhostDropsTone(t *testing.T) {
 	net := ConnectShards([]*Medium{m0, m1}, pos, []int{0, 1}, horizon, 0)
 	eng0.ScheduleCall(on, scriptStep{func() { a.SetTone(Tone(0), true) }}, 0)
 	runOut(eng0, B)
-	net.Drain(1)
 	runOut(eng1, B)
 
 	// The boundary positions put a far beyond any foreign radio's reach.
 	net.Rebuild([]geom.Point{{X: -1000, Y: 0}, pos[1]}, B)
-	net.Drain(1)
 	runOut(eng1, horizon)
 
 	tones := rb.rec.tones

@@ -7,39 +7,32 @@ import "fmt"
 // can influence each other — a connected component of the lookahead
 // graph — are stepped in turn on one goroutine, and components run in
 // parallel. Shards advance their clocks under a Chandy–Misra–Bryant
-// variant without null messages: every shard publishes a frontier — a
-// lower bound on the earliest influence it can still exert, i.e.
-// min(next local event, send time of its earliest outbound message no
-// receiver has drained yet) — and each shard j may safely execute all
-// events strictly before
+// variant without null messages: every shard's frontier is its engine's
+// exact next event time — published after each of its windows and
+// lowered at once when another shard delivers an event to it — and each
+// shard j may safely execute all events strictly before
 //
-//	target(j) = min( outCap(j) + walkLookahead(j, j),
-//	                 min over k ≠ j of frontier(k) + walkLookahead(k, j) )
+//	target(j) = min over k ≠ j of frontier(k) + walkLookahead(k, j)
 //
-// where walkLookahead is the all-pairs minimum over walks of length ≥ 1
-// in the direct lookahead graph (minimum cross-shard propagation delay
-// between any two radios of the two shards) and outCap(j) is the send
-// time of j's earliest undrained outbound message. Including walks — not
-// just simple paths — matters twice over. Relays: influence from k
-// forwarded through intermediate shards is bounded transitively by the
-// triangle inequality, with the sender-side cap keeping frontier(k) at or
-// below an in-flight message's send time until its receiver has scheduled
-// the delivery (and so covers the relay itself). Echoes: the k = j
-// diagonal is the minimum round trip through any other shard, bounding
-// responses to shard j's *own* sends — a neighbour can react to a border
-// arrival and transmit back within the same timestamp (tone-triggered
-// aborts). The own term covers only sends already made; the shard loop
-// covers the rest by ending every window right after an event that sends
-// across, so each echo lands after everything the window ran. Frontiers
-// are pure measurements (next event / undrained send time), never derived
-// from other shards' frontiers, so targets converge in one step and the
-// classic null-message creep cannot occur.
+// where walkLookahead is the all-pairs minimum over walks in the direct
+// lookahead graph (minimum cross-shard propagation delay between any two
+// radios of the two shards). Relays: influence from k forwarded through
+// intermediate shards is bounded transitively by the triangle inequality,
+// because a delivery lowers the intermediate shard's frontier the moment
+// it is sent. Echoes: a neighbour can react to a border arrival and
+// transmit back within the same timestamp (tone-triggered aborts); the
+// receiver's lowered frontier plus the lookahead back bounds that reply,
+// and the shard loop ends every window right after an event that sends
+// across and asks again, so each echo lands after everything the window
+// ran. Frontiers are pure measurements (next event), never derived from
+// other shards' frontiers, so targets converge in one step and the classic
+// null-message creep cannot occur.
 //
 // Cross-shard events are injected with ScheduleCrossCall under a dedicated
 // sequence-number space (CrossSeqBase | sender<<CrossSeqShardShift | local
 // counter): the (time, seq) total order then interleaves cross traffic
 // after same-tick local events deterministically, independent of when a
-// message is drained, which is what makes a fixed (seed, shards) pair
+// message is inserted, which is what makes a fixed (seed, shards) pair
 // bit-identical across reruns.
 
 // MaxTime is the largest representable simulated time; used as the
@@ -153,11 +146,12 @@ func (e *Engine) ScheduleCrossCall(at Time, c Caller, tag int32, seq uint64) Eve
 }
 
 // ShardSync is the frontier table of one sharded run: each shard's
-// published frontier and the closed lookahead matrix. It holds no lock
-// and no atomic: a finite lookahead couples two shards into one component,
-// whose shards run on one goroutine, so Target only reads frontiers that
-// its own goroutine published; and the matrix changes only at an epoch
-// join, before the component goroutines of the next epoch start.
+// frontier and the closed lookahead matrix. It holds no lock and no
+// atomic: a finite lookahead couples two shards into one component, whose
+// shards run on one goroutine, so Target only reads frontiers, and Lower
+// only writes them, on the goroutine that publishes them; and the matrix
+// changes only at an epoch join, before the component goroutines of the
+// next epoch start.
 type ShardSync struct {
 	// walk closure: la[k][j] = min walk lookahead k→j (k==j: min cycle);
 	// MaxTime = decoupled.
@@ -171,8 +165,7 @@ type ShardSync struct {
 // walks of length ≥ 1 (Floyd–Warshall with the diagonal seeded to MaxTime
 // — shard counts are small): off-diagonal entries become shortest paths,
 // bounding relayed influence transitively, and diagonal entries become
-// minimum cycles, bounding echoes of a shard's own sends. Frontiers start
-// at 0.
+// minimum cycles, which no target reads. Frontiers start at 0.
 func NewShardSync(direct [][]Time) *ShardSync {
 	s := len(direct)
 	if s > MaxShards {
@@ -224,45 +217,37 @@ func closeWalks(la [][]Time) {
 // MaxTime when no such influence is possible.
 func (ss *ShardSync) Lookahead(k, j int) Time { return ss.la[k][j] }
 
-// Publish records shard k's frontier: a promise that shard k will not mint
-// any new influence before t. Callers must derive t from measurements only
-// — min(NextLowerBound after draining inbound messages, earliest undrained
-// outbound send time) — never from other shards' frontiers. Frontiers are
-// not monotone: a drain that schedules an earlier delivery pulls the next
-// publication down, so a shard must publish right after every drain.
+// Publish records shard k's frontier, its engine's next event time
+// (Engine.NextLowerBound) — never a value derived from other shards'
+// frontiers. Frontiers are not monotone: a delivery can schedule an event
+// before the next one, and Lower keeps the frontier exact until k's next
+// publication.
 func (ss *ShardSync) Publish(k int, t Time) { ss.fr[k] = t }
 
-// Frontier returns shard k's last published frontier.
+// Lower lowers shard k's frontier to t when t is earlier: a cross-shard
+// delivery has just scheduled an event at t on k's engine.
+func (ss *ShardSync) Lower(k int, t Time) { ss.fr[k] = min(ss.fr[k], t) }
+
+// Frontier returns shard k's frontier.
 func (ss *ShardSync) Frontier(k int) Time { return ss.fr[k] }
 
 // Target returns the conservative execution bound for shard j — it may
 // run every event strictly before the returned time — and the shard whose
-// term set it (-1 when none did). outCap is the send time of j's earliest
-// undrained outbound message (MaxTime when none).
-//
-// The k == j term is the echo bound: outCap plus the minimum round trip
-// covers every response to a send j has already made, and Target returns
-// j when it binds. Sends j has yet to make are not covered: the caller
-// must end its window right after any event that sends across and ask
-// again. j's own published frontier plays no part, so with nothing in
-// flight only foreign frontiers bound the window. MaxTime means j is
-// unconstrained (no shard — itself included — can route influence to it).
-func (ss *ShardSync) Target(j int, outCap Time) (Time, int) {
+// term set it (-1 when none did). j's own frontier plays no part: a
+// response to one of j's sends is bounded by the receiver's frontier,
+// which the delivery lowered. Sends j has yet to make are not covered:
+// the caller must end its window right after any event that sends across
+// and ask again. MaxTime means j is unconstrained (no other shard can
+// route influence to it).
+func (ss *ShardSync) Target(j int) (Time, int) {
 	t, by := Time(maxTime), -1
 	for k := range ss.fr {
 		la := ss.la[k][j]
-		if la == maxTime {
-			continue // another component's frontier: never read
+		if k == j || la == maxTime {
+			continue // j's own frontier, or another component's: never read
 		}
-		f := outCap
-		if k != j {
-			f = ss.fr[k]
-		}
-		if f == maxTime {
-			continue // nothing pending, or for j nothing in flight: no bound
-		}
-		if b := f + la; b < t {
-			t, by = b, k
+		if f := ss.fr[k]; f != maxTime && f+la < t {
+			t, by = f+la, k
 		}
 	}
 	return t, by

@@ -34,15 +34,17 @@ func TestShardSyncClosureDecoupled(t *testing.T) {
 			}
 		}
 	}
-	if got, by := ss.Target(0, 100); got != MaxTime || by != -1 {
+	ss.Publish(1, 100)
+	if got, by := ss.Target(0); got != MaxTime || by != -1 {
 		t.Errorf("decoupled Target = %v (by %d), want MaxTime (by -1)", got, by)
 	}
 }
 
-// TestShardSyncTarget pins the target formula, in particular the echo
-// term: shard 0's own undrained send plus the minimum round trip bounds it
-// even when the other frontiers are far ahead, while its own published
-// frontier, with nothing in flight, does not bound it at all.
+// TestShardSyncTarget pins the target formula: only the other shards'
+// frontiers bound shard 0, each plus its closed lookahead to 0, and 0's
+// own frontier is never read. Lower only ever lowers a frontier, and a
+// receiver's frontier lowered by one of 0's sends bounds 0's echo: a send
+// at 100 arriving at shard 1 at 105 caps 0 at 105 + 7.
 func TestShardSyncTarget(t *testing.T) {
 	inf := Time(MaxTime)
 	ss := NewShardSync([][]Time{
@@ -53,14 +55,26 @@ func TestShardSyncTarget(t *testing.T) {
 	ss.Publish(0, 100)
 	ss.Publish(1, 1000)
 	ss.Publish(2, 1000)
-	if got, by := ss.Target(0, MaxTime); got != 1007 || by != 1 {
+	if got, by := ss.Target(0); got != 1007 || by != 1 {
 		t.Errorf("Target(0) = %v by %d, want 1007 by 1 (frontier 1000 + lookahead 7; own frontier 100 does not cap)", got, by)
 	}
-	if got, by := ss.Target(0, 100); got != 112 || by != 0 {
-		t.Errorf("Target(0) = %v by %d, want 112 by 0 (echo: undrained send at 100 + round trip 5+7)", got, by)
+	ss.Publish(0, 0)
+	if got, by := ss.Target(0); got != 1007 || by != 1 {
+		t.Errorf("Target(0) = %v by %d after its own frontier fell to 0, want 1007 by 1", got, by)
+	}
+	ss.Lower(1, 2000)
+	if got := ss.Frontier(1); got != 1000 {
+		t.Errorf("Lower(1, 2000) moved frontier 1000 to %v", got)
+	}
+	ss.Lower(1, 105)
+	if got := ss.Frontier(1); got != 105 {
+		t.Errorf("Lower(1, 105): frontier %v, want 105", got)
+	}
+	if got, by := ss.Target(0); got != 112 || by != 1 {
+		t.Errorf("Target(0) = %v by %d, want 112 by 1 (echo: delivery at 105 + lookahead back 7)", got, by)
 	}
 	ss.Publish(1, MaxTime) // terminated shard constrains nobody
-	if got, by := ss.Target(0, MaxTime); got != 1010 || by != 2 {
+	if got, by := ss.Target(0); got != 1010 || by != 2 {
 		t.Errorf("Target(0) = %v by %d, want 1010 by 2 (shard 2 via relay closure)", got, by)
 	}
 	if got := ss.Frontier(1); got != MaxTime {
@@ -97,10 +111,10 @@ func TestShardSyncSetLookahead(t *testing.T) {
 	}
 	ss.Publish(0, 100)
 	ss.Publish(1, 200)
-	if got, by := ss.Target(2, MaxTime); got != MaxTime || by != -1 {
+	if got, by := ss.Target(2); got != MaxTime || by != -1 {
 		t.Errorf("decoupled shard 2: Target = %v by %d, want MaxTime by -1", got, by)
 	}
-	if got, by := ss.Target(0, MaxTime); got != 206 || by != 1 {
+	if got, by := ss.Target(0); got != 206 || by != 1 {
 		t.Errorf("Target(0) = %v by %d, want 206 by 1", got, by)
 	}
 }
